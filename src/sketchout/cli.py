@@ -12,7 +12,8 @@ Subcommands:
 * ``oracle``   -- re-score a stored dump of decoding-path score vectors
   against a given support.
 
-Exit codes: 0 success, 2 invalid input, 3 solver failure.
+Exit codes: 0 success, 2 invalid input (non-finite data included), 3
+solver failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import io
 from .imaging import read_pgm, saliency_map, write_pgm
-from .pipeline import AcosConfig, PipelineError, acos, sacos, sacos_missing
+from .pipeline import MODES, AcosConfig, PipelineError, detect
 from .sketching import SampleBudget, max_outliers, min_col_budget, min_gamma, min_row_budget
 from .solver import SolverDivergenceError
 from .synth import oracle_success, phase_grid
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("detect", help="identify outlier columns of a matrix file")
     d.add_argument("matrix", help="CSV matrix with rows,cols header")
-    d.add_argument("--mode", choices=["acos", "sacos", "sacos_missing"], default="acos")
+    d.add_argument("--mode", choices=MODES, default="acos")
     d.add_argument("--mask", default=None, help="CSV 0/1 mask (sacos_missing only)")
     d.add_argument("--gamma", type=float, default=0.2)
     d.add_argument("--m", type=int, required=True)
@@ -105,18 +106,10 @@ def _cmd_detect(args) -> int:
         gamma=args.gamma, m=args.m, p=args.p, lam=args.lam,
         k_ub=args.k_ub, energy=args.energy, seed=args.seed,
     )
-    n1, n2 = M.shape
-    if args.mode == "acos":
-        est, count = acos(M, cfg)
-        rate = count / float(n1 * n2)
-    elif args.mode == "sacos":
-        est, count = sacos(M, cfg)
-        rate = count / float(n1 * n2)
-    else:
-        if args.mask is None:
-            raise ValueError("sacos_missing needs --mask")
+    mask = None
+    if args.mode == "sacos_missing" and args.mask is not None:
         mask = io.read_matrix_csv(args.mask) > 0.5
-        est, rate = sacos_missing(M, mask, cfg)
+    est, rate = detect(args.mode, M, cfg, mask)
     print("declared: %s" % ",".join(str(i) for i in est.declared))
     print("sampling_rate: %.6f" % rate)
     return 0

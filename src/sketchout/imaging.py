@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pipeline import AcosConfig, acos, sacos
+from .pipeline import AcosConfig, detect
 
 #: Scores at or below this fraction of the patch-matrix column scale are
 #: treated as exact zeros, so a perfectly explained image declares nothing.
@@ -95,13 +95,10 @@ def saliency_map(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold is a fraction of the maximum score")
-    grid = patch_matrix(image)
-    if mode == "acos":
-        est, _ = acos(grid.matrix, cfg)
-    elif mode == "sacos":
-        est, _ = sacos(grid.matrix, cfg)
-    else:
+    if mode not in ("acos", "sacos"):
         raise ValueError("mode must be acos or sacos")
+    grid = patch_matrix(image)
+    est, _ = detect(mode, grid.matrix, cfg)
     scores = est.scores.copy()
     scale = float(np.max(np.linalg.norm(grid.matrix, axis=0)))
     scores[scores <= SCORE_FLOOR * scale] = 0.0

@@ -5,8 +5,6 @@
 * Phase grids: one CSV row per feasible cell, plus an 8-bit grayscale PGM
   heat map (white = success) with rank varying along columns and outlier
   count along rows.
-* Operators: a one-line CSV carrying (kind, rows, cols, seed, scale) --
-  enough to regenerate the realization bit-for-bit.
 * Configs: flat JSON objects.
 """
 
@@ -17,17 +15,6 @@ import json
 import numpy as np
 
 from . import imaging
-from .sketching import (
-    KIND_COLUMN,
-    KIND_DENSE,
-    KIND_PROBE,
-    KIND_ROW,
-    SketchOperator,
-    make_column_sampler,
-    make_gaussian_sketch,
-    make_probe_vector,
-    make_row_subsampler,
-)
 
 
 def write_matrix_csv(path, X: np.ndarray) -> None:
@@ -90,37 +77,6 @@ def write_phase_pgm(path, result) -> None:
             if (r, k) in result.grid:
                 img[i, j] = int(round(255 * result.grid[(r, k)]))
     imaging.write_pgm(path, img)
-
-
-_MAKERS = {
-    KIND_DENSE: lambda rows, cols, seed: make_gaussian_sketch(rows, cols, seed),
-    KIND_COLUMN: None,  # rebuilt from (rows=n2, seed); gamma travels in scale
-    KIND_ROW: lambda rows, cols, seed: make_row_subsampler(cols, rows, seed),
-    KIND_PROBE: lambda rows, cols, seed: make_probe_vector(cols, seed),
-}
-
-
-def dump_operator(path, op: SketchOperator, gamma: float | None = None) -> None:
-    """Persist the recipe of an operator (not its entries)."""
-    aux = gamma if op.kind == KIND_COLUMN else op.scale
-    if op.kind == KIND_COLUMN and gamma is None:
-        raise ValueError("column samplers need their gamma to be reproducible")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("kind,rows,cols,seed,aux\n")
-        fh.write("%s,%d,%d,%d,%.17g\n" % (op.kind, op.rows, op.cols, op.seed, aux))
-
-
-def load_operator(path) -> SketchOperator:
-    with open(path) as fh:
-        fh.readline()
-        kind, rows, cols, seed, aux = fh.readline().strip().split(",")
-    rows, cols, seed, aux = int(rows), int(cols), int(seed), float(aux)
-    if kind == KIND_COLUMN:
-        return make_column_sampler(rows, aux, seed)
-    maker = _MAKERS.get(kind)
-    if maker is None:
-        raise ValueError("unknown operator kind %r" % kind)
-    return maker(rows, cols, seed)
 
 
 def load_config(path) -> dict:

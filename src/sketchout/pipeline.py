@@ -8,11 +8,13 @@ against the subspace complement, one dense compression across columns).
 its residual norm orthogonal to the learned subspace.  ``sacos_missing``
 is the missing-data variant: the sketch becomes a row subsample, the
 separation step a masked solve, and each column is scored on its observed
-entries only.
+entries only.  ``detect`` runs any of the three by name (``MODES``) and
+reports the sampling rate as a fraction of the matrix entries.
 
 All access to the data matrix goes through :class:`MatrixSource`, which
-exposes only operator applications and counts every scalar measurement
-taken, so the adaptivity boundary is auditable.
+exposes only operator applications and masked row reads, counts every
+scalar measurement taken, and rejects non-finite measurements, so the
+adaptivity boundary is auditable.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import derive_seed
+# bench/tracing.py rebinds these layer names in this module to time them
 from .sketching import (
     make_column_sampler,
     make_gaussian_sketch,
@@ -30,10 +33,9 @@ from .sketching import (
     make_row_subsampler,
 )
 from .prox import lasso_path_solve
-from .solver import SolverOptions, default_lambda, outlier_pursuit, rmc_solve, subspace_basis
+from .solver import default_lambda, outlier_pursuit, rmc_solve, subspace_basis
 
-GAP_RULE = "nonzero-with-gap"
-THRESHOLD_RULE = "fixed-threshold"
+MODES = ("acos", "sacos", "sacos_missing")
 
 #: Minimum multiplicative separation for the gap rule to declare anything.
 GAP_RATIO = 10.0
@@ -93,7 +95,6 @@ class SupportEstimate:
 
     scores: np.ndarray = field(repr=False)
     declared: np.ndarray
-    rule: str
     mu_used: float | None = None
     score_path: np.ndarray | None = field(default=None, repr=False)
     column_flags: dict[str, np.ndarray] | None = None
@@ -103,7 +104,9 @@ class MatrixSource:
     """Column-access provider around the data matrix.
 
     The pipelines read the data only through these methods; ``measurements``
-    counts every scalar collected.
+    counts every scalar collected.  Each returned block must be finite, with
+    a finite sum of squares, or the read raises ValueError: downstream
+    least-squares steps cannot use it.
     """
 
     def __init__(self, M: np.ndarray):
@@ -116,23 +119,32 @@ class MatrixSource:
     def shape(self) -> tuple[int, int]:
         return self._M.shape
 
+    def _collect(self, measure, count=None) -> np.ndarray:
+        """Take one block (``count`` scalars, default all) and check it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = measure()
+            finite = np.isfinite(np.vdot(out, out))
+        if not finite:
+            raise ValueError("measurements must be finite")
+        self.measurements += out.size if count is None else count
+        return out
+
     def sketch_columns(self, op: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Phi M[:, idx]; counts rows(Phi) * |idx| scalars."""
-        out = op @ self._M[:, idx]
-        self.measurements += out.size
-        return out
+        return self._collect(lambda: op @ self._M[:, idx])
 
     def sketch(self, op: np.ndarray) -> np.ndarray:
         """Phi M; counts rows(Phi) * n2 scalars."""
-        out = op @ self._M
-        self.measurements += out.size
-        return out
+        return self._collect(lambda: op @ self._M)
 
     def row_sketch(self, w: np.ndarray, right: np.ndarray) -> np.ndarray:
         """(w M) right^T for a single row vector w; counts rows(right)."""
-        out = (w @ self._M) @ right.T
-        self.measurements += out.size
-        return out
+        return self._collect(lambda: (w @ self._M) @ right.T)
+
+    def masked_rows(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """M[rows] where ``mask`` (|rows| x n2) is true, zero elsewhere;
+        counts the observed entries only."""
+        return self._collect(lambda: np.where(mask, self._M[rows], 0.0), int(mask.sum()))
 
 
 def _as_source(M) -> MatrixSource:
@@ -170,7 +182,10 @@ def _gap_cut(scores: np.ndarray) -> tuple[float, int]:
         return 0.0, 0
     best, count = 0.0, 1
     if pos.size >= 2:
-        ratios = pos[:-1] / pos[1:]
+        # a quotient beyond the float range is a gap of infinite ratio, the
+        # correct limit here; log-space gaps could flip near-GAP_RATIO ties
+        with np.errstate(over="ignore"):
+            ratios = pos[:-1] / pos[1:]
         cut = int(np.argmax(ratios))
         best, count = float(ratios[cut]), cut + 1
     if pos.size < s.size and best <= GAP_RATIO:
@@ -178,31 +193,22 @@ def _gap_cut(scores: np.ndarray) -> tuple[float, int]:
     return best, count
 
 
-def extract_support(scores: np.ndarray, rule: str = GAP_RULE, tau: float | None = None) -> SupportEstimate:
+def extract_support(scores: np.ndarray) -> SupportEstimate:
     """Turn a score vector into a declared outlier set.
 
-    The gap rule declares the scores above the largest multiplicative gap
-    in the sorted sequence, provided that gap exceeds GAP_RATIO (exactly
-    zero scores below any positive ones always qualify); otherwise it
-    declares nothing.  The fixed-threshold rule declares scores strictly
-    above tau.
+    Declares the scores above the largest multiplicative gap in the sorted
+    sequence, provided that gap exceeds GAP_RATIO (exactly zero scores
+    below any positive ones always qualify); otherwise declares nothing.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    if rule == GAP_RULE:
-        ratio, count = _gap_cut(scores)
-        declared = np.array([], dtype=int)
-        if ratio > GAP_RATIO and count < scores.size:
-            order = np.argsort(scores)[::-1]
-            declared = np.sort(order[:count])
-        return SupportEstimate(scores, declared, GAP_RULE)
-    if rule == THRESHOLD_RULE:
-        if tau is None:
-            raise ValueError("fixed-threshold rule needs tau")
-        declared = np.nonzero(scores > tau)[0]
-        return SupportEstimate(scores, declared, "%s(%g)" % (THRESHOLD_RULE, tau))
-    raise ValueError("unknown support rule %r" % rule)
+    ratio, count = _gap_cut(scores)
+    declared = np.array([], dtype=int)
+    if ratio > GAP_RATIO and count < scores.size:
+        order = np.argsort(scores)[::-1]
+        declared = np.sort(order[:count])
+    return SupportEstimate(scores, declared)
 
 
 def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
@@ -225,7 +231,7 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     Y1 = src.sketch_columns(sketch.matrix, sampler.indices)
 
     lam = _resolve_lambda(cfg, n2)
-    sol = outlier_pursuit(Y1, lam, SolverOptions())
+    sol = outlier_pursuit(Y1, lam)
     basis = subspace_basis(sol, cfg.energy)
 
     right = make_gaussian_sketch(cfg.p, n2, derive_seed(cfg.seed, 3))
@@ -253,10 +259,10 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     # sketch; genuine outlier responses sit orders of magnitude above.
     leak = np.median(np.linalg.norm(basis.project_out(Y1), axis=0))
     if np.max(scores) <= 10.0 * np.linalg.norm(phi) * leak:
-        est = extract_support(np.zeros(n2), GAP_RULE)
+        est = extract_support(np.zeros(n2))
         est.scores = scores
     else:
-        est = extract_support(scores, GAP_RULE)
+        est = extract_support(scores)
     est.mu_used = float(mus[best])
     est.score_path = path
     return est, src.measurements
@@ -273,13 +279,13 @@ def sacos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     Y = src.sketch(sketch.matrix)
 
     lam = _resolve_lambda(cfg, n2)
-    sol = outlier_pursuit(Y[:, sampler.indices], lam, SolverOptions())
+    sol = outlier_pursuit(Y[:, sampler.indices], lam)
     basis = subspace_basis(sol, cfg.energy)
     scores = np.linalg.norm(basis.project_out(Y), axis=0)
-    return extract_support(scores, GAP_RULE), src.measurements
+    return extract_support(scores), src.measurements
 
 
-def sacos_missing(M_obs: np.ndarray, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, float]:
+def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, float]:
     """Missing-data variant over entry-sampled data.
 
     The sketch is a row subsample, so only observed entries in the selected
@@ -288,23 +294,20 @@ def sacos_missing(M_obs: np.ndarray, mask: np.ndarray, cfg: AcosConfig) -> tuple
     the row-restricted basis (re-orthonormalized per column).  Columns with
     no observations, or with no more observations than the basis dimension,
     score zero and are flagged.  Returns the fraction of matrix entries
-    used.
+    read.
     """
-    M_obs = np.asarray(M_obs, dtype=float)
+    src = _as_source(M_obs)
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != M_obs.shape:
+    if mask.shape != src.shape:
         raise ValueError("mask shape must match the data")
-    n1, n2 = M_obs.shape
+    n1, n2 = src.shape
     rows = make_row_subsampler(n1, cfg.m, derive_seed(cfg.seed, 2)).indices
     sampler = _sample_columns(n2, cfg)
     mask_r = mask[rows]
-    data_r = np.where(mask_r, M_obs[rows], 0.0)
-    sample_fraction = float(mask_r.sum()) / (n1 * n2)
+    data_r = src.masked_rows(rows, mask_r)
 
     lam = _resolve_lambda(cfg, n2)
-    sol = rmc_solve(
-        data_r[:, sampler.indices], mask_r[:, sampler.indices], lam, SolverOptions()
-    )
+    sol = rmc_solve(data_r[:, sampler.indices], mask_r[:, sampler.indices], lam)
     basis = subspace_basis(sol, cfg.energy)
 
     scores = np.zeros(n2)
@@ -321,9 +324,28 @@ def sacos_missing(M_obs: np.ndarray, mask: np.ndarray, cfg: AcosConfig) -> tuple
         Q, _ = np.linalg.qr(basis.basis[obs])
         v = data_r[obs, j]
         scores[j] = np.linalg.norm(v - Q @ (Q.T @ v))
-    est = extract_support(scores, GAP_RULE)
+    est = extract_support(scores)
     est.column_flags = {"unobserved": unobserved, "rank_deficient": rank_deficient}
-    return est, sample_fraction
+    return est, src.measurements / (n1 * n2)
+
+
+def detect(mode: str, M, cfg: AcosConfig, mask=None) -> tuple[SupportEstimate, float]:
+    """Run the pipeline named by ``mode`` (one of MODES) on M.
+
+    Returns the estimate and the sampling rate, the fraction of the
+    n1 x n2 entries measured.  ``mask`` is required by, and only read in,
+    the missing-data mode.
+    """
+    if mode == "sacos_missing":
+        if mask is None:
+            raise ValueError("sacos_missing needs an observation mask")
+        return sacos_missing(M, mask, cfg)
+    if mode not in MODES:
+        raise ValueError("mode must be one of %s" % (MODES,))
+    src = _as_source(M)
+    est, count = (acos if mode == "acos" else sacos)(src, cfg)
+    n1, n2 = src.shape
+    return est, count / float(n1 * n2)
 
 
 def measurement_count(

@@ -3,15 +3,13 @@
 The three proximal maps (elementwise soft threshold for the l1 norm,
 singular value thresholding for the nuclear norm, columnwise group
 shrinkage for the sum of column l2 norms) are the building blocks of the
-splitting solvers.  ``lasso_solve`` is a FISTA iteration with
-function-value restart and step size 1/L, L estimated by power iteration;
-``lasso_path_solve`` runs the same iteration simultaneously for a whole
-path of regularization weights sharing one design matrix.
+splitting solvers.  ``lasso_path_solve`` is the one LASSO entry point: a
+FISTA iteration with function-value restart and step size 1/L, L estimated
+by power iteration, run simultaneously for a whole path of regularization
+weights sharing one design matrix (a single weight is a path of length 1).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,34 +42,6 @@ def group_shrink(X: np.ndarray, tau: float) -> np.ndarray:
     return X * factor
 
 
-@dataclass
-class LassoProblem:
-    """min_c  1/2 ||y - D c||^2 + reg ||c||_1 with design D (p x n)."""
-
-    design: np.ndarray
-    observation: np.ndarray
-    reg: float
-    max_iters: int = 2000
-    tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        self.design = np.asarray(self.design, dtype=float)
-        self.observation = np.asarray(self.observation, dtype=float).ravel()
-        if self.design.ndim != 2:
-            raise ValueError("design must be a matrix")
-        if self.observation.size != self.design.shape[0]:
-            raise ValueError("observation length must match design rows")
-        if self.reg <= 0:
-            raise ValueError("regularization weight must be positive")
-
-
-@dataclass
-class LassoDiagnostics:
-    iterations: int
-    objective: float
-    converged: bool
-
-
 def _largest_sq_singular_value(D: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
     """Largest squared singular value of D by power iteration on D^T D."""
     n = D.shape[1]
@@ -90,18 +60,34 @@ def _largest_sq_singular_value(D: np.ndarray, iters: int = 50, tol: float = 1e-8
     return lam
 
 
-def _fista(D: np.ndarray, y: np.ndarray, regs: np.ndarray, max_iters: int, tol: float):
-    """Shared FISTA loop; one coefficient column per regularization weight."""
-    p, n = D.shape
-    nreg = regs.size
+def lasso_path_solve(
+    design: np.ndarray,
+    observation: np.ndarray,
+    regs,
+    max_iters: int = 2000,
+    tol: float = 1e-8,
+) -> tuple[np.ndarray, int]:
+    """Solve the LASSO min_c 1/2 ||y - D c||^2 + mu ||c||_1 for every weight
+    mu in ``regs`` over a shared design D (p x n).
+
+    Returns the (n x len(regs)) coefficient matrix and the iteration count.
+    The weights are batched into matrix products, one coefficient column
+    each; the iteration stops once every column's relative objective change
+    is below ``tol``, or after ``max_iters`` iterations.
+    """
+    regs = np.asarray(regs, dtype=float)
+    if np.any(regs <= 0):
+        raise ValueError("regularization weights must be positive")
+    D = np.asarray(design, dtype=float)
+    y = np.asarray(observation, dtype=float).ravel()
     L = _largest_sq_singular_value(D) * (1.0 + 1e-6)  # power iteration converges from below
     step = 1.0 / L
     tau = regs * step
-    C = np.zeros((n, nreg))
+    C = np.zeros((D.shape[1], regs.size))
     Z = C.copy()
-    t = np.ones(nreg)
+    t = np.ones(regs.size)
     Dty = D.T @ y
-    obj_prev = np.full(nreg, 0.5 * float(y @ y))
+    obj_prev = np.full(regs.size, 0.5 * float(y @ y))
     for it in range(1, max_iters + 1):
         G = D.T @ (D @ Z) - Dty[:, None]
         C_new = Z - step * G
@@ -119,38 +105,5 @@ def _fista(D: np.ndarray, y: np.ndarray, regs: np.ndarray, max_iters: int, tol: 
         done = np.abs(obj - obj_prev) <= tol * np.maximum(1.0, np.abs(obj_prev))
         C, t, obj_prev = C_new, t_new, obj
         if it > 1 and np.all(done):
-            return C, obj, it, True
-    return C, obj_prev, max_iters, False
-
-
-def lasso_solve(prob: LassoProblem) -> tuple[np.ndarray, LassoDiagnostics]:
-    """Approximate minimizer of the LASSO objective.
-
-    Terminates when the relative objective change falls below ``tol`` or
-    after ``max_iters`` iterations.
-    """
-    C, obj, it, conv = _fista(
-        prob.design, prob.observation, np.array([prob.reg]), prob.max_iters, prob.tol
-    )
-    return C[:, 0], LassoDiagnostics(it, float(obj[0]), conv)
-
-
-def lasso_path_solve(
-    design: np.ndarray,
-    observation: np.ndarray,
-    regs,
-    max_iters: int = 2000,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, int]:
-    """Solve the LASSO for every weight in ``regs`` over a shared design.
-
-    Returns the (n x len(regs)) coefficient matrix and the iteration count.
-    Equivalent to len(regs) calls of lasso_solve but batched into matrix
-    products; the iteration stops once every column has converged.
-    """
-    regs = np.asarray(regs, dtype=float)
-    if np.any(regs <= 0):
-        raise ValueError("regularization weights must be positive")
-    y = np.asarray(observation, dtype=float).ravel()
-    C, _, it, _ = _fista(np.asarray(design, dtype=float), y, regs, max_iters, tol)
-    return C, it
+            return C, it
+    return C, max_iters

@@ -1,15 +1,16 @@
 """Random measurement operators and sampling-budget validators.
 
-The operators come in four kinds:
+Four seeded constructors build the operators the pipelines apply:
 
-* ``dense-gaussian`` -- an m x n matrix with i.i.d. N(0, 1/m) entries, so
-  squared vector lengths are preserved in expectation (a distributional
-  Johnson-Lindenstrauss map with f(eps) = eps^2/4 - eps^3/6).
-* ``column-bernoulli`` -- a column selector I[:, S] where each index enters
-  S independently with probability gamma.  The membership draw for index i
-  depends only on (seed, i), so selections are prefix-stable in n.
-* ``row-subsample`` -- m distinct rows chosen uniformly at random.
-* ``single-row`` -- a 1 x m probe with i.i.d. standard normal entries.
+* ``make_gaussian_sketch`` -- an m x n matrix with i.i.d. N(0, 1/m)
+  entries, so squared vector lengths are preserved in expectation (a
+  distributional Johnson-Lindenstrauss map with f(eps) = eps^2/4 - eps^3/6).
+* ``make_column_sampler`` -- a column selector I[:, S] where each index
+  enters S independently with probability gamma.  The membership draw for
+  index i depends only on (seed, i), so selections are prefix-stable in n.
+* ``make_row_subsampler`` -- m distinct rows chosen uniformly at random.
+* ``make_probe_vector`` -- a 1 x m probe with i.i.d. standard normal
+  entries.
 
 The budget functions evaluate the closed-form sufficient sample sizes for
 the recovery guarantee at JL distortion eps = 1/4, using natural
@@ -27,32 +28,18 @@ import numpy as np
 
 from .rng import generator
 
-KIND_DENSE = "dense-gaussian"
-KIND_COLUMN = "column-bernoulli"
-KIND_ROW = "row-subsample"
-KIND_PROBE = "single-row"
-
 
 @dataclass
 class SketchOperator:
     """A realized measurement operator.
 
-    ``matrix`` is the dense realization (rows x cols).  Selector kinds also
+    ``matrix`` is the dense realization (rows x cols).  Selectors also
     carry ``indices``, the selected row/column indices in increasing order.
-    Operators are immutable after construction and reproducible bit-for-bit
-    from (kind, rows, cols, seed).
+    Each constructor reproduces its operator bit-for-bit from its arguments.
     """
 
-    kind: str
-    rows: int
-    cols: int
-    seed: int
-    scale: float
     matrix: np.ndarray = field(repr=False)
     indices: np.ndarray | None = field(default=None, repr=False)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return self.matrix @ X
 
 
 def make_gaussian_sketch(rows: int, cols: int, seed: int) -> SketchOperator:
@@ -61,7 +48,7 @@ def make_gaussian_sketch(rows: int, cols: int, seed: int) -> SketchOperator:
         raise ValueError("sketch dimensions must be positive")
     scale = 1.0 / math.sqrt(rows)
     mat = generator(seed).standard_normal((rows, cols)) * scale
-    return SketchOperator(KIND_DENSE, rows, cols, seed, scale, mat)
+    return SketchOperator(mat)
 
 
 def make_column_sampler(n2: int, gamma: float, seed: int) -> SketchOperator:
@@ -81,7 +68,7 @@ def make_column_sampler(n2: int, gamma: float, seed: int) -> SketchOperator:
         warnings.warn("column sampler selected no columns", RuntimeWarning)
     mat = np.zeros((n2, idx.size))
     mat[idx, np.arange(idx.size)] = 1.0
-    return SketchOperator(KIND_COLUMN, n2, idx.size, seed, 1.0, mat, idx)
+    return SketchOperator(mat, idx)
 
 
 def make_row_subsampler(n1: int, m: int, seed: int) -> SketchOperator:
@@ -91,7 +78,7 @@ def make_row_subsampler(n1: int, m: int, seed: int) -> SketchOperator:
     idx = np.sort(generator(seed).choice(n1, size=m, replace=False))
     mat = np.zeros((m, n1))
     mat[np.arange(m), idx] = 1.0
-    return SketchOperator(KIND_ROW, m, n1, seed, 1.0, mat, idx)
+    return SketchOperator(mat, idx)
 
 
 def make_probe_vector(m: int, seed: int) -> SketchOperator:
@@ -99,7 +86,7 @@ def make_probe_vector(m: int, seed: int) -> SketchOperator:
     if m < 1:
         raise ValueError("m must be positive")
     mat = generator(seed).standard_normal((1, m))
-    return SketchOperator(KIND_PROBE, 1, m, seed, 1.0, mat)
+    return SketchOperator(mat)
 
 
 def f_jl(eps: float) -> float:
@@ -116,8 +103,9 @@ class SampleBudget:
     """Problem parameters entering the sampling-budget formulas.
 
     ``mu_L`` is the column incoherence of the low-rank part, in
-    [1, n_L/r]; ``delta`` the acceptable failure probability.  ``epsilon``
-    is fixed at 1/4 because the guarantee constants are stated there.
+    [1, n_L/r]; ``delta`` the acceptable failure probability.  The JL
+    distortion is fixed at 1/4 (``F_QUARTER``) because the guarantee
+    constants are stated there.
     """
 
     n1: int
@@ -127,11 +115,6 @@ class SampleBudget:
     k: int
     mu_L: float = 1.0
     delta: float = 0.1
-    epsilon: float = 0.25
-
-    @property
-    def f_eps(self) -> float:
-        return f_jl(self.epsilon)
 
     def __post_init__(self) -> None:
         if self.r < 1:

@@ -6,10 +6,11 @@
 
 by an augmented-Lagrangian alternating scheme: L-update by singular value
 thresholding, C-update by columnwise group shrinkage, dual ascent on the
-constraint.  The penalty starts at 1.25 / ||Y|| (operator norm) and is
-multiplied by 1.6 whenever the primal residual stalls.  ``rmc_solve`` is
-the masked variant with the equality enforced only on observed entries,
-leaving the unobserved entries of L + C free.
+constraint.  The penalty starts at RHO_SCALE / ||Y|| (operator norm) and
+is multiplied by RHO_GROWTH whenever the primal residual stalls.
+``rmc_solve`` is the masked variant with the equality enforced only on
+observed entries, leaving the unobserved entries of L + C free; both run
+the same loop with the same constants.
 
 ``subspace_basis`` extracts an orthonormal basis of the recovered column
 space, optionally truncated to the smallest leading set of singular values
@@ -31,15 +32,17 @@ class SolverDivergenceError(RuntimeError):
     """Raised when the primal residual grows for too many iterations."""
 
 
-@dataclass
-class SolverOptions:
-    tol_residual: float = 1e-7
-    tol_change: float = 1e-6
-    max_iters: int = 500
-    rho_scale: float = 1.25
-    rho_growth: float = 1.6
-    stall_gate: float = 0.99
-    diverge_patience: int = 10
+#: Stopping rule: relative constraint residual and relative iterate change.
+TOL_RESIDUAL = 1e-7
+TOL_CHANGE = 1e-6
+MAX_ITERS = 500
+#: Initial penalty RHO_SCALE / ||Y||_2, grown by RHO_GROWTH whenever the
+#: residual fails to drop below STALL_GATE times its previous value.
+RHO_SCALE = 1.25
+RHO_GROWTH = 1.6
+STALL_GATE = 0.99
+#: Consecutive residual increases tolerated before declaring divergence.
+DIVERGE_PATIENCE = 10
 
 
 @dataclass
@@ -66,17 +69,17 @@ def default_lambda(k_ub: int) -> float:
     return 3.0 / (7.0 * math.sqrt(k_ub))
 
 
-def _split_iterations(Y, lam, opts, mask=None):
+def _split_iterations(Y, lam, mask=None):
     """Shared splitting loop; with a mask, unobserved entries are free."""
     normY = np.linalg.norm(Y, "fro")
-    rho = opts.rho_scale / np.linalg.norm(Y, 2)
+    rho = RHO_SCALE / np.linalg.norm(Y, 2)
     L = np.zeros_like(Y)
     C = np.zeros_like(Y)
     E = np.zeros_like(Y)
     Lam = np.zeros_like(Y)
     res_prev = np.inf
     bad = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         L_new = svt(Y - C - E + Lam / rho, 1.0 / rho)
         C_new = group_shrink(Y - L_new - E + Lam / rho, lam / rho)
         if mask is not None:
@@ -89,19 +92,19 @@ def _split_iterations(Y, lam, opts, mask=None):
         L, C = L_new, C_new
         Lam = Lam + rho * R
         bad = bad + 1 if res > res_prev else 0
-        if bad >= opts.diverge_patience:
+        if bad >= DIVERGE_PATIENCE:
             raise SolverDivergenceError(
                 "residual increased for %d consecutive iterations" % bad
             )
-        if res > opts.stall_gate * res_prev:
-            rho *= opts.rho_growth
+        if res > STALL_GATE * res_prev:
+            rho *= RHO_GROWTH
         res_prev = res
-        if res <= opts.tol_residual and change <= opts.tol_change:
+        if res <= TOL_RESIDUAL and change <= TOL_CHANGE:
             return L, C, res, it, True
-    return L, C, res, opts.max_iters, False
+    return L, C, res, MAX_ITERS, False
 
 
-def outlier_pursuit(Y: np.ndarray, lam: float, opts: SolverOptions | None = None) -> OpSolution:
+def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
     """Separate Y into low-rank and column-sparse parts under an exact
     decomposition constraint."""
     Y = np.asarray(Y, dtype=float)
@@ -109,19 +112,13 @@ def outlier_pursuit(Y: np.ndarray, lam: float, opts: SolverOptions | None = None
         raise ValueError("input matrix must be finite")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    opts = opts or SolverOptions()
     if not Y.any():
         return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, True)
-    L, C, res, it, conv = _split_iterations(Y, lam, opts)
+    L, C, res, it, conv = _split_iterations(Y, lam)
     return OpSolution(L, C, res, it, conv)
 
 
-def rmc_solve(
-    Y_obs: np.ndarray,
-    mask: np.ndarray,
-    lam: float,
-    opts: SolverOptions | None = None,
-) -> OpSolution:
+def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     """Masked variant: enforce Y = L + C only on entries where mask is
     true.  With fewer observed entries than n1 + n2 - 1 the solution is
     not unique and the result is flagged degenerate (converged stays
@@ -134,16 +131,13 @@ def rmc_solve(
         raise ValueError("mask must observe at least one entry")
     if not np.all(np.isfinite(Y_obs[mask])):
         raise ValueError("observed entries must be finite")
-    opts = opts or SolverOptions()
     Y = np.where(mask, Y_obs, 0.0)
     degenerate = int(mask.sum()) < sum(Y.shape) - 1
     if not Y.any():
         return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, not degenerate, degenerate)
-    if mask.all():
-        # fully observed: identical iteration to the unmasked solver
-        L, C, res, it, conv = _split_iterations(Y, lam, opts)
-        return OpSolution(L, C, res, it, conv)
-    L, C, res, it, conv = _split_iterations(Y, lam, opts, mask=mask)
+    # a full mask keeps the free part E at exactly zero, so the iteration
+    # then matches the unmasked solver bit for bit
+    L, C, res, it, conv = _split_iterations(Y, lam, mask=mask)
     if degenerate:
         conv = False
     return OpSolution(L, C, res, it, conv, degenerate)
@@ -190,7 +184,3 @@ def subspace_basis(sol, energy: float = 1.0) -> SubspaceBasis:
     kept = float(np.sum(s[:d])) / total
     return SubspaceBasis(U[:, :d], d, kept)
 
-
-def residual_operator(basis: SubspaceBasis):
-    """Linear map v -> v - B (B^T v), applied columnwise to matrices."""
-    return basis.project_out

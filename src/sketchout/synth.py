@@ -20,10 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pipeline import AcosConfig, acos, sacos, sacos_missing
+from .pipeline import MODES, AcosConfig, detect
 from .rng import derive_seed, generator
-
-MODES = ("acos", "sacos", "sacos_missing")
 
 
 @dataclass
@@ -176,19 +174,6 @@ class PhaseGridResult:
     cell_rate: dict
 
 
-def _run_trial(mode, inst, mask, cfg):
-    """One pipeline run; returns (score vectors for the oracle, rate)."""
-    n1, n2 = inst.shape
-    if mode == "acos":
-        est, count = acos(inst.M, cfg)
-        return est.score_path, count / float(n1 * n2)
-    if mode == "sacos":
-        est, count = sacos(inst.M, cfg)
-        return [est.scores], count / float(n1 * n2)
-    est, fraction = sacos_missing(inst.M, mask, cfg)
-    return [est.scores], fraction
-
-
 def phase_grid(
     mode: str,
     cfg_template: AcosConfig,
@@ -240,9 +225,10 @@ def phase_grid(
                     if mode == "sacos_missing":
                         mask = bernoulli_mask(n1, n2, p_omega, derive_seed(cell_seed, 2))
                     cfg = replace(cfg_template, lam=lam, seed=derive_seed(cell_seed, 3))
-                    score_path, rate = _run_trial(mode, inst, mask, cfg)
+                    est, rate = detect(mode, inst.M, cfg, mask)
                     rates.append(rate)
-                    if oracle_success(score_path, inst.true_support):
+                    path = est.score_path if est.score_path is not None else est.scores
+                    if oracle_success(path, inst.true_support):
                         wins += 1
                 freqs.append(wins / trials)
             best = int(np.argmax(freqs))

@@ -78,6 +78,18 @@ class TestDetectCommand:
         assert code == 2
         assert "mask" in err
 
+    def test_nonfinite_entry_is_invalid_input(self, tmp_path, capsys):
+        M = generate_instance(20, 50, 2, 3, seed=1).M
+        M[4, 11] = np.nan
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, M)
+        code, out, err = run(
+            capsys, "detect", str(path), "--mode", "acos", "--gamma", "0.5",
+            "--m", "10", "--p", "25", "--lam", "0.4",
+        )
+        assert code == 2
+        assert out == "" and "finite" in err
+
     def test_nonexistent_file(self, capsys):
         code, _, err = run(capsys, "detect", "/no/such/file.csv", "--m", "5")
         assert code == 2

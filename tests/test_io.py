@@ -3,12 +3,6 @@ import pytest
 
 from sketchout import io
 from sketchout.pipeline import AcosConfig
-from sketchout.sketching import (
-    make_column_sampler,
-    make_gaussian_sketch,
-    make_probe_vector,
-    make_row_subsampler,
-)
 from sketchout.synth import phase_grid
 
 
@@ -55,30 +49,6 @@ class TestScoresCsv:
         back = io.read_scores_csv(path)
         assert len(back) == 2
         assert np.allclose(back[0], [1, 2, 3])
-
-
-class TestOperatorDump:
-    @pytest.mark.parametrize(
-        "op,gamma",
-        [
-            (make_gaussian_sketch(6, 9, seed=5), None),
-            (make_row_subsampler(12, 4, seed=6), None),
-            (make_probe_vector(7, seed=8), None),
-        ],
-    )
-    def test_round_trip_regenerates_exact_matrix(self, tmp_path, op, gamma):
-        path = tmp_path / "op.csv"
-        io.dump_operator(path, op, gamma)
-        back = io.load_operator(path)
-        assert np.array_equal(back.matrix, op.matrix)
-
-    def test_column_sampler_needs_gamma(self, tmp_path):
-        op = make_column_sampler(20, 0.4, seed=9)
-        with pytest.raises(ValueError):
-            io.dump_operator(tmp_path / "op.csv", op)
-        io.dump_operator(tmp_path / "op.csv", op, gamma=0.4)
-        back = io.load_operator(tmp_path / "op.csv")
-        assert np.array_equal(back.indices, op.indices)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,19 +7,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sketchout.pipeline import (
-    GAP_RULE,
-    THRESHOLD_RULE,
+    MODES,
     AcosConfig,
     MatrixSource,
     acos,
+    detect,
     extract_support,
     measurement_count,
     sacos,
     sacos_missing,
 )
 from sketchout.rng import derive_seed
-from sketchout.sketching import make_column_sampler, make_gaussian_sketch
-from sketchout.synth import generate_instance, oracle_success
+from sketchout.sketching import make_column_sampler, make_gaussian_sketch, make_row_subsampler
+from sketchout.synth import bernoulli_mask, generate_instance, oracle_success
 
 
 class TestConfig:
@@ -41,7 +43,6 @@ class TestExtractSupport:
     def test_four_order_gap(self):
         est = extract_support(np.array([5.0, 4.0, 0.001, 0.002]))
         assert list(est.declared) == [0, 1]
-        assert est.rule == GAP_RULE
 
     def test_all_zero_scores(self):
         est = extract_support(np.zeros(5))
@@ -59,14 +60,12 @@ class TestExtractSupport:
         est = extract_support(np.array([0.0, 3.0, 0.0, 2.8]))
         assert list(est.declared) == [1, 3]
 
-    def test_fixed_threshold(self):
-        est = extract_support(np.array([5.0, 4.0, 0.1]), THRESHOLD_RULE, tau=1.0)
-        assert list(est.declared) == [0, 1]
-        assert est.rule.startswith(THRESHOLD_RULE)
-
-    def test_threshold_needs_tau(self):
-        with pytest.raises(ValueError):
-            extract_support(np.ones(3), THRESHOLD_RULE)
+    def test_gap_beyond_float_range(self):
+        # the top ratio overflows to inf, which is a clean separation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = extract_support(np.array([1e300, 5e-324, 0.0]))
+        assert list(est.declared) == [0]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -136,12 +135,24 @@ class TestAcos:
 
     def test_measurement_audit_matches_closed_form(self):
         inst = generate_instance(30, 150, 2, 4, seed=21)
+        mask = bernoulli_mask(30, 150, 0.7, seed=3)
         cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
         src = MatrixSource(inst.M)
         est, count = acos(src, cfg)
         sampler = make_column_sampler(150, cfg.gamma, derive_seed(cfg.seed, 1))
         assert count == sampler.indices.size * cfg.m + cfg.p
         assert count == src.measurements
+
+        src = MatrixSource(inst.M)
+        est, count = sacos(src, cfg)
+        assert count == src.measurements == measurement_count(cfg, 0, "sacos", 30, 150)[0]
+
+        # the missing-data path reads only the observed entries of its rows
+        src = MatrixSource(inst.M)
+        est, fraction = sacos_missing(src, mask, cfg)
+        rows = make_row_subsampler(30, cfg.m, derive_seed(cfg.seed, 2)).indices
+        assert src.measurements == mask[rows].sum()
+        assert fraction == src.measurements / (30 * 150)
 
     def test_score_path_shape_and_mu(self):
         inst = generate_instance(20, 80, 1, 2, seed=4)
@@ -237,3 +248,51 @@ class TestPermutationEquivariance:
         permuted, _ = sacos(inst.M[:, perm], cfg)
         expected = np.sort(np.nonzero(np.isin(perm, base.declared))[0])
         assert list(permuted.declared) == list(expected)
+
+
+class TestDetect:
+    def test_matches_direct_calls(self):
+        inst = generate_instance(30, 150, 2, 4, seed=21)
+        mask = bernoulli_mask(30, 150, 0.7, seed=3)
+        cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
+        direct = {
+            "acos": acos(inst.M, cfg),
+            "sacos": sacos(inst.M, cfg),
+            "sacos_missing": sacos_missing(inst.M, mask, cfg),
+        }
+        assert set(direct) == set(MODES)
+        for mode, (est, reported) in direct.items():
+            got, rate = detect(mode, inst.M, cfg, mask)
+            assert np.array_equal(got.scores, est.scores)
+            assert np.array_equal(got.declared, est.declared)
+            assert got.mu_used == est.mu_used
+            if mode == "sacos_missing":
+                assert rate == reported
+            else:
+                assert rate == reported / (30 * 150)
+
+    def test_invalid_mode_and_missing_mask(self):
+        inst = generate_instance(10, 40, 1, 2, seed=0)
+        cfg = AcosConfig(gamma=0.5, m=5, p=10, lam=0.4)
+        with pytest.raises(ValueError):
+            detect("other", inst.M, cfg)
+        with pytest.raises(ValueError, match="mask"):
+            detect("sacos_missing", inst.M, cfg)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unsampled_column_is_invalid_input(self, mode, bad):
+        inst = generate_instance(30, 150, 2, 4, seed=21)
+        cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
+        sampled = make_column_sampler(150, cfg.gamma, derive_seed(cfg.seed, 1)).indices
+        j = int(np.setdiff1d(np.arange(150), sampled)[0])
+        M = inst.M.copy()
+        M[:, j] = bad
+        mask = bernoulli_mask(30, 150, 0.7, seed=3)
+        mask[:, j] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="measurements must be finite"):
+                detect(mode, M, cfg, mask)

@@ -24,7 +24,7 @@ from sketchout.sketching import (
 class TestGaussianSketch:
     def test_zero_vector_maps_to_zero(self):
         op = make_gaussian_sketch(4, 4, seed=7)
-        assert np.array_equal(op.apply(np.zeros(4)), np.zeros(4))
+        assert np.array_equal(op.matrix @ np.zeros(4), np.zeros(4))
 
     def test_seeded_determinism(self):
         a = make_gaussian_sketch(33, 17, seed=123)
@@ -119,7 +119,7 @@ class TestProbeVector:
 
     def test_linearity_on_zero(self):
         op = make_probe_vector(6, seed=2)
-        assert op.apply(np.zeros(6)) == pytest.approx(0.0)
+        assert op.matrix @ np.zeros(6) == pytest.approx(0.0)
 
     def test_distinct_seeds_differ(self):
         a = make_probe_vector(8, seed=1)
