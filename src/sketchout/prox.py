@@ -5,8 +5,10 @@ singular value thresholding for the nuclear norm, columnwise group
 shrinkage for the sum of column l2 norms) are the building blocks of the
 splitting solvers.  ``lasso_path_solve`` is the one LASSO entry point: a
 FISTA iteration with function-value restart and step size 1/L, L estimated
-by power iteration, run simultaneously for a whole path of regularization
-weights sharing one design matrix (a single weight is a path of length 1).
+once by power iteration, run along a path of regularization weights sharing
+one design matrix (a single weight is a path of length 1).  The path is
+solved by continuation: largest weight first, each point warm-started from
+the previous point's solution and stopped on its own tolerance.
 """
 
 from __future__ import annotations
@@ -70,10 +72,13 @@ def lasso_path_solve(
     """Solve the LASSO min_c 1/2 ||y - D c||^2 + mu ||c||_1 for every weight
     mu in ``regs`` over a shared design D (p x n).
 
-    Returns the (n x len(regs)) coefficient matrix and the iteration count.
-    The weights are batched into matrix products, one coefficient column
-    each; the iteration stops once every column's relative objective change
-    is below ``tol``, or after ``max_iters`` iterations.
+    Returns the (n x len(regs)) coefficient matrix, column j for regs[j],
+    and the largest per-point iteration count.  The points are solved in
+    decreasing order of weight, whatever the order of ``regs``.  Each starts
+    from the previous point's coefficients (the first from zero) with the
+    momentum reset, and stops once its relative objective change is below
+    ``tol``, or after ``max_iters`` iterations of its own; a returned count
+    equal to ``max_iters`` means some point hit that cap.
     """
     regs = np.asarray(regs, dtype=float)
     if np.any(regs <= 0):
@@ -82,28 +87,31 @@ def lasso_path_solve(
     y = np.asarray(observation, dtype=float).ravel()
     L = _largest_sq_singular_value(D) * (1.0 + 1e-6)  # power iteration converges from below
     step = 1.0 / L
-    tau = regs * step
-    C = np.zeros((D.shape[1], regs.size))
-    Z = C.copy()
-    t = np.ones(regs.size)
     Dty = D.T @ y
-    obj_prev = np.full(regs.size, 0.5 * float(y @ y))
-    for it in range(1, max_iters + 1):
-        G = D.T @ (D @ Z) - Dty[:, None]
-        C_new = Z - step * G
-        C_new = np.sign(C_new) * np.maximum(np.abs(C_new) - tau, 0.0)
-        R = D @ C_new - y[:, None]
-        obj = 0.5 * np.sum(R * R, axis=0) + regs * np.sum(np.abs(C_new), axis=0)
-        if not np.all(np.isfinite(obj)):
-            raise FloatingPointError("non-finite objective in LASSO iteration")
-        restart = obj > obj_prev
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        mom = (t - 1.0) / t_new
-        mom[restart] = 0.0
-        t_new[restart] = 1.0
-        Z = C_new + mom * (C_new - C)
-        done = np.abs(obj - obj_prev) <= tol * np.maximum(1.0, np.abs(obj_prev))
-        C, t, obj_prev = C_new, t_new, obj
-        if it > 1 and np.all(done):
-            return C, it
-    return C, max_iters
+    coeffs = np.zeros((D.shape[1], regs.size))
+    c = np.zeros(D.shape[1])
+    worst = 0
+    for j in np.argsort(regs)[::-1]:
+        mu = regs[j]
+        r = D @ c - y
+        obj_prev = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c)))
+        z, t, it = c, 1.0, 0
+        for it in range(1, max_iters + 1):
+            c_new = soft_threshold(z - step * (D.T @ (D @ z) - Dty), mu * step)
+            r = D @ c_new - y
+            obj = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c_new)))
+            if not np.isfinite(obj):
+                raise FloatingPointError("non-finite objective in LASSO iteration")
+            if obj > obj_prev:  # function-value restart
+                t_new, mom = 1.0, 0.0
+            else:
+                t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+                mom = (t - 1.0) / t_new
+            z = c_new + mom * (c_new - c)
+            done = abs(obj - obj_prev) <= tol * max(1.0, abs(obj_prev))
+            c, t, obj_prev = c_new, t_new, obj
+            if it > 1 and done:
+                break
+        coeffs[:, j] = c
+        worst = max(worst, it)
+    return coeffs, worst

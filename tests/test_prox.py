@@ -191,13 +191,35 @@ class TestLasso:
         mus = np.geomspace(1e-3, 0.5, 5) * base
         path, _ = lasso_path_solve(D, y, mus)
         for j, mu in enumerate(mus):
-            c, _ = _lasso(D, y, mu)
-            single = _objective(D, y, c, mu)
-            batched = _objective(D, y, path[:, j], mu)
-            # the batched run iterates until every column converges, so it
-            # may land slightly below the single solve, never meaningfully above
-            assert batched <= single + 1e-9
-            assert abs(batched - single) <= 1e-6 * (1 + abs(single))
+            obj_o = _objective(D, y, _coordinate_descent(D, y, mu), mu)
+            assert _objective(D, y, path[:, j], mu) <= obj_o + 1e-6 * (1 + abs(obj_o))
+
+    def test_weight_order_does_not_change_columns(self):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        D = rng.standard_normal((15, 40))
+        y = rng.standard_normal(15)
+        mus = np.geomspace(1e-3, 1.0, 6) * np.max(np.abs(D.T @ y))
+        ref, ref_iters = lasso_path_solve(D, y, mus)
+        for order in (np.arange(6)[::-1], np.array([3, 0, 5, 1, 4, 2])):
+            path, iters = lasso_path_solve(D, y, mus[order])
+            assert np.array_equal(path, ref[:, order])
+            assert iters == ref_iters
+
+    def test_count_is_largest_per_point_count(self):
+        rng = np.random.Generator(np.random.Philox(key=12))
+        D = rng.standard_normal((20, 50))
+        y = rng.standard_normal(20)
+        mus = np.geomspace(1e-3, 0.5, 5) * np.max(np.abs(D.T @ y))
+        path, iters = lasso_path_solve(D, y, mus)
+        assert 1 < iters < 2000
+        # no point needs more than the returned count: capping there changes nothing
+        capped, capped_iters = lasso_path_solve(D, y, mus, max_iters=iters)
+        assert capped_iters == iters and np.array_equal(capped, path)
+        # some point needs all of it: one fewer reaches the cap
+        _, short_iters = lasso_path_solve(D, y, mus, max_iters=iters - 1)
+        assert short_iters == iters - 1
+        _, one = lasso_path_solve(D, y, mus, max_iters=1)
+        assert one == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
