@@ -31,6 +31,28 @@ from .solver import SolverDivergenceError
 from .synth import oracle_success, phase_grid
 
 
+def _add_config_flags(parser, energy: float, threshold: float | None = None) -> None:
+    """The AcosConfig flags shared by ``detect`` and ``saliency``; a
+    ``threshold`` default also adds saliency's --threshold before --seed."""
+    parser.add_argument("--gamma", type=float, default=0.2)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--p", type=int, default=0)
+    parser.add_argument("--lam", type=float, default=None)
+    parser.add_argument("--k-ub", type=int, default=None)
+    parser.add_argument("--energy", type=float, default=energy)
+    if threshold is not None:
+        parser.add_argument("--threshold", type=float, default=threshold,
+                            help="declare fraction of the maximum score")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _config(args) -> AcosConfig:
+    return AcosConfig(
+        gamma=args.gamma, m=args.m, p=args.p, lam=args.lam,
+        k_ub=args.k_ub, energy=args.energy, seed=args.seed,
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="sketchout", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -48,27 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("matrix", help="CSV matrix with rows,cols header")
     d.add_argument("--mode", choices=MODES, default="acos")
     d.add_argument("--mask", default=None, help="CSV 0/1 mask (sacos_missing only)")
-    d.add_argument("--gamma", type=float, default=0.2)
-    d.add_argument("--m", type=int, required=True)
-    d.add_argument("--p", type=int, default=0)
-    d.add_argument("--lam", type=float, default=None)
-    d.add_argument("--k-ub", type=int, default=None)
-    d.add_argument("--energy", type=float, default=1.0)
-    d.add_argument("--seed", type=int, default=0)
+    _add_config_flags(d, energy=1.0)
 
     s = sub.add_parser("saliency", help="saliency mask for a PGM image")
     s.add_argument("image", help="input PGM (P5) image")
     s.add_argument("output", help="output PGM mask")
     s.add_argument("--mode", choices=["acos", "sacos"], default="sacos")
-    s.add_argument("--gamma", type=float, default=0.2)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--p", type=int, default=0)
-    s.add_argument("--lam", type=float, default=None)
-    s.add_argument("--k-ub", type=int, default=None)
-    s.add_argument("--energy", type=float, default=0.95)
-    s.add_argument("--threshold", type=float, default=0.25,
-                   help="declare fraction of the maximum score")
-    s.add_argument("--seed", type=int, default=0)
+    _add_config_flags(s, energy=0.95, threshold=0.25)
 
     p = sub.add_parser("phase", help="phase-transition grid from a JSON config")
     p.add_argument("config", help="flat JSON config")
@@ -102,10 +110,7 @@ def _cmd_budget(args) -> int:
 
 def _cmd_detect(args) -> int:
     M = io.read_matrix_csv(args.matrix)
-    cfg = AcosConfig(
-        gamma=args.gamma, m=args.m, p=args.p, lam=args.lam,
-        k_ub=args.k_ub, energy=args.energy, seed=args.seed,
-    )
+    cfg = _config(args)
     mask = None
     if args.mode == "sacos_missing" and args.mask is not None:
         mask = io.read_matrix_csv(args.mask) > 0.5
@@ -117,10 +122,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_saliency(args) -> int:
     image = read_pgm(args.image)
-    cfg = AcosConfig(
-        gamma=args.gamma, m=args.m, p=args.p, lam=args.lam,
-        k_ub=args.k_ub, energy=args.energy, seed=args.seed,
-    )
+    cfg = _config(args)
     mask, scores = saliency_map(image, args.mode, cfg, args.threshold)
     write_pgm(args.output, mask)
     print("salient patches: %d / %d" % (int(np.count_nonzero(scores > 0)), scores.size))
@@ -136,7 +138,6 @@ def _cmd_phase(args) -> int:
             p=raw.get("p", 0),
             lam=None,
             k_ub=raw.get("k_ub"),
-            lasso_path=raw.get("lasso_path", 10),
             energy=raw.get("energy", 1.0),
             seed=raw.get("seed", 0),
         )
@@ -163,7 +164,7 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    scores = io.read_scores_csv(args.scores)
+    scores = io.read_matrix_csv(args.scores)
     support = [int(t) for t in args.support.split(",") if t.strip() != ""]
     print("success: %s" % ("true" if oracle_success(scores, support) else "false"))
     return 0

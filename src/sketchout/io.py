@@ -40,15 +40,6 @@ def read_matrix_csv(path) -> np.ndarray:
     return data
 
 
-def write_scores_csv(path, scores_per_mu) -> None:
-    """One score vector per row (a dump of the decoding path)."""
-    write_matrix_csv(path, np.vstack([np.asarray(s, float) for s in scores_per_mu]))
-
-
-def read_scores_csv(path) -> list[np.ndarray]:
-    return [row for row in read_matrix_csv(path)]
-
-
 def write_phase_csv(path, result) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("r,k,lambda_best,success_rate,trials,sampling_rate\n")

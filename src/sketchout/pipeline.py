@@ -45,6 +45,9 @@ GAP_RATIO = 10.0
 #: random probe induces on the outlier coefficients.
 MU_PATH_LO = 1e-5
 
+#: Number of geometrically spaced weights on the regularization path.
+PATH_POINTS = 10
+
 
 class PipelineError(RuntimeError):
     """Degenerate sampling or other unrecoverable pipeline failure."""
@@ -67,7 +70,6 @@ class AcosConfig:
     p: int = 0
     lam: float | None = None
     k_ub: int | None = None
-    lasso_path: int = 10
     energy: float = 1.0
     seed: int = 0
 
@@ -78,8 +80,6 @@ class AcosConfig:
             raise ValueError("m must be at least 1")
         if self.lam is not None and self.lam <= 0:
             raise ValueError("lambda must be positive")
-        if self.lasso_path < 1:
-            raise ValueError("need at least one regularization value")
         if not 0.0 < self.energy <= 1.0:
             raise ValueError("energy must lie in (0, 1]")
 
@@ -243,11 +243,11 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     null_thresh = float(np.max(np.abs(right.matrix.T @ y2)))
     if null_thresh == 0.0:
         scores = np.zeros(n2)
-        path = np.zeros((cfg.lasso_path, n2))
-        mus = np.zeros(cfg.lasso_path)
+        path = np.zeros((PATH_POINTS, n2))
+        mus = np.zeros(PATH_POINTS)
         best = 0
     else:
-        mus = np.geomspace(MU_PATH_LO, 1.0, cfg.lasso_path) * null_thresh
+        mus = np.geomspace(MU_PATH_LO, 1.0, PATH_POINTS) * null_thresh
         coeffs, _ = lasso_path_solve(right.matrix, y2, mus)
         path = np.abs(coeffs.T)
         quality = [_gap_cut(s) for s in path]
@@ -289,12 +289,13 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     """Missing-data variant over entry-sampled data.
 
     The sketch is a row subsample, so only observed entries in the selected
-    rows are ever read; the separation step solves the masked program, and
-    each column's score is the residual of its observed subvector against
-    the row-restricted basis (re-orthonormalized per column).  Columns with
-    no observations, or with no more observations than the basis dimension,
-    score zero and are flagged.  Returns the fraction of matrix entries
-    read.
+    rows are ever read, and unobserved entries count as zeros from then on.
+    The separation step solves the masked program, and each column's score
+    is the residual of its observed subvector against the basis restricted
+    to its observed rows (re-orthonormalized per column, all columns in one
+    batched QR).  Columns with no observations, or with no more
+    observations than the basis dimension, score zero and are flagged.
+    Returns the fraction of matrix entries read.
     """
     src = _as_source(M_obs)
     mask = np.asarray(mask, dtype=bool)
@@ -310,20 +311,16 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     sol = rmc_solve(data_r[:, sampler.indices], mask_r[:, sampler.indices], lam)
     basis = subspace_basis(sol, cfg.energy)
 
-    scores = np.zeros(n2)
-    unobserved = np.zeros(n2, dtype=bool)
-    rank_deficient = np.zeros(n2, dtype=bool)
-    for j in range(n2):
-        obs = np.nonzero(mask_r[:, j])[0]
-        if obs.size == 0:
-            unobserved[j] = True
-            continue
-        if obs.size <= basis.dim:
-            rank_deficient[j] = True
-            continue
-        Q, _ = np.linalg.qr(basis.basis[obs])
-        v = data_r[obs, j]
-        scores[j] = np.linalg.norm(v - Q @ (Q.T @ v))
+    # one reduced QR per column, batched: column j's basis with the rows it
+    # does not observe zeroed, so its data (zero there too) is fit on its
+    # observed entries only
+    counts = mask_r.sum(axis=0)
+    Q, _ = np.linalg.qr(mask_r.T[:, :, None] * basis.basis)
+    coef = np.einsum("jmd,mj->jd", Q, data_r)
+    scores = np.linalg.norm(data_r.T - np.einsum("jmd,jd->jm", Q, coef), axis=1)
+    unobserved = counts == 0
+    rank_deficient = (counts > 0) & (counts <= basis.dim)
+    scores[counts <= basis.dim] = 0.0
     est = extract_support(scores)
     est.column_flags = {"unobserved": unobserved, "rank_deficient": rank_deficient}
     return est, src.measurements / (n1 * n2)

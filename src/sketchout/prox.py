@@ -44,6 +44,10 @@ def group_shrink(X: np.ndarray, tau: float) -> np.ndarray:
     return X * factor
 
 
+#: Each path point stops once its relative objective change is below this.
+TOL_OBJECTIVE = 1e-8
+
+
 def _largest_sq_singular_value(D: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
     """Largest squared singular value of D by power iteration on D^T D."""
     n = D.shape[1]
@@ -67,7 +71,6 @@ def lasso_path_solve(
     observation: np.ndarray,
     regs,
     max_iters: int = 2000,
-    tol: float = 1e-8,
 ) -> tuple[np.ndarray, int]:
     """Solve the LASSO min_c 1/2 ||y - D c||^2 + mu ||c||_1 for every weight
     mu in ``regs`` over a shared design D (p x n).
@@ -77,8 +80,8 @@ def lasso_path_solve(
     decreasing order of weight, whatever the order of ``regs``.  Each starts
     from the previous point's coefficients (the first from zero) with the
     momentum reset, and stops once its relative objective change is below
-    ``tol``, or after ``max_iters`` iterations of its own; a returned count
-    equal to ``max_iters`` means some point hit that cap.
+    TOL_OBJECTIVE, or after ``max_iters`` iterations of its own; a returned
+    count equal to ``max_iters`` means some point hit that cap.
     """
     regs = np.asarray(regs, dtype=float)
     if np.any(regs <= 0):
@@ -108,7 +111,7 @@ def lasso_path_solve(
                 t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
                 mom = (t - 1.0) / t_new
             z = c_new + mom * (c_new - c)
-            done = abs(obj - obj_prev) <= tol * max(1.0, abs(obj_prev))
+            done = abs(obj - obj_prev) <= TOL_OBJECTIVE * max(1.0, abs(obj_prev))
             c, t, obj_prev = c_new, t_new, obj
             if it > 1 and done:
                 break

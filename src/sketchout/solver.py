@@ -1,16 +1,16 @@
 """Convex separation of a matrix into low-rank plus column-sparse parts.
 
-``outlier_pursuit`` solves
+``rmc_solve`` solves
 
-    min ||L||_* + lambda ||C||_{1,2}   s.t.  Y = L + C
+    min ||L||_* + lambda ||C||_{1,2}   s.t.  Y = L + C on observed entries
 
 by an augmented-Lagrangian alternating scheme: L-update by singular value
 thresholding, C-update by columnwise group shrinkage, dual ascent on the
-constraint.  The penalty starts at RHO_SCALE / ||Y|| (operator norm) and
+constraint, with the unobserved entries of L + C left free.  The penalty
+starts at RHO_SCALE / ||Y|| (operator norm, unobserved entries zeroed) and
 is multiplied by RHO_GROWTH whenever the primal residual stalls.
-``rmc_solve`` is the masked variant with the equality enforced only on
-observed entries, leaving the unobserved entries of L + C free; both run
-the same loop with the same constants.
+``outlier_pursuit`` is the same solve with every entry observed: the free
+part then stays exactly zero.
 
 ``subspace_basis`` extracts an orthonormal basis of the recovered column
 space, optionally truncated to the smallest leading set of singular values
@@ -50,7 +50,7 @@ class OpSolution:
     """Recovered pair (L, C) with convergence diagnostics.
 
     ``residual`` is the relative constraint violation ||Y - L - C||_F /
-    ||Y||_F (restricted to observed entries for the masked variant).
+    ||Y||_F on the observed entries.
     """
 
     low_rank: np.ndarray = field(repr=False)
@@ -69,8 +69,8 @@ def default_lambda(k_ub: int) -> float:
     return 3.0 / (7.0 * math.sqrt(k_ub))
 
 
-def _split_iterations(Y, lam, mask=None):
-    """Shared splitting loop; with a mask, unobserved entries are free."""
+def _split_iterations(Y, lam, mask):
+    """Splitting loop; the entries where ``mask`` is false are free."""
     normY = np.linalg.norm(Y, "fro")
     rho = RHO_SCALE / np.linalg.norm(Y, 2)
     L = np.zeros_like(Y)
@@ -82,8 +82,7 @@ def _split_iterations(Y, lam, mask=None):
     for it in range(1, MAX_ITERS + 1):
         L_new = svt(Y - C - E + Lam / rho, 1.0 / rho)
         C_new = group_shrink(Y - L_new - E + Lam / rho, lam / rho)
-        if mask is not None:
-            E = np.where(mask, 0.0, Y - L_new - C_new + Lam / rho)
+        E = np.where(mask, 0.0, Y - L_new - C_new + Lam / rho)
         R = Y - L_new - C_new - E
         res = np.linalg.norm(R, "fro") / normY
         change = (
@@ -106,23 +105,17 @@ def _split_iterations(Y, lam, mask=None):
 
 def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
     """Separate Y into low-rank and column-sparse parts under an exact
-    decomposition constraint."""
-    Y = np.asarray(Y, dtype=float)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("input matrix must be finite")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if not Y.any():
-        return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, True)
-    L, C, res, it, conv = _split_iterations(Y, lam)
-    return OpSolution(L, C, res, it, conv)
+    decomposition constraint: ``rmc_solve`` with every entry observed."""
+    return rmc_solve(Y, np.ones(np.shape(Y), dtype=bool), lam)
 
 
 def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
-    """Masked variant: enforce Y = L + C only on entries where mask is
-    true.  With fewer observed entries than n1 + n2 - 1 the solution is
-    not unique and the result is flagged degenerate (converged stays
-    false; the residual certificate is still reported)."""
+    """Separate Y into low-rank and column-sparse parts, enforcing Y = L + C
+    only on entries where mask is true; unobserved entries of Y_obs count
+    as zeros and are otherwise ignored.  With fewer observed entries than
+    n1 + n2 - 1 the solution is not unique and the result is flagged
+    degenerate (converged stays false; the residual certificate is still
+    reported)."""
     mask = np.asarray(mask, dtype=bool)
     Y_obs = np.asarray(Y_obs, dtype=float)
     if mask.shape != Y_obs.shape:
@@ -131,13 +124,13 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
         raise ValueError("mask must observe at least one entry")
     if not np.all(np.isfinite(Y_obs[mask])):
         raise ValueError("observed entries must be finite")
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
     Y = np.where(mask, Y_obs, 0.0)
     degenerate = int(mask.sum()) < sum(Y.shape) - 1
     if not Y.any():
         return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, not degenerate, degenerate)
-    # a full mask keeps the free part E at exactly zero, so the iteration
-    # then matches the unmasked solver bit for bit
-    L, C, res, it, conv = _split_iterations(Y, lam, mask=mask)
+    L, C, res, it, conv = _split_iterations(Y, lam, mask)
     if degenerate:
         conv = False
     return OpSolution(L, C, res, it, conv, degenerate)

@@ -35,8 +35,6 @@ class ProblemInstance:
     r: int
     normalized: bool = False
     noise_sigma: float = 0.0
-    mask: np.ndarray | None = field(default=None, repr=False)
-    p_omega: float | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -164,9 +162,6 @@ class PhaseGridResult:
 
     grid: dict
     trials_per_cell: int
-    lambda_set: list
-    config: AcosConfig
-    mode: str
     sampling_rate: float
     r_values: list
     k_values: list
@@ -240,9 +235,6 @@ def phase_grid(
     return PhaseGridResult(
         grid=grid,
         trials_per_cell=trials,
-        lambda_set=list(lambda_set),
-        config=cfg_template,
-        mode=mode,
         sampling_rate=rate_sum / max(rate_n, 1),
         r_values=list(r_values),
         k_values=list(k_values),

@@ -153,7 +153,7 @@ class TestPhaseCommand:
 class TestOracleCommand:
     def test_success_and_failure(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"
-        io.write_scores_csv(path, [np.array([5.0, 4.0, 0.1]), np.array([1.0, 1.0, 1.0])])
+        io.write_matrix_csv(path, np.array([[5.0, 4.0, 0.1], [1.0, 1.0, 1.0]]))
         code, out, _ = run(capsys, "oracle", str(path), "--support", "0,1")
         assert code == 0 and "success: true" in out
         code, out, _ = run(capsys, "oracle", str(path), "--support", "1,2")
@@ -161,6 +161,6 @@ class TestOracleCommand:
 
     def test_empty_support(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"
-        io.write_scores_csv(path, [np.zeros(3)])
+        io.write_matrix_csv(path, np.zeros((1, 3)))
         code, out, _ = run(capsys, "oracle", str(path), "--support", "")
         assert code == 0 and "success: true" in out

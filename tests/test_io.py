@@ -42,15 +42,6 @@ class TestMatrixCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestScoresCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "s.csv"
-        io.write_scores_csv(path, [np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25, 0.125])])
-        back = io.read_scores_csv(path)
-        assert len(back) == 2
-        assert np.allclose(back[0], [1, 2, 3])
-
-
 @pytest.fixture(scope="module")
 def result():
     cfg = AcosConfig(gamma=0.5, m=8, seed=0)

@@ -157,9 +157,9 @@ class TestAcos:
 
     def test_score_path_shape_and_mu(self):
         inst = generate_instance(20, 80, 1, 2, seed=4)
-        cfg = AcosConfig(gamma=0.5, m=8, p=40, lam=0.43, seed=9, lasso_path=6)
+        cfg = AcosConfig(gamma=0.5, m=8, p=40, lam=0.43, seed=9)
         est, _ = acos(inst.M, cfg)
-        assert est.score_path.shape == (6, 80)
+        assert est.score_path.shape == (pipeline.PATH_POINTS, 80)
         assert est.mu_used is not None
 
     def test_decoder_iteration_count_on_white_instance(self, monkeypatch):
@@ -267,6 +267,53 @@ class TestSacosMissing:
         with pytest.raises(ValueError):
             sacos_missing(np.ones((4, 5)), np.ones((4, 4), bool), AcosConfig(gamma=0.5, m=2))
 
+    def test_batched_scores_match_per_column_loop(self, monkeypatch):
+        inst = generate_instance(30, 150, 3, 6, seed=41)
+        cfg = AcosConfig(gamma=0.4, m=20, lam=0.4, seed=43)
+        rows = make_row_subsampler(30, cfg.m, derive_seed(cfg.seed, 2)).indices
+        mask = bernoulli_mask(30, 150, 0.7, seed=42)
+        mask[:, 3] = False  # no observations
+        mask[:, 5] = False
+        mask[rows[:2], 5] = True  # two observations, fewer than the basis needs
+        bases = []
+        learn = pipeline.subspace_basis
+
+        def recording(*args):
+            bases.append(learn(*args))
+            return bases[-1]
+
+        monkeypatch.setattr(pipeline, "subspace_basis", recording)
+        est, _ = sacos_missing(inst.M, mask, cfg)
+        (basis,) = bases
+        mask_r = mask[rows]
+        counts = mask_r.sum(axis=0)
+        assert basis.dim >= 2 and counts[3] == 0 and counts[5] == 2
+        assert np.all(np.delete(counts, [3, 5]) > basis.dim)
+        scores, flags = _per_column_scores(basis, np.where(mask_r, inst.M[rows], 0.0), mask_r)
+        assert np.max(np.abs(est.scores - scores)) <= 1e-12 * np.max(scores)
+        for name in ("unobserved", "rank_deficient"):
+            assert np.array_equal(est.column_flags[name], flags[name])
+        assert flags["unobserved"][3] and flags["rank_deficient"][5]
+
+
+def _per_column_scores(basis, data_r, mask_r):
+    """Reference for the batched scoring of sacos_missing: one reduced QR
+    of the observed basis rows per column."""
+    n2 = data_r.shape[1]
+    scores = np.zeros(n2)
+    flags = {"unobserved": np.zeros(n2, bool), "rank_deficient": np.zeros(n2, bool)}
+    for j in range(n2):
+        obs = np.nonzero(mask_r[:, j])[0]
+        if obs.size == 0:
+            flags["unobserved"][j] = True
+        elif obs.size <= basis.dim:
+            flags["rank_deficient"][j] = True
+        else:
+            Q, _ = np.linalg.qr(basis.basis[obs])
+            v = data_r[obs, j]
+            scores[j] = np.linalg.norm(v - Q @ (Q.T @ v))
+    return scores, flags
+
 
 class TestPermutationEquivariance:
     def test_sacos_declared_follows_column_permutation(self):
@@ -278,6 +325,21 @@ class TestPermutationEquivariance:
         permuted, _ = sacos(inst.M[:, perm], cfg)
         expected = np.sort(np.nonzero(np.isin(perm, base.declared))[0])
         assert list(permuted.declared) == list(expected)
+
+    def test_sacos_missing_follows_column_permutation(self):
+        inst = generate_instance(40, 200, 2, 8, seed=32)
+        mask = bernoulli_mask(40, 200, 0.8, seed=33)
+        mask[:, 11] = False
+        cfg = AcosConfig(gamma=0.4, m=30, lam=0.4, seed=18)
+        base, _ = sacos_missing(inst.M, mask, cfg)
+        assert set(base.declared) == set(inst.true_support)
+        rng = np.random.Generator(np.random.Philox(key=56))
+        perm = rng.permutation(200)
+        permuted, _ = sacos_missing(inst.M[:, perm], mask[:, perm], cfg)
+        expected = np.sort(np.nonzero(np.isin(perm, base.declared))[0])
+        assert list(permuted.declared) == list(expected)
+        for name, flags in base.column_flags.items():
+            assert np.array_equal(permuted.column_flags[name], flags[perm])
 
 
 class TestDetect:

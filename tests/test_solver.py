@@ -101,6 +101,11 @@ class TestRmcSolve:
         with pytest.raises(ValueError):
             rmc_solve(np.ones((3, 3)), np.zeros((3, 3), bool), 0.3)
 
+    def test_nonpositive_lambda_rejected(self):
+        for lam in (0.0, -0.3):
+            with pytest.raises(ValueError, match="lambda"):
+                rmc_solve(np.ones((3, 3)), np.ones((3, 3), bool), lam)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rmc_solve(np.ones((3, 3)), np.ones((3, 4), bool), 0.3)

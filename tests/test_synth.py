@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -140,11 +140,11 @@ def _brute_force_success(scores, support):
     support = set(int(i) for i in support)
     if not support:
         return not scores.any()
-    # scan a positive threshold in every interval between distinct values
-    vals = np.unique(np.concatenate([scores, [0.0]]))
-    taus = list((vals[:-1] + vals[1:]) / 2.0) + [vals[-1] + 1.0]
-    for tau in taus:
-        if tau > 0 and set(np.nonzero(scores > tau)[0].tolist()) == support:
+    # the set above a threshold changes only at the score values, so trying
+    # each of them, and 0, covers every nonnegative threshold (midpoints can
+    # round onto a score: (0 + 5e-324) / 2 == 0)
+    for tau in np.unique(np.concatenate([scores, [0.0]])):
+        if set(np.nonzero(scores > tau)[0].tolist()) == support:
             return True
     return False
 
@@ -177,6 +177,7 @@ class TestOracleSuccess:
         scores=arrays(np.float64, 7, elements=st.floats(0, 10)),
         support=st.sets(st.integers(0, 6), max_size=7),
     )
+    @example(scores=np.array([5e-324, 1, 1, 1, 1, 1, 1]), support=set(range(7)))
     def test_agrees_with_threshold_scan(self, scores, support):
         got = oracle_success([scores], sorted(support))
         want = _brute_force_success(scores, support)
