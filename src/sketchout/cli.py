@@ -136,8 +136,6 @@ def _cmd_phase(args) -> int:
             gamma=raw.get("gamma", 0.2),
             m=raw["m"],
             p=raw.get("p", 0),
-            lam=None,
-            k_ub=raw.get("k_ub"),
             energy=raw.get("energy", 1.0),
             seed=raw.get("seed", 0),
         )

@@ -90,7 +90,9 @@ class SupportEstimate:
 
     ``score_path`` holds the full per-regularization score vectors when the
     decoding step ran a path (acos); ``column_flags`` marks columns whose
-    score is a placeholder (missing-data variant).
+    score is a placeholder (missing-data variant).  ``converged`` is false
+    when the separation solve stopped at its iteration cap or was
+    degenerate, so the learned subspace carries no certificate.
     """
 
     scores: np.ndarray = field(repr=False)
@@ -98,6 +100,7 @@ class SupportEstimate:
     mu_used: float | None = None
     score_path: np.ndarray | None = field(default=None, repr=False)
     column_flags: dict[str, np.ndarray] | None = None
+    converged: bool = True
 
 
 class MatrixSource:
@@ -265,6 +268,7 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
         est = extract_support(scores)
     est.mu_used = float(mus[best])
     est.score_path = path
+    est.converged = sol.converged
     return est, src.measurements
 
 
@@ -282,7 +286,9 @@ def sacos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     sol = outlier_pursuit(Y[:, sampler.indices], lam)
     basis = subspace_basis(sol, cfg.energy)
     scores = np.linalg.norm(basis.project_out(Y), axis=0)
-    return extract_support(scores), src.measurements
+    est = extract_support(scores)
+    est.converged = sol.converged
+    return est, src.measurements
 
 
 def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, float]:
@@ -323,6 +329,7 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     scores[counts <= basis.dim] = 0.0
     est = extract_support(scores)
     est.column_flags = {"unobserved": unobserved, "rank_deficient": rank_deficient}
+    est.converged = sol.converged
     return est, src.measurements / (n1 * n2)
 
 

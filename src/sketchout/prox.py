@@ -4,11 +4,12 @@ The three proximal maps (elementwise soft threshold for the l1 norm,
 singular value thresholding for the nuclear norm, columnwise group
 shrinkage for the sum of column l2 norms) are the building blocks of the
 splitting solvers.  ``lasso_path_solve`` is the one LASSO entry point: a
-FISTA iteration with function-value restart and step size 1/L, L estimated
-once by power iteration, run along a path of regularization weights sharing
-one design matrix (a single weight is a path of length 1).  The path is
-solved by continuation: largest weight first, each point warm-started from
-the previous point's solution and stopped on its own tolerance.
+FISTA iteration with function-value restart and step size 1/L, L =
+sigma_max(D)^2 computed exactly as the largest eigenvalue of the smaller
+Gram matrix, run along a path of regularization weights sharing one design
+matrix (a single weight is a path of length 1).  The path is solved by
+continuation: largest weight first, each point warm-started from the
+previous point's solution and stopped on its own tolerance.
 """
 
 from __future__ import annotations
@@ -48,24 +49,6 @@ def group_shrink(X: np.ndarray, tau: float) -> np.ndarray:
 TOL_OBJECTIVE = 1e-8
 
 
-def _largest_sq_singular_value(D: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
-    """Largest squared singular value of D by power iteration on D^T D."""
-    n = D.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(iters):
-        w = D.T @ (D @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise ValueError("step-size estimation failed: zero design")
-        v_new = w / nw
-        lam_new = float(v_new @ (D.T @ (D @ v_new)))
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            return lam_new
-        v, lam = v_new, lam_new
-    return lam
-
-
 def lasso_path_solve(
     design: np.ndarray,
     observation: np.ndarray,
@@ -81,14 +64,19 @@ def lasso_path_solve(
     from the previous point's coefficients (the first from zero) with the
     momentum reset, and stops once its relative objective change is below
     TOL_OBJECTIVE, or after ``max_iters`` iterations of its own; a returned
-    count equal to ``max_iters`` means some point hit that cap.
+    count equal to ``max_iters`` means some point hit that cap.  The step
+    is 1/L with L = sigma_max(D)^2 exact, the largest step for which FISTA
+    is guaranteed to converge.
     """
     regs = np.asarray(regs, dtype=float)
     if np.any(regs <= 0):
         raise ValueError("regularization weights must be positive")
     D = np.asarray(design, dtype=float)
     y = np.asarray(observation, dtype=float).ravel()
-    L = _largest_sq_singular_value(D) * (1.0 + 1e-6)  # power iteration converges from below
+    gram = D @ D.T if D.shape[0] <= D.shape[1] else D.T @ D
+    L = float(np.max(np.linalg.eigvalsh(gram), initial=0.0))
+    if not (np.isfinite(L) and L > 0):
+        raise ValueError("step-size estimation failed: zero design")
     step = 1.0 / L
     Dty = D.T @ y
     coeffs = np.zeros((D.shape[1], regs.size))

@@ -16,6 +16,7 @@ and records the pointwise-maximum success frequency per cell.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,6 +199,9 @@ def phase_grid(
         raise ValueError("need nonempty grid axes and trials >= 1")
     if not len(lambda_set):
         raise ValueError("need at least one separation weight")
+    for lam in lambda_set:
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 < lam < math.inf:
+            raise ValueError("separation weights must be positive numbers, got %r" % (lam,))
 
     grid, cell_best, cell_rate = {}, {}, {}
     rate_sum, rate_n = 0.0, 0

@@ -149,6 +149,20 @@ class TestPhaseCommand:
         code, _, err = run(capsys, "phase", str(cfg_path), "--out-csv", "x", "--out-pgm", "y")
         assert code == 2
 
+    @pytest.mark.parametrize("weights", [[None], ["oops"], [0.4, -1.0]], ids=["null", "text", "negative"])
+    def test_bad_weight_rejected_before_any_trial(self, tmp_path, capsys, weights):
+        cfg = {
+            "mode": "sacos", "n1": 16, "n2": 40, "gamma": 0.5, "m": 8,
+            "r_values": [1], "k_values": [2], "lambda_set": weights, "trials": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        csv, pgm = tmp_path / "a.csv", tmp_path / "a.pgm"
+        code, _, err = run(capsys, "phase", str(cfg_path), "--out-csv", str(csv), "--out-pgm", str(pgm))
+        assert code == 2
+        assert "separation weights" in err
+        assert not csv.exists() and not pgm.exists()
+
 
 class TestOracleCommand:
     def test_success_and_failure(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sketchout import pipeline
+from sketchout import pipeline, solver
 from sketchout.pipeline import (
     MODES,
     AcosConfig,
@@ -370,6 +370,34 @@ class TestDetect:
             detect("other", inst.M, cfg)
         with pytest.raises(ValueError, match="mask"):
             detect("sacos_missing", inst.M, cfg)
+
+
+class TestConvergedFlag:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_capped_separation_solve_is_reported(self, mode, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERS", 1)
+        inst = generate_instance(30, 150, 2, 4, seed=21)
+        mask = bernoulli_mask(30, 150, 0.7, seed=3)
+        cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
+        est, _ = detect(mode, inst.M, cfg, mask)
+        assert est.converged is False
+
+    def test_easy_instance_converges(self):
+        inst = generate_instance(40, 300, 3, 10, seed=8)
+        est, _ = sacos(inst.M, AcosConfig(gamma=0.3, m=20, lam=0.4, seed=13))
+        assert est.converged is True
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("mode", ["sacos", "sacos_missing"])
+    def test_declared_set_invariant_to_input_scale(self, mode):
+        inst = generate_instance(40, 200, 2, 8, seed=32)
+        mask = bernoulli_mask(40, 200, 0.8, seed=33)
+        cfg = AcosConfig(gamma=0.4, m=30, p=80, lam=0.4, seed=18)
+        ref = list(detect(mode, inst.M, cfg, mask)[0].declared)
+        assert ref == list(inst.true_support)
+        for scale in (1e-150, 1e-6, 1e6, 1e150):
+            assert list(detect(mode, inst.M * scale, cfg, mask)[0].declared) == ref
 
 
 class TestNonFiniteInput:

@@ -142,6 +142,18 @@ def _objective(D, y, c, mu):
     return 0.5 * np.sum((y - D @ c) ** 2) + mu * np.abs(c).sum()
 
 
+def _sparse_recovery_problem():
+    rng = np.random.Generator(np.random.Philox(key=8))
+    D = rng.standard_normal((20, 50))
+    truth = np.zeros(50)
+    truth[[3, 17, 40]] = [1.0, -2.0, 0.5]
+    y = D @ truth
+    return D, y, 0.01 * np.max(np.abs(D.T @ y))
+
+
+_ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
 def _lasso(D, y, mu, max_iters=2000):
     """Single-weight solve: a regularization path of length one."""
     C, iters = lasso_path_solve(D, y, [mu], max_iters=max_iters)
@@ -162,13 +174,20 @@ class TestLasso:
         c, _ = _lasso(D, y, mu)
         assert np.array_equal(c, np.zeros(20))
 
-    def test_matches_coordinate_descent_oracle(self):
-        rng = np.random.Generator(np.random.Philox(key=8))
-        D = rng.standard_normal((20, 50))
-        truth = np.zeros(50)
-        truth[[3, 17, 40]] = [1.0, -2.0, 0.5]
-        y = D @ truth
-        mu = 0.01 * np.max(np.abs(D.T @ y))
+    @pytest.mark.parametrize(
+        "D, y, mu",
+        [
+            pytest.param(*_sparse_recovery_problem(), id="random"),
+            # the all-ones vector spans the null space of D
+            pytest.param(np.array([[1.0, -1.0]]), np.array([1.0]), 0.1, id="ones_in_null_space"),
+            # the top right singular vector (sigma 3) is orthogonal to all-ones
+            pytest.param(
+                np.diag([1.0, 3.0]) @ _ROTATION.T, np.array([0.5, 2.0]), 0.1,
+                id="top_vector_orthogonal_to_ones",
+            ),
+        ],
+    )
+    def test_matches_coordinate_descent_oracle(self, D, y, mu):
         c, _ = _lasso(D, y, mu)
         oracle = _coordinate_descent(D, y, mu)
         obj_o = _objective(D, y, oracle, mu)
