@@ -31,19 +31,20 @@ from .solver import SolverDivergenceError
 from .synth import oracle_success, phase_grid
 
 
-def _add_config_flags(parser, energy: float, threshold: float | None = None) -> None:
-    """The AcosConfig flags shared by ``detect`` and ``saliency``; a
-    ``threshold`` default also adds saliency's --threshold before --seed."""
+def _add_config_flags(parser, energy: float) -> None:
+    """The AcosConfig flags shared by ``detect`` and ``saliency``."""
     parser.add_argument("--gamma", type=float, default=0.2)
     parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--p", type=int, default=0)
     parser.add_argument("--lam", type=float, default=None)
     parser.add_argument("--k-ub", type=int, default=None)
     parser.add_argument("--energy", type=float, default=energy)
-    if threshold is not None:
-        parser.add_argument("--threshold", type=float, default=threshold,
-                            help="declare fraction of the maximum score")
     parser.add_argument("--seed", type=int, default=0)
+
+
+#: The keys a phase config may hold; any other key is rejected.
+_PHASE_KEYS = {"mode", "n1", "n2", "gamma", "m", "p", "energy", "seed", "r_values", "k_values",
+               "lambda_set", "trials", "noise_sigma", "p_omega", "normalize"}
 
 
 def _config(args) -> AcosConfig:
@@ -76,7 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("image", help="input PGM (P5) image")
     s.add_argument("output", help="output PGM mask")
     s.add_argument("--mode", choices=["acos", "sacos"], default="sacos")
-    _add_config_flags(s, energy=0.95, threshold=0.25)
+    _add_config_flags(s, energy=0.95)
+    s.add_argument("--threshold", type=float, default=0.25,
+                   help="declare fraction of the maximum score")
 
     p = sub.add_parser("phase", help="phase-transition grid from a JSON config")
     p.add_argument("config", help="flat JSON config")
@@ -131,6 +134,9 @@ def _cmd_saliency(args) -> int:
 
 def _cmd_phase(args) -> int:
     raw = io.load_config(args.config)
+    unknown = sorted(set(raw) - _PHASE_KEYS)
+    if unknown:
+        raise ValueError("unknown config keys: %s" % ", ".join(unknown))
     try:
         cfg = AcosConfig(
             gamma=raw.get("gamma", 0.2),

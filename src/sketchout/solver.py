@@ -145,14 +145,12 @@ class SubspaceBasis:
     energy_kept: float
 
     def project_out(self, X: np.ndarray) -> np.ndarray:
-        """Residual after removing the component inside the subspace."""
-        if self.dim == 0:
-            return np.array(X, copy=True)
+        """Residual after removing the component inside the subspace (a new array)."""
         return X - self.basis @ (self.basis.T @ X)
 
 
-def subspace_basis(sol, energy: float = 1.0) -> SubspaceBasis:
-    """Basis of the span of the low-rank estimate.
+def subspace_basis(X: np.ndarray, energy: float = 1.0) -> SubspaceBasis:
+    """Basis of the column span of X, typically a low-rank estimate.
 
     With energy = 1 every singular value above the numerical-rank cutoff
     max(m, n) * eps * sigma_1 is kept; otherwise the smallest number d of
@@ -161,7 +159,7 @@ def subspace_basis(sol, energy: float = 1.0) -> SubspaceBasis:
     """
     if not 0.0 < energy <= 1.0:
         raise ValueError("energy must lie in (0, 1]")
-    X = sol.low_rank if hasattr(sol, "low_rank") else np.asarray(sol, dtype=float)
+    X = np.asarray(X, dtype=float)
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     total = float(s.sum())
     if total == 0.0:

@@ -3,8 +3,10 @@
 Instances follow the equal-energy planted model: L = [U V^T, 0] with
 Gaussian factors, C = [0, W] with W entries N(0, r), so every column of
 M = L + C has the same expected squared norm n1 * r.  Outliers occupy the
-trailing block; the pipelines are permutation-equivariant so the canonical
-placement loses nothing.
+trailing block.  Permuting the columns (and mask) of a planted instance
+permutes the sacos and sacos_missing declared sets in the tested cases;
+acos with fixed seeds may declare a different set, because its seeded
+operators are tied to column positions.
 
 A trial is deemed successful when, for at least one score vector along the
 regularization path, some threshold separates the true outlier scores from
@@ -204,7 +206,6 @@ def phase_grid(
             raise ValueError("separation weights must be positive numbers, got %r" % (lam,))
 
     grid, cell_best, cell_rate = {}, {}, {}
-    rate_sum, rate_n = 0.0, 0
     for r in r_values:
         for k in k_values:
             if k >= n2 or r > min(n1, n2 - k):
@@ -226,20 +227,17 @@ def phase_grid(
                     cfg = replace(cfg_template, lam=lam, seed=derive_seed(cell_seed, 3))
                     est, rate = detect(mode, inst.M, cfg, mask)
                     rates.append(rate)
-                    path = est.score_path if est.score_path is not None else est.scores
-                    if oracle_success(path, inst.true_support):
+                    if oracle_success(est.score_path, inst.true_support):
                         wins += 1
                 freqs.append(wins / trials)
             best = int(np.argmax(freqs))
             grid[(r, k)] = freqs[best]
             cell_best[(r, k)] = lambda_set[best]
             cell_rate[(r, k)] = float(np.mean(rates))
-            rate_sum += cell_rate[(r, k)]
-            rate_n += 1
     return PhaseGridResult(
         grid=grid,
         trials_per_cell=trials,
-        sampling_rate=rate_sum / max(rate_n, 1),
+        sampling_rate=sum(cell_rate.values(), 0.0) / max(len(cell_rate), 1),
         r_values=list(r_values),
         k_values=list(k_values),
         cell_lambda_best=cell_best,

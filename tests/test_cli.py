@@ -149,6 +149,19 @@ class TestPhaseCommand:
         code, _, err = run(capsys, "phase", str(cfg_path), "--out-csv", "x", "--out-pgm", "y")
         assert code == 2
 
+    def test_unknown_key_rejected_before_any_trial(self, tmp_path, capsys):
+        cfg = {
+            "mode": "sacos", "n1": 16, "n2": 40, "gamma": 0.5, "m": 8,
+            "r_values": [1], "k_values": [2], "lambda_set": [0.4], "trails": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        csv, pgm = tmp_path / "a.csv", tmp_path / "a.pgm"
+        code, out, err = run(capsys, "phase", str(cfg_path), "--out-csv", str(csv), "--out-pgm", str(pgm))
+        assert code == 2 and out == ""
+        assert "unknown config keys: trails" in err
+        assert not csv.exists() and not pgm.exists()
+
     @pytest.mark.parametrize("weights", [[None], ["oops"], [0.4, -1.0]], ids=["null", "text", "negative"])
     def test_bad_weight_rejected_before_any_trial(self, tmp_path, capsys, weights):
         cfg = {

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -42,31 +43,26 @@ class TestConfig:
 
 class TestExtractSupport:
     def test_four_order_gap(self):
-        est = extract_support(np.array([5.0, 4.0, 0.001, 0.002]))
-        assert list(est.declared) == [0, 1]
+        assert list(extract_support(np.array([5.0, 4.0, 0.001, 0.002]))) == [0, 1]
 
     def test_all_zero_scores(self):
-        est = extract_support(np.zeros(5))
-        assert est.declared.size == 0
+        assert extract_support(np.zeros(5)).size == 0
 
     def test_all_equal_scores(self):
-        est = extract_support(np.full(6, 2.5))
-        assert est.declared.size == 0
+        assert extract_support(np.full(6, 2.5)).size == 0
 
     def test_weak_gap_declares_nothing(self):
-        est = extract_support(np.array([5.0, 4.0, 1.0, 0.9]))
-        assert est.declared.size == 0
+        assert extract_support(np.array([5.0, 4.0, 1.0, 0.9])).size == 0
 
     def test_positive_above_exact_zero_declares(self):
-        est = extract_support(np.array([0.0, 3.0, 0.0, 2.8]))
-        assert list(est.declared) == [1, 3]
+        assert list(extract_support(np.array([0.0, 3.0, 0.0, 2.8]))) == [1, 3]
 
     def test_gap_beyond_float_range(self):
         # the top ratio overflows to inf, which is a clean separation
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = extract_support(np.array([1e300, 5e-324, 0.0]))
-        assert list(est.declared) == [0]
+            declared = extract_support(np.array([1e300, 5e-324, 0.0]))
+        assert list(declared) == [0]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -75,10 +71,11 @@ class TestExtractSupport:
     @settings(max_examples=150)
     @given(scores=arrays(np.float64, 8, elements=st.floats(0, 100)))
     def test_declared_strictly_dominate(self, scores):
-        est = extract_support(scores)
-        if est.declared.size:
-            rest = np.delete(scores, est.declared)
-            assert rest.size == 0 or scores[est.declared].min() > rest.max()
+        declared = extract_support(scores)
+        assert declared.dtype.kind == "i" and np.all(np.diff(declared) > 0)
+        if declared.size:
+            rest = np.delete(scores, declared)
+            assert rest.size == 0 or scores[declared].min() > rest.max()
 
 
 class TestMeasurementCount:
@@ -362,6 +359,17 @@ class TestDetect:
                 assert rate == reported
             else:
                 assert rate == reported / (30 * 150)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_estimate_is_complete_and_frozen(self, mode):
+        inst = generate_instance(30, 150, 2, 4, seed=21)
+        mask = bernoulli_mask(30, 150, 0.7, seed=3)
+        est, _ = detect(mode, inst.M, AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77), mask)
+        assert est.score_path.ndim == 2 and est.score_path.shape[1] == 150
+        assert any(np.array_equal(row, est.scores) for row in est.score_path)
+        for f in dataclasses.fields(est):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(est, f.name, getattr(est, f.name))
 
     def test_invalid_mode_and_missing_mask(self):
         inst = generate_instance(10, 40, 1, 2, seed=0)

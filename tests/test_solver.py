@@ -3,7 +3,6 @@ import pytest
 
 from sketchout.solver import (
     TOL_RESIDUAL,
-    OpSolution,
     default_lambda,
     outlier_pursuit,
     rmc_solve,
@@ -148,14 +147,10 @@ class TestSubspaceBasis:
             basis = subspace_basis(np.zeros((4, 4)), energy=1.0)
         assert basis.dim == 0
 
-    def test_accepts_solution_objects(self):
-        sol = OpSolution(np.eye(3), np.zeros((3, 3)), 0.0, 1, True)
-        assert subspace_basis(sol, energy=1.0).dim == 3
-
     def test_orthonormality(self):
         inst = generate_instance(25, 80, 3, 4, seed=2)
         sol = outlier_pursuit(inst.M, 0.35)
-        basis = subspace_basis(sol, energy=1.0)
+        basis = subspace_basis(sol.low_rank, energy=1.0)
         eye = basis.basis.T @ basis.basis
         assert np.max(np.abs(eye - np.eye(basis.dim))) < 1e-10
 
@@ -193,3 +188,11 @@ class TestResidualOperator:
         V = rng.standard_normal((6, 5))
         cols = np.column_stack([project(v) for v in V.T])
         assert np.allclose(project(V), cols, atol=1e-12)
+
+    def test_empty_basis_returns_a_copy(self):
+        with pytest.warns(RuntimeWarning):
+            basis = subspace_basis(np.zeros((4, 3)), 1.0)
+        assert basis.dim == 0
+        X = np.random.Generator(np.random.Philox(key=15)).standard_normal((4, 5))
+        out = basis.project_out(X)
+        assert np.array_equal(out, X) and out is not X
