@@ -8,7 +8,9 @@ by an augmented-Lagrangian alternating scheme: L-update by singular value
 thresholding, C-update by columnwise group shrinkage, dual ascent on the
 constraint, with the unobserved entries of L + C left free.  The penalty
 starts at RHO_SCALE / ||Y|| (operator norm, unobserved entries zeroed) and
-is multiplied by RHO_GROWTH whenever the primal residual stalls.
+is multiplied by RHO_GROWTH whenever the primal residual stalls.  The loop
+runs on Y divided by the smallest power of two above its largest absolute
+entry, so the iterates and the stop do not depend on the input's scale.
 ``outlier_pursuit`` is the same solve with every entry observed: the free
 part then stays exactly zero.
 
@@ -80,9 +82,10 @@ def _split_iterations(Y, lam, mask):
     res_prev = np.inf
     bad = 0
     for it in range(1, MAX_ITERS + 1):
-        L_new = svt(Y - C - E + Lam / rho, 1.0 / rho)
-        C_new = group_shrink(Y - L_new - E + Lam / rho, lam / rho)
-        E = np.where(mask, 0.0, Y - L_new - C_new + Lam / rho)
+        scaled_dual = Lam / rho
+        L_new = svt(Y - C - E + scaled_dual, 1.0 / rho)
+        C_new = group_shrink(Y - L_new - E + scaled_dual, lam / rho)
+        E = np.where(mask, 0.0, Y - L_new - C_new + scaled_dual)
         R = Y - L_new - C_new - E
         res = np.linalg.norm(R, "fro") / normY
         change = (
@@ -130,7 +133,11 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     degenerate = int(mask.sum()) < sum(Y.shape) - 1
     if not Y.any():
         return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, not degenerate, degenerate)
-    L, C, res, it, conv = _split_iterations(Y, lam, mask)
+    # Solve at unit scale: dividing by a power of two is exact, and it keeps
+    # the squared norms of the stopping rule from overflowing or underflowing.
+    e = np.frexp(np.max(np.abs(Y)))[1]
+    L, C, res, it, conv = _split_iterations(np.ldexp(Y, -e), lam, mask)
+    L, C = np.ldexp(L, e), np.ldexp(C, e)
     if degenerate:
         conv = False
     return OpSolution(L, C, res, it, conv, degenerate)
@@ -160,6 +167,8 @@ def subspace_basis(X: np.ndarray, energy: float = 1.0) -> SubspaceBasis:
     if not 0.0 < energy <= 1.0:
         raise ValueError("energy must lie in (0, 1]")
     X = np.asarray(X, dtype=float)
+    # A full SVD, not svt's Gram eigendecomposition: the rank cutoff below
+    # lies far under the sqrt(eps) * sigma_1 that Gram eigenvalues resolve.
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     total = float(s.sum())
     if total == 0.0:

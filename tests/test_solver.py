@@ -60,6 +60,16 @@ class TestOutlierPursuit:
             assert sol.low_rank.shape == inst.M.shape
             assert sol.column_sparse.shape == inst.M.shape
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_result_follows_input_scale(self, scale):
+        # squared norms of inputs this small or large underflow or overflow
+        inst = generate_instance(30, 200, 2, 5, seed=11)
+        ref = outlier_pursuit(inst.M, 0.3)
+        sol = outlier_pursuit(scale * inst.M, 0.3)
+        assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+        for got, want in ((sol.low_rank, ref.low_rank), (sol.column_sparse, ref.column_sparse)):
+            assert np.max(np.abs(got - scale * want)) <= 1e-9 * scale * np.max(np.abs(want))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             outlier_pursuit(np.full((2, 2), np.nan), 0.3)
