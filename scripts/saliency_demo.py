@@ -45,11 +45,10 @@ def main():
     runs = [("sacos", 20, 0), ("sacos", 10, 0), ("acos", 10, 50)]
     for mode, m, p in runs:
         cfg = AcosConfig(gamma=0.6, m=m, p=p, k_ub=5, seed=3, energy=0.95)
-        mask, scores = saliency_map(img, mode, cfg, threshold=args.threshold)
-        declared = sorted(int(i) for i in np.nonzero(scores > args.threshold * scores.max())[0])
+        mask, declared = saliency_map(img, mode, cfg, threshold=args.threshold)
         name = "saliency_%s_m%d.pgm" % (mode, m)
         write_pgm(args.out / name, mask)
-        print("%-5s m=%2d: declared %s -> %s" % (mode, m, declared, args.out / name))
+        print("%-5s m=%2d: declared %s -> %s" % (mode, m, declared.tolist(), args.out / name))
 
 
 if __name__ == "__main__":

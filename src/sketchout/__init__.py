@@ -1,101 +1,14 @@
-"""Outlier-column identification from a few adaptive linear sketches."""
+"""Outlier-column identification from a few adaptive linear sketches.
 
-from .sketching import (
-    SampleBudget,
-    SketchOperator,
-    f_jl,
-    make_column_sampler,
-    make_gaussian_sketch,
-    make_probe_vector,
-    make_row_subsampler,
-    max_outliers,
-    min_col_budget,
-    min_gamma,
-    min_row_budget,
-)
-from .prox import group_shrink, lasso_path_solve, soft_threshold, svt
-from .solver import (
-    OpSolution,
-    SolverDivergenceError,
-    SubspaceBasis,
-    default_lambda,
-    outlier_pursuit,
-    rmc_solve,
-    subspace_basis,
-)
+The top level holds the documented entry points; every other name is
+importable from its own module (``sketchout.solver``, ``sketchout.prox``,
+``sketchout.sketching``, ...).
+"""
+
+from .imaging import saliency_map
 from .pipeline import (
-    MODES,
-    AcosConfig,
-    MatrixSource,
-    PipelineError,
-    SupportEstimate,
-    acos,
-    detect,
-    extract_support,
-    measurement_count,
-    sacos,
+    MODES, AcosConfig, PipelineError, SupportEstimate, acos, detect, extract_support, sacos,
     sacos_missing,
 )
-from .synth import (
-    PhaseGridResult,
-    ProblemInstance,
-    add_noise,
-    bernoulli_mask,
-    column_incoherence,
-    generate_instance,
-    hypergeometric_tail_bound,
-    oracle_success,
-    phase_grid,
-)
-from .imaging import PatchGrid, patch_matrix, saliency_map, unpatch
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "MODES",
-    "AcosConfig",
-    "MatrixSource",
-    "OpSolution",
-    "PatchGrid",
-    "PhaseGridResult",
-    "PipelineError",
-    "ProblemInstance",
-    "SampleBudget",
-    "SketchOperator",
-    "SolverDivergenceError",
-    "SubspaceBasis",
-    "SupportEstimate",
-    "acos",
-    "add_noise",
-    "bernoulli_mask",
-    "column_incoherence",
-    "default_lambda",
-    "detect",
-    "extract_support",
-    "f_jl",
-    "generate_instance",
-    "group_shrink",
-    "hypergeometric_tail_bound",
-    "lasso_path_solve",
-    "make_column_sampler",
-    "make_gaussian_sketch",
-    "make_probe_vector",
-    "make_row_subsampler",
-    "max_outliers",
-    "measurement_count",
-    "min_col_budget",
-    "min_gamma",
-    "min_row_budget",
-    "oracle_success",
-    "outlier_pursuit",
-    "patch_matrix",
-    "phase_grid",
-    "rmc_solve",
-    "sacos",
-    "sacos_missing",
-    "saliency_map",
-    "soft_threshold",
-    "subspace_basis",
-    "svt",
-    "unpatch",
-]
+from .solver import SolverDivergenceError
+from .synth import bernoulli_mask, generate_instance, phase_grid

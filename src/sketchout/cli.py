@@ -21,10 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import io
-from .imaging import read_pgm, saliency_map, write_pgm
+from .imaging import patch_matrix, read_pgm, saliency_map, write_pgm
 from .pipeline import MODES, AcosConfig, PipelineError, detect
 from .sketching import SampleBudget, max_outliers, min_col_budget, min_gamma, min_row_budget
 from .solver import SolverDivergenceError
@@ -112,12 +110,11 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    if args.mask is not None and args.mode != "sacos_missing":
+        raise ValueError("--mask applies to --mode sacos_missing only")
     M = io.read_matrix_csv(args.matrix)
-    cfg = _config(args)
-    mask = None
-    if args.mode == "sacos_missing" and args.mask is not None:
-        mask = io.read_matrix_csv(args.mask) > 0.5
-    est, rate = detect(args.mode, M, cfg, mask)
+    mask = None if args.mask is None else io.read_matrix_csv(args.mask) > 0.5
+    est, rate = detect(args.mode, M, _config(args), mask)
     print("declared: %s" % ",".join(str(i) for i in est.declared))
     print("sampling_rate: %.6f" % rate)
     return 0
@@ -125,10 +122,9 @@ def _cmd_detect(args) -> int:
 
 def _cmd_saliency(args) -> int:
     image = read_pgm(args.image)
-    cfg = _config(args)
-    mask, scores = saliency_map(image, args.mode, cfg, args.threshold)
+    mask, declared = saliency_map(image, args.mode, _config(args), args.threshold)
     write_pgm(args.output, mask)
-    print("salient patches: %d / %d" % (int(np.count_nonzero(scores > 0)), scores.size))
+    print("salient patches: %d / %d" % (declared.size, patch_matrix(image).matrix.shape[1]))
     return 0
 
 
@@ -137,27 +133,15 @@ def _cmd_phase(args) -> int:
     unknown = sorted(set(raw) - _PHASE_KEYS)
     if unknown:
         raise ValueError("unknown config keys: %s" % ", ".join(unknown))
+    # optional keys pass through only when present, so their defaults stay
+    # those of AcosConfig and phase_grid; phase_grid seeds every trial itself
+    cfg_keys = {key: raw[key] for key in ("p", "energy") if key in raw}
+    grid_keys = {key: raw[key] for key in ("noise_sigma", "p_omega", "normalize") if key in raw}
     try:
-        cfg = AcosConfig(
-            gamma=raw.get("gamma", 0.2),
-            m=raw["m"],
-            p=raw.get("p", 0),
-            energy=raw.get("energy", 1.0),
-            seed=raw.get("seed", 0),
-        )
+        cfg = AcosConfig(gamma=raw.get("gamma", 0.2), m=raw["m"], **cfg_keys)
         result = phase_grid(
-            raw.get("mode", "acos"),
-            cfg,
-            raw["r_values"],
-            raw["k_values"],
-            raw["lambda_set"],
-            raw.get("trials", 20),
-            raw.get("seed", 0),
-            n1=raw["n1"],
-            n2=raw["n2"],
-            noise_sigma=raw.get("noise_sigma", 0.0),
-            p_omega=raw.get("p_omega"),
-            normalize=raw.get("normalize", False),
+            raw.get("mode", "acos"), cfg, raw["r_values"], raw["k_values"], raw["lambda_set"],
+            raw.get("trials", 20), raw.get("seed", 0), n1=raw["n1"], n2=raw["n2"], **grid_keys,
         )
     except KeyError as exc:
         raise ValueError("config is missing required key %s" % exc) from exc

@@ -91,7 +91,9 @@ def saliency_map(
 
     Runs the chosen pipeline on the patch matrix and declares a patch
     salient when its score exceeds ``threshold`` times the maximum score.
-    Returns the uint8 mask over the covered region and the patch scores.
+    Returns the uint8 mask over the covered region and the sorted indices
+    of the declared patches (row-major over the patch grid), the patches
+    the mask lights.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold is a fraction of the maximum score")
@@ -102,9 +104,8 @@ def saliency_map(
     scores = est.scores.copy()
     scale = float(np.max(np.linalg.norm(grid.matrix, axis=0)))
     scores[scores <= SCORE_FLOOR * scale] = 0.0
-    top = scores.max()
-    declared = np.nonzero(scores > threshold * top)[0] if top > 0 else np.array([], int)
-    return patch_mask_image(grid, declared), scores
+    declared = np.nonzero(scores > threshold * scores.max())[0]
+    return patch_mask_image(grid, declared), declared
 
 
 def read_pgm(path) -> np.ndarray:

@@ -35,17 +35,6 @@ class ProblemInstance:
     L: np.ndarray = field(repr=False)
     C: np.ndarray = field(repr=False)
     true_support: np.ndarray
-    r: int
-    normalized: bool = False
-    noise_sigma: float = 0.0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.M.shape
-
-    @property
-    def k(self) -> int:
-        return int(self.true_support.size)
 
 
 def generate_instance(
@@ -67,14 +56,7 @@ def generate_instance(
         norms = np.linalg.norm(L + C, axis=0)
         L = L / norms
         C = C / norms
-    return ProblemInstance(
-        M=L + C,
-        L=L,
-        C=C,
-        true_support=np.arange(n_low, n2),
-        r=r,
-        normalized=normalize,
-    )
+    return ProblemInstance(M=L + C, L=L, C=C, true_support=np.arange(n_low, n2))
 
 
 def add_noise(inst: ProblemInstance, sigma: float, seed: int) -> ProblemInstance:
@@ -82,9 +64,9 @@ def add_noise(inst: ProblemInstance, sigma: float, seed: int) -> ProblemInstance
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
-        return replace(inst, noise_sigma=0.0)
+        return inst
     N = generator(seed).standard_normal(inst.M.shape) * sigma
-    return replace(inst, M=inst.L + inst.C + N, noise_sigma=sigma)
+    return replace(inst, M=inst.L + inst.C + N)
 
 
 def bernoulli_mask(n1: int, n2: int, p_omega: float, seed: int) -> np.ndarray:
@@ -111,20 +93,19 @@ def column_incoherence(L: np.ndarray) -> float:
     return float(np.max(leverage) * n_low / r)
 
 
-def oracle_success(scores_per_mu, true_support) -> bool:
+def oracle_success(score_path, true_support) -> bool:
     """Threshold-separation success test over a path of score vectors.
 
-    True iff some vector has every true-outlier score strictly above every
-    other score.  With an empty support, success means some vector is
-    identically zero (no spurious response at all).
+    ``score_path`` is 2-D, one score vector per row.  True iff some vector
+    has every true-outlier score strictly above every other score.  With an
+    empty support, success means some vector is identically zero (no
+    spurious response at all).
     """
-    if isinstance(scores_per_mu, np.ndarray) and scores_per_mu.ndim == 1:
-        scores_per_mu = [scores_per_mu]
-    scores_per_mu = [np.asarray(s, dtype=float) for s in scores_per_mu]
-    if len(scores_per_mu) == 0:
-        raise ValueError("need at least one score vector")
+    score_path = np.asarray(score_path, dtype=float)
+    if score_path.ndim != 2 or len(score_path) == 0:
+        raise ValueError("need a 2-D path of at least one score vector")
     support = np.asarray(sorted(true_support), dtype=int)
-    for s in scores_per_mu:
+    for s in score_path:
         if support.size == 0:
             if not s.any():
                 return True

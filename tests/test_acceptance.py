@@ -226,7 +226,7 @@ def test_c11_saliency_smoke(tmp_path):
     src = tmp_path / "in.pgm"
     write_pgm(src, img)
     cfg = AcosConfig(gamma=0.6, m=20, k_ub=5, seed=3, energy=0.95)
-    mask, scores = saliency_map(read_pgm(src), "sacos", cfg, threshold=0.5)
+    mask, _ = saliency_map(read_pgm(src), "sacos", cfg, threshold=0.5)
     lit = {
         i for i in range(50) if mask[(i // 10) * 10, (i % 10) * 10] == 255
     }

@@ -78,6 +78,18 @@ class TestDetectCommand:
         assert code == 2
         assert "mask" in err
 
+    @pytest.mark.parametrize("mode", ["acos", "sacos"])
+    def test_mask_outside_missing_mode_is_invalid_input(self, tmp_path, capsys, mode):
+        mpath, kpath = tmp_path / "m.csv", tmp_path / "mask.csv"
+        io.write_matrix_csv(mpath, generate_instance(30, 150, 2, 4, seed=1).M)
+        io.write_matrix_csv(kpath, np.ones((2, 2)))
+        code, out, err = run(
+            capsys, "detect", str(mpath), "--mode", mode, "--mask", str(kpath),
+            "--m", "10", "--p", "40", "--lam", "0.4",
+        )
+        assert code == 2 and out == ""
+        assert "--mask" in err
+
     def test_nonfinite_entry_is_invalid_input(self, tmp_path, capsys):
         M = generate_instance(20, 50, 2, 3, seed=1).M
         M[4, 11] = np.nan
@@ -110,6 +122,7 @@ class TestSaliencyCommand:
         assert mask.shape == (50, 100)
         lit = {i for i in range(50) if mask[(i // 10) * 10, (i % 10) * 10] == 255}
         assert lit == {3, 11, 22, 33, 44}
+        assert "salient patches: 5 / 50" in out
 
     def test_uniform_image_black_mask(self, tmp_path, capsys):
         src, dst = tmp_path / "u.pgm", tmp_path / "out.pgm"

@@ -72,18 +72,17 @@ class TestSaliencyMap:
     def test_planted_patches_found(self):
         img = planted_image()
         cfg = AcosConfig(gamma=0.6, m=20, lam=None, k_ub=5, seed=3, energy=0.95)
-        mask, scores = saliency_map(img, "sacos", cfg, threshold=0.5)
-        declared = set(np.nonzero(scores > 0.5 * scores.max())[0])
-        assert declared == {3, 11, 22, 33, 44}
+        mask, declared = saliency_map(img, "sacos", cfg, threshold=0.5)
+        assert declared.tolist() == [3, 11, 22, 33, 44]
         assert mask.shape == (50, 100)
-        assert set(np.unique(mask)) == {0, 255}
+        assert np.array_equal(mask, patch_mask_image(patch_matrix(img), declared))
 
     def test_uniform_image_empty_mask(self):
         img = np.full((40, 60), 77, dtype=np.uint8)
         cfg = AcosConfig(gamma=0.6, m=12, lam=0.4, seed=2, energy=0.95)
-        mask, scores = saliency_map(img, "sacos", cfg, threshold=0.25)
+        mask, declared = saliency_map(img, "sacos", cfg, threshold=0.25)
         assert not mask.any()
-        assert not scores.any()
+        assert declared.size == 0
 
     def test_bad_mode_and_threshold(self):
         img = planted_image()

@@ -1,0 +1,31 @@
+"""The README's Python examples and the experiment drivers run as written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_python_blocks_run_in_order():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
+@pytest.mark.parametrize("script", ["run_phase_grids.py", "saliency_demo.py"])
+def test_script_help(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")

@@ -23,7 +23,6 @@ class TestGenerateInstance:
         inst = generate_instance(20, 50, 2, 0, seed=0)
         assert not inst.C.any()
         assert inst.true_support.size == 0
-        assert inst.k == 0
 
     def test_decomposition_and_placement(self):
         inst = generate_instance(15, 40, 3, 6, seed=1)
@@ -55,7 +54,6 @@ class TestGenerateInstance:
         inst = generate_instance(30, 80, 2, 5, seed=3, normalize=True)
         norms = np.linalg.norm(inst.L + inst.C, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-12)
-        assert inst.normalized
 
     def test_determinism(self):
         a = generate_instance(12, 30, 2, 3, seed=9)
@@ -74,8 +72,7 @@ class TestGenerateInstance:
 class TestAddNoise:
     def test_zero_sigma_unchanged(self):
         inst = generate_instance(10, 30, 2, 2, seed=4)
-        noisy = add_noise(inst, 0.0, seed=5)
-        assert np.array_equal(noisy.M, inst.M)
+        assert add_noise(inst, 0.0, seed=5) is inst
 
     def test_variance_level(self):
         inst = generate_instance(100, 1000, 2, 5, seed=6)
@@ -89,7 +86,6 @@ class TestAddNoise:
         b = add_noise(inst, 0.01, seed=9)
         assert np.array_equal(a.M, b.M)
         assert np.array_equal(a.L, inst.L) and np.array_equal(a.C, inst.C)
-        assert a.noise_sigma == 0.01
 
     def test_negative_sigma_rejected(self):
         inst = generate_instance(5, 12, 1, 1, seed=0)
@@ -165,8 +161,9 @@ class TestOracleSuccess:
         assert not oracle_success([np.array([0.5, 0.1])], [])
         assert oracle_success([np.zeros(4)], [])
 
-    def test_single_vector_accepted(self):
-        assert oracle_success(np.array([3.0, 0.1]), [0])
+    def test_single_vector_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            oracle_success(np.array([3.0, 0.1]), [0])
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
