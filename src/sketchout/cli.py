@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("budget", help="print sampling-budget validators")
-    b.add_argument("--n1", type=int, required=True)
     b.add_argument("--n2", type=int, required=True)
     b.add_argument("--r", type=int, required=True)
     b.add_argument("--k", type=int, required=True)
@@ -94,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_budget(args) -> int:
     n_low = args.n_low if args.n_low is not None else args.n2 - args.k
     budget = SampleBudget(
-        n1=args.n1, n2=args.n2, n_L=n_low, r=args.r,
-        k=args.k, mu_L=args.mu_l, delta=args.delta,
+        n2=args.n2, n_L=n_low, r=args.r, k=args.k, mu_L=args.mu_l, delta=args.delta,
     )
     gamma = min_gamma(budget)
     print("m_min     = %d" % min_row_budget(budget))

@@ -7,13 +7,19 @@ splitting solvers.  ``svt`` thresholds through the eigendecomposition of
 the smaller Gram matrix rather than a full SVD, with the matrix divided by
 its largest absolute entry first so that squaring it cannot overflow or
 underflow; its docstring gives the accuracy.  ``lasso_path_solve`` is the
-one LASSO entry point: a FISTA iteration with function-value restart and
-step size 1/L, L = sigma_max(D)^2 computed exactly as the largest
-eigenvalue of the smaller Gram matrix, run along a path of regularization
-weights sharing one design matrix (a single weight is a path of length 1).
-The path is solved by continuation: largest weight first, each point
-warm-started from the previous point's solution and stopped on its own
-tolerance.
+one LASSO entry point, run along a path of regularization weights sharing
+one design matrix (a single weight is a path of length 1).  The path is
+solved by continuation: largest weight first, each point warm-started from
+the previous point's solution.  Each point is solved on a working set of
+columns: FISTA with function-value restart and step size 1/L, L =
+sigma_max(D_W)^2 computed exactly as the largest eigenvalue of the working
+columns' smaller Gram matrix, solves on the working set, and one pass over
+the whole design then rates every column by the objective decrease of its
+best single-coordinate step.  The working set starts from the previous
+point's support and takes in the best-rated outside columns, at most
+doubling per round; a point is done once no rating exceeds the tolerance,
+which certifies it against the whole design.  A point's iteration count
+sums the FISTA iterations of its rounds.
 """
 
 from __future__ import annotations
@@ -77,8 +83,40 @@ def group_shrink(X: np.ndarray, tau: float) -> np.ndarray:
     return X * factor
 
 
-#: Each path point stops once its relative objective change is below this.
+#: Each FISTA solve stops once its relative objective change is below this,
+#: and a path point is done once no single-coordinate step could lower the
+#: objective by more than this, relative to the objective.
 TOL_OBJECTIVE = 1e-8
+
+
+def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: float,
+           max_iters: int) -> tuple[np.ndarray, int]:
+    """FISTA from c, momentum reset, on min 1/2 ||y - D c||^2 + mu ||c||_1,
+    with the restart, step and stop described in ``lasso_path_solve``; the
+    step 1/sigma_max(D)^2 is the largest for which FISTA is guaranteed to
+    converge.  Returns the coefficients and the iteration count."""
+    gram = D @ D.T if D.shape[0] <= D.shape[1] else D.T @ D
+    step = 1.0 / float(np.max(np.linalg.eigvalsh(gram)))
+    r = D @ c - y
+    obj_prev = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c)))
+    z, t, it = c, 1.0, 0
+    for it in range(1, max_iters + 1):
+        c_new = soft_threshold(z - step * (D.T @ (D @ z) - Dty), mu * step)
+        r = D @ c_new - y
+        obj = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c_new)))
+        if not np.isfinite(obj):
+            raise FloatingPointError("non-finite objective in LASSO iteration")
+        if obj > obj_prev:  # function-value restart
+            t_new, mom = 1.0, 0.0
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            mom = (t - 1.0) / t_new
+        z = c_new + mom * (c_new - c)
+        done = abs(obj - obj_prev) <= TOL_OBJECTIVE * max(1.0, abs(obj_prev))
+        c, t, obj_prev = c_new, t_new, obj
+        if it > 1 and done:
+            break
+    return c, it
 
 
 def lasso_path_solve(
@@ -92,49 +130,74 @@ def lasso_path_solve(
 
     Returns the (n x len(regs)) coefficient matrix, column j for regs[j],
     and the largest per-point iteration count.  The points are solved in
-    decreasing order of weight, whatever the order of ``regs``.  Each starts
-    from the previous point's coefficients (the first from zero) with the
-    momentum reset, and stops once its relative objective change is below
-    TOL_OBJECTIVE, or after ``max_iters`` iterations of its own; a returned
-    count equal to ``max_iters`` means some point hit that cap.  The step
-    is 1/L with L = sigma_max(D)^2 exact, the largest step for which FISTA
-    is guaranteed to converge.
+    decreasing order of weight, whatever the order of ``regs``.
+
+    Each point is solved on a working set W of columns, the rest of its
+    coefficients held at zero.  W starts as the support of the previous
+    point's coefficients (empty for the first point).  Each round first
+    runs FISTA on D_W from the current coefficients (skipped while W is
+    empty): function-value restart, step 1 / sigma_max(D_W)^2 exact, stop
+    once the relative objective change is below TOL_OBJECTIVE.  It then
+    computes the full gradient g = D^T (y - D_W c_W), one pass over D, and
+    rates every column j by the objective decrease of its best
+    single-coordinate step from the current coefficients; for j outside W
+    that is (|g_j| - mu)_+^2 / (2 ||D_j||^2), and a zero column rates 0.
+    The point is done once no rating exceeds TOL_OBJECTIVE * max(1, |obj|),
+    which certifies every coordinate against the whole design.  Otherwise
+    the outside columns with the largest ratings above that bound join W,
+    at most max(1, |W|) of them, so W at most doubles per round; when only
+    columns of W fail the check, the next round re-solves on the same W.
+    When the solution is dense W reaches every column.
+
+    A point's count is its FISTA iterations summed over its rounds, capped
+    at ``max_iters``; a returned count equal to ``max_iters`` means some
+    point hit that cap, and that point's coefficients are uncertified.  A
+    zero or non-finite design raises ValueError.
     """
     regs = np.asarray(regs, dtype=float)
     if np.any(regs <= 0):
         raise ValueError("regularization weights must be positive")
     D = np.asarray(design, dtype=float)
     y = np.asarray(observation, dtype=float).ravel()
-    gram = D @ D.T if D.shape[0] <= D.shape[1] else D.T @ D
-    L = float(np.max(np.linalg.eigvalsh(gram), initial=0.0))
-    if not (np.isfinite(L) and L > 0):
-        raise ValueError("step-size estimation failed: zero design")
-    step = 1.0 / L
     Dty = D.T @ y
+    col_sq = np.einsum("ij,ij->j", D, D)
+    total = float(np.sum(col_sq))
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError("step-size estimation failed: zero design")
+    live = col_sq > 0  # a zero column can lower no objective: its gain stays 0
+    sq = col_sq[live]
     coeffs = np.zeros((D.shape[1], regs.size))
     c = np.zeros(D.shape[1])
     worst = 0
     for j in np.argsort(regs)[::-1]:
         mu = regs[j]
-        r = D @ c - y
-        obj_prev = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c)))
-        z, t, it = c, 1.0, 0
-        for it in range(1, max_iters + 1):
-            c_new = soft_threshold(z - step * (D.T @ (D @ z) - Dty), mu * step)
-            r = D @ c_new - y
-            obj = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c_new)))
+        W = np.flatnonzero(c)
+        used = 0
+        while True:
+            DW = D[:, W]
+            if W.size:
+                c[W], it = _fista(DW, Dty[W], y, c[W], mu, max_iters - used)
+                used += it
+                if used >= max_iters:
+                    break
+            r = y - DW @ c[W]
+            obj = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c)))
             if not np.isfinite(obj):
                 raise FloatingPointError("non-finite objective in LASSO iteration")
-            if obj > obj_prev:  # function-value restart
-                t_new, mom = 1.0, 0.0
-            else:
-                t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                mom = (t - 1.0) / t_new
-            z = c_new + mom * (c_new - c)
-            done = abs(obj - obj_prev) <= TOL_OBJECTIVE * max(1.0, abs(obj_prev))
-            c, t, obj_prev = c_new, t_new, obj
-            if it > 1 and done:
+            g = D.T @ r
+            # objective decrease of each live column's best single-coordinate step
+            u = c[live] + g[live] / sq
+            t = np.sign(u) * np.maximum(np.abs(u) - mu / sq, 0.0)
+            d = t - c[live]
+            gain = np.zeros_like(c)
+            gain[live] = g[live] * d - 0.5 * sq * d * d - mu * (np.abs(t) - np.abs(c[live]))
+            over = gain > TOL_OBJECTIVE * max(1.0, abs(obj))
+            if not over.any():
                 break
+            over[W] = False
+            grow = np.flatnonzero(over)
+            grow = grow[np.argsort(-gain[grow], kind="stable")[: max(1, W.size)]]
+            W = np.union1d(W, grow)
         coeffs[:, j] = c
-        worst = max(worst, it)
+        worst = max(worst, used)
     return coeffs, worst

@@ -108,7 +108,6 @@ class SampleBudget:
     constants are stated there.
     """
 
-    n1: int
     n2: int
     n_L: int
     r: int

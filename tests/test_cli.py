@@ -20,7 +20,7 @@ def run(capsys, *argv):
 class TestBudgetCommand:
     def test_reference_output(self, capsys):
         code, out, _ = run(
-            capsys, "budget", "--n1", "100", "--n2", "1000",
+            capsys, "budget", "--n2", "1000",
             "--r", "5", "--k", "10", "--delta", "0.1",
         )
         assert code == 0
@@ -31,11 +31,18 @@ class TestBudgetCommand:
 
     def test_infeasible_gamma_flagged(self, capsys):
         code, out, _ = run(
-            capsys, "budget", "--n1", "100", "--n2", "10000", "--n-low", "10000",
+            capsys, "budget", "--n2", "10000", "--n-low", "10000",
             "--r", "100", "--k", "10", "--delta", "0.1", "--mu-l", "5.0",
         )
         assert code == 0
         assert "INFEASIBLE" in out
+
+    def test_n1_is_unknown_argument(self, capsys):
+        # no budget formula depends on the row count
+        with pytest.raises(SystemExit) as exc:
+            main(["budget", "--n1", "100", "--n2", "1000", "--r", "5", "--k", "10"])
+        assert exc.value.code == 2
+        assert "--n1" in capsys.readouterr().err
 
 
 class TestDetectCommand:

@@ -177,9 +177,9 @@ class TestAcos:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="the LASSO stop has an absolute floor max(1, |obj|): with a tiny "
-        "probe observation it stops after 2 iterations and acos declares almost "
-        "every column",
+        reason="the LASSO stop and working-set gain test share an absolute floor "
+        "max(1, |obj|): with a tiny probe observation no column's gain passes it, "
+        "every coefficient stays zero and acos declares no column",
     )
     def test_acos_declared_set_invariant_to_input_scale(self):
         inst = generate_instance(100, 1000, 5, 10, 7)

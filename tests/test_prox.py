@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sketchout.prox import group_shrink, lasso_path_solve, soft_threshold, svt
+from sketchout.prox import TOL_OBJECTIVE, group_shrink, lasso_path_solve, soft_threshold, svt
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -219,6 +219,18 @@ def _sparse_recovery_problem():
     return D, y, 0.01 * np.max(np.abs(D.T @ y))
 
 
+def _wide_sparse_problem():
+    """40 x 400 with a 15-sparse truth: from an empty working set the first
+    point alone needs several doubling rounds to reach its support."""
+    rng = np.random.Generator(np.random.Philox(key=13))
+    D = rng.standard_normal((40, 400))
+    truth = np.zeros(400)
+    support = rng.choice(400, 15, replace=False)
+    truth[support] = rng.choice([-1.0, 1.0], 15) * rng.uniform(0.5, 2.0, 15)
+    y = D @ truth
+    return D, y, np.geomspace(0.04, 0.5, 5) * np.max(np.abs(D.T @ y))
+
+
 _ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
@@ -317,3 +329,49 @@ class TestLasso:
             lasso_path_solve(np.zeros((2, 2)), np.ones(2), [1.0])
         with pytest.raises(ValueError):
             lasso_path_solve(np.eye(2), np.ones(2), [0.5, -1.0])
+
+    def test_wide_sparse_path_matches_oracle(self):
+        D, y, mus = _wide_sparse_problem()
+        path, _ = lasso_path_solve(D, y, mus)
+        assert np.count_nonzero(path[:, -1]) >= 8  # the largest weight's support
+        for j, mu in enumerate(mus):
+            obj_o = _objective(D, y, _coordinate_descent(D, y, mu), mu)
+            assert _objective(D, y, path[:, j], mu) <= obj_o + 1e-6 * (1 + abs(obj_o))
+
+    @pytest.mark.parametrize(
+        "problem", [_wide_sparse_problem, _sparse_recovery_problem], ids=["wide", "random"]
+    )
+    def test_every_coordinate_certified(self, problem):
+        # no single-coordinate step lowers any returned point's objective by
+        # more than the tolerance; for a zero coefficient that step's decrease
+        # is (|g_j| - mu)_+^2 / (2 ||D_j||^2)
+        D, y, mus = problem()
+        mus = np.atleast_1d(mus)
+        path, _ = lasso_path_solve(D, y, mus)
+        col_sq = np.sum(D * D, axis=0)
+        for j, mu in enumerate(mus):
+            c = path[:, j]
+            obj = _objective(D, y, c, mu)
+            g = D.T @ (y - D @ c)
+            zero = c == 0
+            gain = np.maximum(np.abs(g[zero]) - mu, 0.0) ** 2 / (2.0 * col_sq[zero])
+            assert np.all(gain <= TOL_OBJECTIVE * max(1.0, obj))
+            for i in np.flatnonzero(~zero):
+                u = c[i] + g[i] / col_sq[i]
+                moved = c.copy()
+                moved[i] = np.sign(u) * max(abs(u) - mu / col_sq[i], 0.0)
+                assert obj - _objective(D, y, moved, mu) <= TOL_OBJECTIVE * max(1.0, obj)
+
+    def test_zero_column_stays_zero(self):
+        D, y, mu = _sparse_recovery_problem()
+        D[:, 17] = 0.0
+        c, _ = _lasso(D, y, mu)
+        assert c[17] == 0.0
+        obj_o = _objective(D, y, _coordinate_descent(D, y, mu), mu)
+        assert _objective(D, y, c, mu) <= obj_o + 1e-6 * (1 + abs(obj_o))
+
+    def test_nonfinite_design_rejected(self):
+        D, y, mu = _sparse_recovery_problem()
+        D[4, 9] = np.nan
+        with pytest.raises(ValueError, match="zero design"):
+            _lasso(D, y, mu)

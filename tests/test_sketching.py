@@ -153,21 +153,21 @@ class TestBudgets:
         assert math.ceil(13.0 / F_QUARTER) == 999
 
     def test_row_budget_reference_value(self):
-        b = SampleBudget(n1=100, n2=1000, n_L=990, r=5, k=10, delta=0.1)
+        b = SampleBudget(n2=1000, n_L=990, r=5, k=10, delta=0.1)
         assert min_row_budget(b) == 2711
 
     def test_col_budget_reference_value(self):
-        b = SampleBudget(n1=100, n2=1000, n_L=990, r=5, k=10, delta=0.1)
+        b = SampleBudget(n2=1000, n_L=990, r=5, k=10, delta=0.1)
         assert min_col_budget(b) == 15752
 
     def test_row_budget_no_outliers_flagged(self):
-        b = SampleBudget(n1=10, n2=100, n_L=100, r=2, k=0, delta=0.5)
+        b = SampleBudget(n2=100, n_L=100, r=2, k=0, delta=0.5)
         with pytest.warns(RuntimeWarning):
             val = min_row_budget(b)
         assert val == math.ceil((15.0 + math.log(4.0)) / F_QUARTER)
 
     def test_col_budget_rejects_no_outliers(self):
-        b = SampleBudget(n1=10, n2=100, n_L=100, r=2, k=0, delta=0.5)
+        b = SampleBudget(n2=100, n_L=100, r=2, k=0, delta=0.5)
         with pytest.raises(ValueError):
             min_col_budget(b)
 
@@ -178,7 +178,7 @@ class TestBudgets:
         delta=st.floats(1e-4, 0.99),
     )
     def test_row_budget_matches_high_precision(self, r, k, delta):
-        b = SampleBudget(n1=10, n2=1000, n_L=500, r=r, k=k, delta=delta)
+        b = SampleBudget(n2=1000, n_L=500, r=r, k=k, delta=delta)
         exact = _mp_budget_row(r, k, delta)
         if abs(exact - mpmath.nint(exact)) < 1e-9:
             return  # boundary between two ceilings; either answer is fine
@@ -191,51 +191,51 @@ class TestBudgets:
         delta=st.floats(1e-4, 0.99),
     )
     def test_col_budget_matches_high_precision(self, k, n2, delta):
-        b = SampleBudget(n1=10, n2=n2, n_L=n2 - k, r=1, k=k, delta=delta)
+        b = SampleBudget(n2=n2, n_L=n2 - k, r=1, k=k, delta=delta)
         exact = _mp_budget_col(k, n2, delta)
         if abs(exact - mpmath.nint(exact)) < 1e-9:
             return
         assert min_col_budget(b) == int(mpmath.ceil(exact))
 
     def test_row_budget_monotone(self):
-        base = dict(n1=10, n2=1000, n_L=900, delta=0.1)
+        base = dict(n2=1000, n_L=900, delta=0.1)
         vals = [min_row_budget(SampleBudget(r=r, k=5, **base)) for r in (1, 2, 4, 8)]
         assert vals == sorted(vals) and len(set(vals)) == 4
         vals = [min_row_budget(SampleBudget(r=3, k=k, **base)) for k in (1, 10, 100)]
         assert vals == sorted(vals)
 
     def test_col_budget_monotone_in_k(self):
-        base = dict(n1=10, n2=100000, n_L=9000, r=1, delta=0.1)
+        base = dict(n2=100000, n_L=9000, r=1, delta=0.1)
         vals = [min_col_budget(SampleBudget(k=k, **base)) for k in (1, 5, 25, 125)]
         assert vals == sorted(vals) and len(set(vals)) == 4
 
     def test_gamma_floor_dominates_for_huge_sizes(self):
-        b = SampleBudget(n1=100, n2=10**6, n_L=10**6, r=1, k=10, mu_L=1.0, delta=0.1)
+        b = SampleBudget(n2=10**6, n_L=10**6, r=1, k=10, mu_L=1.0, delta=0.1)
         assert min_gamma(b) == pytest.approx(0.05)
 
     def test_gamma_infeasible_case(self):
-        b = SampleBudget(n1=100, n2=10**4, n_L=10**4, r=100, k=10, mu_L=5.0, delta=0.1)
+        b = SampleBudget(n2=10**4, n_L=10**4, r=100, k=10, mu_L=5.0, delta=0.1)
         g = min_gamma(b)
         assert g == pytest.approx(10 * 100 * 5 * math.log(5000) / 1e4, rel=1e-12)
         assert g > 1.0  # infeasible signal: caller must grow the problem
 
     def test_max_outliers_reference_values(self):
-        assert max_outliers(SampleBudget(n1=10, n2=4880, n_L=100, r=1, k=1)) == 1
-        assert max_outliers(SampleBudget(n1=10, n2=1000, n_L=100, r=1, k=1)) == 0
+        assert max_outliers(SampleBudget(n2=4880, n_L=100, r=1, k=1)) == 1
+        assert max_outliers(SampleBudget(n2=1000, n_L=100, r=1, k=1)) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(r=st.integers(1, 50), mu=st.floats(1.0, 20.0), n2=st.integers(100, 10**6))
     def test_max_outliers_matches_formula_and_monotone(self, r, mu, n2):
-        b = SampleBudget(n1=10, n2=n2, n_L=50, r=r, k=1, mu_L=mu)
+        b = SampleBudget(n2=n2, n_L=50, r=r, k=1, mu_L=mu)
         expect = int(mpmath.floor(mpmath.mpf(n2) / (40 * (1 + 121 * r * mu))))
         assert max_outliers(b) == expect
-        bigger = SampleBudget(n1=10, n2=n2, n_L=50, r=r + 1, k=1, mu_L=mu)
+        bigger = SampleBudget(n2=n2, n_L=50, r=r + 1, k=1, mu_L=mu)
         assert max_outliers(bigger) <= max_outliers(b)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            SampleBudget(n1=1, n2=1, n_L=1, r=0, k=1)
+            SampleBudget(n2=1, n_L=1, r=0, k=1)
         with pytest.raises(ValueError):
-            SampleBudget(n1=1, n2=1, n_L=1, r=1, k=1, delta=1.5)
+            SampleBudget(n2=1, n_L=1, r=1, k=1, delta=1.5)
         with pytest.raises(ValueError):
-            SampleBudget(n1=1, n2=1, n_L=1, r=1, k=1, mu_L=0.5)
+            SampleBudget(n2=1, n_L=1, r=1, k=1, mu_L=0.5)
