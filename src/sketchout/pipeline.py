@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import prox
 from .rng import derive_seed
 # bench/tracing.py rebinds these layer names in this module to time them
 from .sketching import (
@@ -93,7 +94,9 @@ class SupportEstimate:
     the single row ``scores`` otherwise.  ``column_flags`` marks columns
     whose score is a placeholder (missing-data variant).  ``converged`` is
     false when the separation solve stopped at its iteration cap or was
-    degenerate, so the learned subspace carries no certificate.
+    degenerate, so the learned subspace carries no certificate, or when
+    the acos decoder's count reached ``prox.MAX_ITERS``, so some path
+    point carries none.
     """
 
     scores: np.ndarray = field(repr=False)
@@ -240,11 +243,12 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     y2 = src.row_sketch(w, right.matrix)
 
     null_thresh = float(np.max(np.abs(right.matrix.T @ y2)))
+    iters = 0
     if null_thresh == 0.0:
         path, mus, best = np.zeros((PATH_POINTS, n2)), np.zeros(PATH_POINTS), 0
     else:
         mus = np.geomspace(MU_PATH_LO, 1.0, PATH_POINTS) * null_thresh
-        coeffs, _ = lasso_path_solve(right.matrix, y2, mus)
+        coeffs, iters = lasso_path_solve(right.matrix, y2, mus, max_iters=prox.MAX_ITERS)
         path = np.abs(coeffs.T)
         quality = [_gap_cut(s) for s in path]
         # favor the cleanest separation; among equals the one declaring more
@@ -257,7 +261,8 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     guarded = np.max(scores) <= 10.0 * np.linalg.norm(phi) * leak
     # bench/tracing.py counts an all-zero extract_support call as a guard firing
     declared = extract_support(np.zeros(n2) if guarded else scores)
-    est = SupportEstimate(scores, declared, path, sol.converged, float(mus[best]))
+    converged = sol.converged and iters < prox.MAX_ITERS
+    est = SupportEstimate(scores, declared, path, converged, float(mus[best]))
     return est, src.measurements
 
 

@@ -88,6 +88,9 @@ def group_shrink(X: np.ndarray, tau: float) -> np.ndarray:
 #: objective by more than this, relative to the objective.
 TOL_OBJECTIVE = 1e-8
 
+#: Default cap on each path point's iteration count; acos reads it at call time.
+MAX_ITERS = 2000
+
 
 def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: float,
            max_iters: int) -> tuple[np.ndarray, int]:
@@ -123,7 +126,7 @@ def lasso_path_solve(
     design: np.ndarray,
     observation: np.ndarray,
     regs,
-    max_iters: int = 2000,
+    max_iters: int = MAX_ITERS,
 ) -> tuple[np.ndarray, int]:
     """Solve the LASSO min_c 1/2 ||y - D c||^2 + mu ||c||_1 for every weight
     mu in ``regs`` over a shared design D (p x n).

@@ -4,15 +4,19 @@
 
     min ||L||_* + lambda ||C||_{1,2}   s.t.  Y = L + C on observed entries
 
-by an augmented-Lagrangian alternating scheme: L-update by singular value
-thresholding, C-update by columnwise group shrinkage, dual ascent on the
-constraint, with the unobserved entries of L + C left free.  The penalty
-starts at RHO_SCALE / ||Y|| (operator norm, unobserved entries zeroed) and
-is multiplied by RHO_GROWTH whenever the primal residual stalls.  The loop
-runs on Y divided by the smallest power of two above its largest absolute
-entry, so the iterates and the stop do not depend on the input's scale.
-``outlier_pursuit`` is the same solve with every entry observed: the free
-part then stays exactly zero.
+by an inexact augmented-Lagrangian loop on L, C and the multiplier Lam.
+Each iteration fills the unobserved entries with the current estimate,
+Z = Y + Lam / rho where observed and L + C elsewhere, then sets L by
+singular value thresholding of Z - C, C by columnwise group shrinkage of
+Z - L, and raises Lam by rho times the residual Y - L - C on the observed
+entries (Lam stays zero elsewhere).  The loop stops once that residual,
+relative to ||Y||_F, is at most TOL_RESIDUAL; this one test also decides
+``converged``.  The penalty starts at RHO_SCALE / ||Y|| (operator norm,
+unobserved entries zeroed) and is multiplied by RHO_GROWTH whenever the
+residual stalls.  The loop runs on Y divided by the smallest power of two
+above its largest absolute entry, so the iterates and the stop do not
+depend on the input's scale.  ``outlier_pursuit`` is the same solve with
+every entry observed.
 
 ``subspace_basis`` extracts an orthonormal basis of the recovered column
 space, optionally truncated to the smallest leading set of singular values
@@ -34,9 +38,8 @@ class SolverDivergenceError(RuntimeError):
     """Raised when the primal residual grows for too many iterations."""
 
 
-#: Stopping rule: relative constraint residual and relative iterate change.
+#: Stopping rule: relative constraint residual on the observed entries.
 TOL_RESIDUAL = 1e-7
-TOL_CHANGE = 1e-6
 MAX_ITERS = 500
 #: Initial penalty RHO_SCALE / ||Y||_2, grown by RHO_GROWTH whenever the
 #: residual fails to drop below STALL_GATE times its previous value.
@@ -47,7 +50,7 @@ STALL_GATE = 0.99
 DIVERGE_PATIENCE = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpSolution:
     """Recovered pair (L, C) with convergence diagnostics.
 
@@ -71,41 +74,6 @@ def default_lambda(k_ub: int) -> float:
     return 3.0 / (7.0 * math.sqrt(k_ub))
 
 
-def _split_iterations(Y, lam, mask):
-    """Splitting loop; the entries where ``mask`` is false are free."""
-    normY = np.linalg.norm(Y, "fro")
-    rho = RHO_SCALE / np.linalg.norm(Y, 2)
-    L = np.zeros_like(Y)
-    C = np.zeros_like(Y)
-    E = np.zeros_like(Y)
-    Lam = np.zeros_like(Y)
-    res_prev = np.inf
-    bad = 0
-    for it in range(1, MAX_ITERS + 1):
-        scaled_dual = Lam / rho
-        L_new = svt(Y - C - E + scaled_dual, 1.0 / rho)
-        C_new = group_shrink(Y - L_new - E + scaled_dual, lam / rho)
-        E = np.where(mask, 0.0, Y - L_new - C_new + scaled_dual)
-        R = Y - L_new - C_new - E
-        res = np.linalg.norm(R, "fro") / normY
-        change = (
-            np.linalg.norm(L_new - L, "fro") + np.linalg.norm(C_new - C, "fro")
-        ) / max(1.0, normY)
-        L, C = L_new, C_new
-        Lam = Lam + rho * R
-        bad = bad + 1 if res > res_prev else 0
-        if bad >= DIVERGE_PATIENCE:
-            raise SolverDivergenceError(
-                "residual increased for %d consecutive iterations" % bad
-            )
-        if res > STALL_GATE * res_prev:
-            rho *= RHO_GROWTH
-        res_prev = res
-        if res <= TOL_RESIDUAL and change <= TOL_CHANGE:
-            return L, C, res, it, True
-    return L, C, res, MAX_ITERS, False
-
-
 def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
     """Separate Y into low-rank and column-sparse parts under an exact
     decomposition constraint: ``rmc_solve`` with every entry observed."""
@@ -114,11 +82,12 @@ def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
 
 def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     """Separate Y into low-rank and column-sparse parts, enforcing Y = L + C
-    only on entries where mask is true; unobserved entries of Y_obs count
-    as zeros and are otherwise ignored.  With fewer observed entries than
-    n1 + n2 - 1 the solution is not unique and the result is flagged
-    degenerate (converged stays false; the residual certificate is still
-    reported)."""
+    only on entries where mask is true; unobserved entries of Y_obs are
+    never read (||Y|| counts them as zeros).  ``converged`` means the
+    residual test passed within MAX_ITERS iterations.  With fewer observed
+    entries than n1 + n2 - 1 the solution is not unique and the result is
+    flagged degenerate (converged stays false; the residual certificate is
+    still reported)."""
     mask = np.asarray(mask, dtype=bool)
     Y_obs = np.asarray(Y_obs, dtype=float)
     if mask.shape != Y_obs.shape:
@@ -136,14 +105,36 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     # Solve at unit scale: dividing by a power of two is exact, and it keeps
     # the squared norms of the stopping rule from overflowing or underflowing.
     e = np.frexp(np.max(np.abs(Y)))[1]
-    L, C, res, it, conv = _split_iterations(np.ldexp(Y, -e), lam, mask)
-    L, C = np.ldexp(L, e), np.ldexp(C, e)
-    if degenerate:
-        conv = False
-    return OpSolution(L, C, res, it, conv, degenerate)
+    Y = np.ldexp(Y, -e)
+    normY = np.linalg.norm(Y, "fro")
+    rho = RHO_SCALE / np.linalg.norm(Y, 2)
+    L = np.zeros_like(Y)
+    C = np.zeros_like(Y)
+    Lam = np.zeros_like(Y)
+    res_prev = np.inf
+    bad = 0
+    for it in range(1, MAX_ITERS + 1):
+        Z = np.where(mask, Y + Lam / rho, L + C)
+        L = svt(Z - C, 1.0 / rho)
+        C = group_shrink(Z - L, lam / rho)
+        R = np.where(mask, Y - L - C, 0.0)
+        res = np.linalg.norm(R, "fro") / normY
+        Lam += rho * R
+        bad = bad + 1 if res > res_prev else 0
+        if bad >= DIVERGE_PATIENCE:
+            raise SolverDivergenceError(
+                "residual increased for %d consecutive iterations" % bad
+            )
+        if res <= TOL_RESIDUAL:
+            break
+        if res > STALL_GATE * res_prev:
+            rho *= RHO_GROWTH
+        res_prev = res
+    converged = bool(res <= TOL_RESIDUAL) and not degenerate
+    return OpSolution(np.ldexp(L, e), np.ldexp(C, e), res, it, converged, degenerate)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of a recovered column space."""
 
@@ -180,7 +171,6 @@ def subspace_basis(X: np.ndarray, energy: float = 1.0) -> SubspaceBasis:
     else:
         cum = np.cumsum(s)
         d = int(np.searchsorted(cum, energy * total - 1e-15 * total) + 1)
-    d = max(d, 1)
     kept = float(np.sum(s[:d])) / total
     return SubspaceBasis(U[:, :d], d, kept)
 

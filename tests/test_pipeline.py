@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sketchout import pipeline, solver
+from sketchout import pipeline, prox, solver
 from sketchout.pipeline import (
     MODES,
     AcosConfig,
@@ -389,6 +389,13 @@ class TestConvergedFlag:
         cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
         est, _ = detect(mode, inst.M, cfg, mask)
         assert est.converged is False
+
+    def test_capped_decoder_is_reported(self, monkeypatch):
+        inst = generate_instance(40, 300, 3, 10, seed=8)
+        cfg = AcosConfig(gamma=0.3, m=20, p=120, lam=0.4, seed=13)
+        assert acos(inst.M, cfg)[0].converged is True
+        monkeypatch.setattr(prox, "MAX_ITERS", 1)
+        assert acos(inst.M, cfg)[0].converged is False
 
     def test_easy_instance_converges(self):
         inst = generate_instance(40, 300, 3, 10, seed=8)

@@ -19,7 +19,7 @@ def test_python_blocks_run_in_order():
         exec(compile(block, "README.md", "exec"), namespace)
 
 
-@pytest.mark.parametrize("script", ["run_phase_grids.py", "saliency_demo.py", "check_acos_corpus.py"])
+@pytest.mark.parametrize("script", ["run_phase_grids.py", "saliency_demo.py", "check_corpus.py"])
 def test_script_help(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from sketchout import solver
 from sketchout.solver import (
     TOL_RESIDUAL,
     default_lambda,
@@ -8,7 +11,7 @@ from sketchout.solver import (
     rmc_solve,
     subspace_basis,
 )
-from sketchout.synth import generate_instance
+from sketchout.synth import bernoulli_mask, generate_instance
 
 
 def rank1(seed, shape=(30, 200)):
@@ -76,6 +79,14 @@ class TestOutlierPursuit:
         with pytest.raises(ValueError):
             outlier_pursuit(np.ones((2, 2)), 0.0)
 
+    def test_results_are_frozen(self):
+        sol = outlier_pursuit(rank1(7), 0.4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.converged = False
+        basis = subspace_basis(sol.low_rank)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.dim = 0
+
 
 class TestRmcSolve:
     def test_full_mask_matches_unmasked(self):
@@ -127,6 +138,33 @@ class TestRmcSolve:
         a = rmc_solve(junk, mask, 0.4)
         b = rmc_solve(np.where(mask, Y, 0.0), mask, 0.4)
         assert np.allclose(a.low_rank, b.low_rank)
+
+
+class TestConvergedFlag:
+    """``converged`` is exactly "the residual test passed and the solve is not
+    degenerate", whichever iteration the cap stops the loop at."""
+
+    @pytest.mark.parametrize(
+        "shape, k, seed, p_omega",
+        [
+            # noise-free with no outliers: the residual reaches rounding level
+            # at iteration 2, before the iterates settle
+            ((30, 150), 0, 0, None),
+            ((30, 150), 4, 21, None),
+            ((30, 150), 4, 21, 0.7),
+        ],
+    )
+    def test_converged_means_residual_test_passed(self, shape, k, seed, p_omega, monkeypatch):
+        inst = generate_instance(*shape, 2, k, seed=seed)
+        mask = np.ones(shape, bool) if p_omega is None else bernoulli_mask(*shape, p_omega, seed=3)
+        full = rmc_solve(inst.M, mask, 0.4)
+        assert full.converged
+        for cap in range(1, full.iterations + 1):
+            monkeypatch.setattr(solver, "MAX_ITERS", cap)
+            sol = rmc_solve(inst.M, mask, 0.4)
+            assert sol.iterations == cap
+            assert sol.converged is (bool(sol.residual <= TOL_RESIDUAL) and not sol.degenerate)
+        assert sol.converged
 
 
 class TestSubspaceBasis:
