@@ -44,7 +44,7 @@ def main():
     # sacos residual norms; expect it to trade misses for its lower rate
     runs = [("sacos", 20, 0), ("sacos", 10, 0), ("acos", 10, 50)]
     for mode, m, p in runs:
-        cfg = AcosConfig(gamma=0.6, m=m, p=p, k_ub=5, seed=3, energy=0.95)
+        cfg = AcosConfig(gamma=0.6, m=m, p=p, k_ub=5, seed=3)
         mask, declared = saliency_map(img, mode, cfg, threshold=args.threshold)
         name = "saliency_%s_m%d.pgm" % (mode, m)
         write_pgm(args.out / name, mask)

@@ -9,8 +9,6 @@ Subcommands:
 * ``saliency`` -- compute a per-patch saliency mask for a PGM image.
 * ``phase``    -- run a phase-transition grid from a JSON config and write
   CSV + PGM outputs.
-* ``oracle``   -- re-score a stored dump of decoding-path score vectors
-  against a given support.
 
 Exit codes: 0 success, 2 invalid input (non-finite data included), 3
 solver failure.
@@ -26,29 +24,28 @@ from .imaging import patch_matrix, read_pgm, saliency_map, write_pgm
 from .pipeline import MODES, AcosConfig, PipelineError, detect
 from .sketching import SampleBudget, max_outliers, min_col_budget, min_gamma, min_row_budget
 from .solver import SolverDivergenceError
-from .synth import oracle_success, phase_grid
+from .synth import phase_grid
 
 
-def _add_config_flags(parser, energy: float) -> None:
+def _add_config_flags(parser) -> None:
     """The AcosConfig flags shared by ``detect`` and ``saliency``."""
     parser.add_argument("--gamma", type=float, default=0.2)
     parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--p", type=int, default=0)
     parser.add_argument("--lam", type=float, default=None)
     parser.add_argument("--k-ub", type=int, default=None)
-    parser.add_argument("--energy", type=float, default=energy)
     parser.add_argument("--seed", type=int, default=0)
 
 
 #: The keys a phase config may hold; any other key is rejected.
-_PHASE_KEYS = {"mode", "n1", "n2", "gamma", "m", "p", "energy", "seed", "r_values", "k_values",
+_PHASE_KEYS = {"mode", "n1", "n2", "gamma", "m", "p", "seed", "r_values", "k_values",
                "lambda_set", "trials", "noise_sigma", "p_omega", "normalize"}
 
 
 def _config(args) -> AcosConfig:
     return AcosConfig(
         gamma=args.gamma, m=args.m, p=args.p, lam=args.lam,
-        k_ub=args.k_ub, energy=args.energy, seed=args.seed,
+        k_ub=args.k_ub, seed=args.seed,
     )
 
 
@@ -68,13 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("matrix", help="CSV matrix with rows,cols header")
     d.add_argument("--mode", choices=MODES, default="acos")
     d.add_argument("--mask", default=None, help="CSV 0/1 mask (sacos_missing only)")
-    _add_config_flags(d, energy=1.0)
+    _add_config_flags(d)
 
     s = sub.add_parser("saliency", help="saliency mask for a PGM image")
     s.add_argument("image", help="input PGM (P5) image")
     s.add_argument("output", help="output PGM mask")
     s.add_argument("--mode", choices=["acos", "sacos"], default="sacos")
-    _add_config_flags(s, energy=0.95)
+    _add_config_flags(s)
     s.add_argument("--threshold", type=float, default=0.25,
                    help="declare fraction of the maximum score")
 
@@ -82,11 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="flat JSON config")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-pgm", required=True)
-
-    o = sub.add_parser("oracle", help="re-score stored score dumps")
-    o.add_argument("scores", help="CSV dump, one score vector per row")
-    o.add_argument("--support", required=True,
-                   help="comma-separated true outlier indices (empty string for none)")
     return top
 
 
@@ -133,7 +125,7 @@ def _cmd_phase(args) -> int:
         raise ValueError("unknown config keys: %s" % ", ".join(unknown))
     # optional keys pass through only when present, so their defaults stay
     # those of AcosConfig and phase_grid; phase_grid seeds every trial itself
-    cfg_keys = {key: raw[key] for key in ("p", "energy") if key in raw}
+    cfg_keys = {"p": raw["p"]} if "p" in raw else {}
     grid_keys = {key: raw[key] for key in ("noise_sigma", "p_omega", "normalize") if key in raw}
     try:
         cfg = AcosConfig(gamma=raw.get("gamma", 0.2), m=raw["m"], **cfg_keys)
@@ -149,19 +141,11 @@ def _cmd_phase(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    scores = io.read_matrix_csv(args.scores)
-    support = [int(t) for t in args.support.split(",") if t.strip() != ""]
-    print("success: %s" % ("true" if oracle_success(scores, support) else "false"))
-    return 0
-
-
 _COMMANDS = {
     "budget": _cmd_budget,
     "detect": _cmd_detect,
     "saliency": _cmd_saliency,
     "phase": _cmd_phase,
-    "oracle": _cmd_oracle,
 }
 
 

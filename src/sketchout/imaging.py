@@ -3,8 +3,9 @@
 An image is decomposed into non-overlapping square patches, each
 vectorized by column stacking into one column of a patch matrix; on the
 low-rank-plus-outlier model, salient patches are exactly the outlier
-columns.  Trailing pixels that do not fill a whole patch are dropped, so
-the covered region round-trips exactly.
+columns.  Trailing pixels that do not fill a whole patch are dropped;
+every covered pixel appears exactly once in the matrix, so the covered
+region round-trips exactly.
 
 Only binary PGM (P5, maxval 255) images are handled; callers convert
 other formats beforehand.
@@ -64,13 +65,6 @@ def patch_matrix(image: np.ndarray, patch: int = 10) -> PatchGrid:
     # column j = (i_patch * gc + j_patch); each patch column-stacked
     cols = blocks.transpose(0, 2, 3, 1).reshape(gr * gc, patch * patch)
     return PatchGrid(h, w, patch, cols.T.copy())
-
-
-def unpatch(grid: PatchGrid) -> np.ndarray:
-    """Reassemble the covered region of the image from the patch matrix."""
-    patch, gr, gc = grid.patch, grid.grid_rows, grid.grid_cols
-    blocks = grid.matrix.T.reshape(gr, gc, patch, patch).transpose(0, 3, 1, 2)
-    return blocks.reshape(gr * patch, gc * patch)
 
 
 def patch_mask_image(grid: PatchGrid, declared) -> np.ndarray:

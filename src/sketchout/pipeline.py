@@ -34,12 +34,9 @@ from .sketching import (
     make_row_subsampler,
 )
 from .prox import lasso_path_solve
-from .solver import default_lambda, outlier_pursuit, rmc_solve, subspace_basis
+from .solver import GAP_RATIO, default_lambda, outlier_pursuit, rmc_solve, subspace_basis
 
 MODES = ("acos", "sacos", "sacos_missing")
-
-#: Minimum multiplicative separation for the gap rule to declare anything.
-GAP_RATIO = 10.0
 
 #: Lower end of the regularization path, as a fraction of the null
 #: threshold ||D^T y||_inf.  Wide enough to cover the dynamic range the
@@ -62,8 +59,6 @@ class AcosConfig:
     decoding step (ignored by sacos), ``gamma`` the column-sampling rate.
     ``lam`` overrides the separation weight; if None it defaults to
     3/(7 sqrt(k_ub)), with k_ub falling back to a tenth of the columns.
-    ``energy`` in (0, 1] optionally truncates the learned basis to that
-    fraction of nuclear energy.
     """
 
     gamma: float
@@ -71,7 +66,6 @@ class AcosConfig:
     p: int = 0
     lam: float | None = None
     k_ub: int | None = None
-    energy: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -81,8 +75,6 @@ class AcosConfig:
             raise ValueError("m must be at least 1")
         if self.lam is not None and self.lam <= 0:
             raise ValueError("lambda must be positive")
-        if not 0.0 < self.energy <= 1.0:
-            raise ValueError("energy must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -235,7 +227,7 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
 
     lam = _resolve_lambda(cfg, n2)
     sol = outlier_pursuit(Y1, lam)
-    basis = subspace_basis(sol.low_rank, cfg.energy)
+    basis = subspace_basis(sol.low_rank)
 
     right = make_gaussian_sketch(cfg.p, n2, derive_seed(cfg.seed, 3))
     phi = make_probe_vector(cfg.m, derive_seed(cfg.seed, 4)).matrix.ravel()
@@ -278,7 +270,7 @@ def sacos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
 
     lam = _resolve_lambda(cfg, n2)
     sol = outlier_pursuit(Y[:, cols], lam)
-    basis = subspace_basis(sol.low_rank, cfg.energy)
+    basis = subspace_basis(sol.low_rank)
     scores = np.linalg.norm(basis.project_out(Y), axis=0)
     est = SupportEstimate(scores, extract_support(scores), scores[None], sol.converged)
     return est, src.measurements
@@ -308,7 +300,7 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
 
     lam = _resolve_lambda(cfg, n2)
     sol = rmc_solve(data_r[:, cols], mask_r[:, cols], lam)
-    basis = subspace_basis(sol.low_rank, cfg.energy)
+    basis = subspace_basis(sol.low_rank)
 
     # one reduced QR per column, batched: column j's basis with the rows it
     # does not observe zeroed, so its data (zero there too) is fit on its

@@ -19,8 +19,9 @@ depend on the input's scale.  ``outlier_pursuit`` is the same solve with
 every entry observed.
 
 ``subspace_basis`` extracts an orthonormal basis of the recovered column
-space, optionally truncated to the smallest leading set of singular values
-holding a given fraction of the nuclear energy.
+space, of the numerical rank, or cut at the largest singular-value gap
+when the estimate has full numerical rank (noise that the separation put
+into L).
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ RHO_GROWTH = 1.6
 STALL_GATE = 0.99
 #: Consecutive residual increases tolerated before declaring divergence.
 DIVERGE_PATIENCE = 10
+#: Minimum multiplicative separation for a gap to count: between declared
+#: and undeclared scores (pipeline), and between kept and dropped singular
+#: values of a full-rank estimate (subspace_basis).
+GAP_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -147,16 +152,15 @@ class SubspaceBasis:
         return X - self.basis @ (self.basis.T @ X)
 
 
-def subspace_basis(X: np.ndarray, energy: float = 1.0) -> SubspaceBasis:
+def subspace_basis(X: np.ndarray) -> SubspaceBasis:
     """Basis of the column span of X, typically a low-rank estimate.
 
-    With energy = 1 every singular value above the numerical-rank cutoff
-    max(m, n) * eps * sigma_1 is kept; otherwise the smallest number d of
-    leading singular values with sigma_1 + ... + sigma_d >= energy * total
-    is kept.
+    Every singular value above the numerical-rank cutoff max(m, n) * eps *
+    sigma_1 is kept.  If all of them pass, X has full numerical rank and
+    its trailing singular values are likely noise, so the basis is cut after
+    sigma_d at the largest ratio sigma_d / sigma_(d+1), provided that ratio
+    exceeds GAP_RATIO.
     """
-    if not 0.0 < energy <= 1.0:
-        raise ValueError("energy must lie in (0, 1]")
     X = np.asarray(X, dtype=float)
     # A full SVD, not svt's Gram eigendecomposition: the rank cutoff below
     # lies far under the sqrt(eps) * sigma_1 that Gram eigenvalues resolve.
@@ -165,12 +169,11 @@ def subspace_basis(X: np.ndarray, energy: float = 1.0) -> SubspaceBasis:
     if total == 0.0:
         warnings.warn("zero matrix has an empty column space", RuntimeWarning)
         return SubspaceBasis(U[:, :0], 0, 1.0)
-    if energy >= 1.0:
-        cutoff = max(X.shape) * np.finfo(float).eps * s[0]
-        d = int(np.sum(s > cutoff))
-    else:
-        cum = np.cumsum(s)
-        d = int(np.searchsorted(cum, energy * total - 1e-15 * total) + 1)
-    kept = float(np.sum(s[:d])) / total
-    return SubspaceBasis(U[:, :d], d, kept)
-
+    d = int(np.sum(s > max(X.shape) * np.finfo(float).eps * s[0]))
+    if d == s.size > 1:
+        # every value is positive here, so no ratio divides by zero
+        ratios = s[:-1] / s[1:]
+        i = int(np.argmax(ratios))
+        if ratios[i] > GAP_RATIO:
+            d = i + 1
+    return SubspaceBasis(U[:, :d], d, float(np.sum(s[:d])) / total)

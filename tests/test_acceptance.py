@@ -225,14 +225,14 @@ def test_c11_saliency_smoke(tmp_path):
     img = planted_image()  # 50 x 100, five hot patches, 20% sampling at m=20
     src = tmp_path / "in.pgm"
     write_pgm(src, img)
-    cfg = AcosConfig(gamma=0.6, m=20, k_ub=5, seed=3, energy=0.95)
+    cfg = AcosConfig(gamma=0.6, m=20, k_ub=5, seed=3)
     mask, _ = saliency_map(read_pgm(src), "sacos", cfg, threshold=0.5)
     lit = {
         i for i in range(50) if mask[(i // 10) * 10, (i % 10) * 10] == 255
     }
     uniform_mask, _ = saliency_map(
         np.full((40, 60), 99, dtype=np.uint8), "sacos",
-        AcosConfig(gamma=0.6, m=12, lam=0.4, seed=2, energy=0.95), threshold=0.25,
+        AcosConfig(gamma=0.6, m=12, lam=0.4, seed=2), threshold=0.25,
     )
     ok = lit == {3, 11, 22, 33, 44} and not uniform_mask.any()
     report(11, "planted patches %s recovered; uniform image empty" % sorted(lit), ok)

@@ -109,6 +109,13 @@ class TestDetectCommand:
         assert code == 2
         assert out == "" and "finite" in err
 
+    def test_energy_is_unknown_argument(self, capsys):
+        # the basis dimension is read from the spectrum, not set by a flag
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "m.csv", "--m", "10", "--energy", "1.0"])
+        assert exc.value.code == 2
+        assert "--energy" in capsys.readouterr().err
+
     def test_nonexistent_file(self, capsys):
         code, _, err = run(capsys, "detect", "/no/such/file.csv", "--m", "5")
         assert code == 2
@@ -170,17 +177,19 @@ class TestPhaseCommand:
         assert code == 2
 
     def test_unknown_key_rejected_before_any_trial(self, tmp_path, capsys):
-        cfg = {
-            "mode": "sacos", "n1": 16, "n2": 40, "gamma": 0.5, "m": 8,
-            "r_values": [1], "k_values": [2], "lambda_set": [0.4], "trails": 1,
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        csv, pgm = tmp_path / "a.csv", tmp_path / "a.pgm"
-        code, out, err = run(capsys, "phase", str(cfg_path), "--out-csv", str(csv), "--out-pgm", str(pgm))
-        assert code == 2 and out == ""
-        assert "unknown config keys: trails" in err
-        assert not csv.exists() and not pgm.exists()
+        # a typo and a removed option ("energy") alike
+        for key in ("trails", "energy"):
+            cfg = {
+                "mode": "sacos", "n1": 16, "n2": 40, "gamma": 0.5, "m": 8,
+                "r_values": [1], "k_values": [2], "lambda_set": [0.4], key: 1,
+            }
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            csv, pgm = tmp_path / "a.csv", tmp_path / "a.pgm"
+            code, out, err = run(capsys, "phase", str(cfg_path), "--out-csv", str(csv), "--out-pgm", str(pgm))
+            assert code == 2 and out == ""
+            assert "unknown config keys: %s" % key in err
+            assert not csv.exists() and not pgm.exists()
 
     @pytest.mark.parametrize("weights", [[None], ["oops"], [0.4, -1.0]], ids=["null", "text", "negative"])
     def test_bad_weight_rejected_before_any_trial(self, tmp_path, capsys, weights):
@@ -195,19 +204,3 @@ class TestPhaseCommand:
         assert code == 2
         assert "separation weights" in err
         assert not csv.exists() and not pgm.exists()
-
-
-class TestOracleCommand:
-    def test_success_and_failure(self, tmp_path, capsys):
-        path = tmp_path / "scores.csv"
-        io.write_matrix_csv(path, np.array([[5.0, 4.0, 0.1], [1.0, 1.0, 1.0]]))
-        code, out, _ = run(capsys, "oracle", str(path), "--support", "0,1")
-        assert code == 0 and "success: true" in out
-        code, out, _ = run(capsys, "oracle", str(path), "--support", "1,2")
-        assert code == 0 and "success: false" in out
-
-    def test_empty_support(self, tmp_path, capsys):
-        path = tmp_path / "scores.csv"
-        io.write_matrix_csv(path, np.zeros((1, 3)))
-        code, out, _ = run(capsys, "oracle", str(path), "--support", "")
-        assert code == 0 and "success: true" in out

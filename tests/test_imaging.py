@@ -7,7 +7,6 @@ from sketchout.imaging import (
     patch_mask_image,
     read_pgm,
     saliency_map,
-    unpatch,
     write_pgm,
 )
 from sketchout.pipeline import AcosConfig
@@ -41,10 +40,16 @@ class TestPatchMatrix:
         assert np.allclose(grid.matrix[:, 0] * 255, [1, 3, 2, 4])
 
     def test_round_trip_exact(self):
+        # column j holds patch (j // 5, j % 5) of the 3 x 5 patch grid,
+        # column-stacked; together the columns hold every covered pixel
         rng = np.random.Generator(np.random.Philox(key=1))
         img = rng.random((37, 53))
         grid = patch_matrix(img, 10)
-        assert np.array_equal(unpatch(grid), img[:30, :50])
+        assert grid.matrix.shape == (100, 15)
+        for j in range(15):
+            i, k = divmod(j, 5)
+            block = img[10 * i : 10 * (i + 1), 10 * k : 10 * (k + 1)]
+            assert np.array_equal(grid.matrix[:, j], block.flatten(order="F"))
 
     def test_pixel_scaling_to_unit(self):
         img = np.full((10, 10), 255, dtype=np.uint8)
@@ -71,7 +76,7 @@ class TestMaskImage:
 class TestSaliencyMap:
     def test_planted_patches_found(self):
         img = planted_image()
-        cfg = AcosConfig(gamma=0.6, m=20, lam=None, k_ub=5, seed=3, energy=0.95)
+        cfg = AcosConfig(gamma=0.6, m=20, lam=None, k_ub=5, seed=3)
         mask, declared = saliency_map(img, "sacos", cfg, threshold=0.5)
         assert declared.tolist() == [3, 11, 22, 33, 44]
         assert mask.shape == (50, 100)
@@ -79,7 +84,7 @@ class TestSaliencyMap:
 
     def test_uniform_image_empty_mask(self):
         img = np.full((40, 60), 77, dtype=np.uint8)
-        cfg = AcosConfig(gamma=0.6, m=12, lam=0.4, seed=2, energy=0.95)
+        cfg = AcosConfig(gamma=0.6, m=12, lam=0.4, seed=2)
         mask, declared = saliency_map(img, "sacos", cfg, threshold=0.25)
         assert not mask.any()
         assert declared.size == 0

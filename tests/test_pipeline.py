@@ -32,8 +32,6 @@ class TestConfig:
             AcosConfig(gamma=0.2, m=0)
         with pytest.raises(ValueError):
             AcosConfig(gamma=0.2, m=10, lam=-1.0)
-        with pytest.raises(ValueError):
-            AcosConfig(gamma=0.2, m=10, energy=0.0)
 
     def test_acos_needs_p(self):
         inst = generate_instance(10, 40, 1, 2, seed=0)

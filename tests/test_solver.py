@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchout import solver
+from sketchout.pipeline import AcosConfig
 from sketchout.solver import (
     TOL_RESIDUAL,
     default_lambda,
@@ -11,7 +14,9 @@ from sketchout.solver import (
     rmc_solve,
     subspace_basis,
 )
-from sketchout.synth import bernoulli_mask, generate_instance
+from sketchout.synth import bernoulli_mask, generate_instance, phase_grid
+
+from test_acceptance import SEED
 
 
 def rank1(seed, shape=(30, 200)):
@@ -171,42 +176,78 @@ class TestSubspaceBasis:
     def test_numerical_rank_on_diagonal(self):
         X = np.zeros((5, 4))
         X[0, 0], X[1, 1] = 3.0, 1.0
-        basis = subspace_basis(X, energy=1.0)
+        basis = subspace_basis(X)
         assert basis.dim == 2
-
-    def test_energy_rule_keeps_two(self):
-        rng = np.random.Generator(np.random.Philox(key=11))
-        Q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        P, _ = np.linalg.qr(rng.standard_normal((7, 2)))
-        X = Q @ np.diag([10.0, 1.0]) @ P.T
-        assert subspace_basis(X, energy=0.95).dim == 2
-
-    def test_energy_rule_keeps_one(self):
-        rng = np.random.Generator(np.random.Philox(key=12))
-        Q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        P, _ = np.linalg.qr(rng.standard_normal((7, 2)))
-        X = Q @ np.diag([10.0, 0.1]) @ P.T
-        basis = subspace_basis(X, energy=0.95)
-        assert basis.dim == 1
-        assert basis.energy_kept == pytest.approx(10.0 / 10.1, rel=1e-10)
 
     def test_zero_matrix_empty_with_warning(self):
         with pytest.warns(RuntimeWarning):
-            basis = subspace_basis(np.zeros((4, 4)), energy=1.0)
+            basis = subspace_basis(np.zeros((4, 4)))
         assert basis.dim == 0
 
     def test_orthonormality(self):
         inst = generate_instance(25, 80, 3, 4, seed=2)
         sol = outlier_pursuit(inst.M, 0.35)
-        basis = subspace_basis(sol.low_rank, energy=1.0)
+        basis = subspace_basis(sol.low_rank)
         eye = basis.basis.T @ basis.basis
         assert np.max(np.abs(eye - np.eye(basis.dim))) < 1e-10
 
-    def test_invalid_energy(self):
-        with pytest.raises(ValueError):
-            subspace_basis(np.eye(2), energy=0.0)
-        with pytest.raises(ValueError):
-            subspace_basis(np.eye(2), energy=1.5)
+
+def with_spectrum(sigma, shape, seed):
+    """A shape[0] x shape[1] matrix with singular values sigma and random
+    singular vectors."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    Q, _ = np.linalg.qr(rng.standard_normal((shape[0], len(sigma))))
+    P, _ = np.linalg.qr(rng.standard_normal((shape[1], len(sigma))))
+    return Q @ np.diag(sigma) @ P.T
+
+
+class TestRankRule:
+    """subspace_basis keeps the numerical rank, and cuts at the largest
+    singular-value gap only when the input has full numerical rank."""
+
+    def test_rank_deficient_spread_spectrum_keeps_numerical_rank(self):
+        # a ratio of 1000 between the two values, but the gap to numerical
+        # zero decides: nothing is cut
+        assert subspace_basis(with_spectrum([10.0, 0.01], (6, 7), seed=11)).dim == 2
+
+    def test_full_rank_cut_at_largest_gap(self):
+        X = with_spectrum([10.0, 8.0, 5.0, 1e-3, 9e-4, 5e-4], (6, 9), seed=12)
+        basis = subspace_basis(X)
+        assert basis.dim == 3
+        assert basis.energy_kept == pytest.approx(23.0 / (23.0 + 2.4e-3), rel=1e-10)
+
+    def test_full_rank_without_gap_keeps_all(self):
+        X = with_spectrum([10.0, 8.0, 5.0, 1.0, 0.9, 0.5], (6, 9), seed=12)
+        assert subspace_basis(X).dim == 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 12),
+        n=st.integers(2, 12),
+        data=st.data(),
+    )
+    def test_low_rank_product_keeps_count_above_cutoff(self, m, n, data):
+        r = data.draw(st.integers(1, min(m, n) - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        scales = data.draw(st.lists(st.floats(-6.0, 6.0), min_size=r, max_size=r))
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        X = (rng.standard_normal((m, r)) * 10.0 ** np.array(scales)) @ rng.standard_normal((r, n))
+        s = np.linalg.svd(X, full_matrices=False)[1]
+        assert subspace_basis(X).dim == int(np.sum(s > max(m, n) * np.finfo(float).eps * s[0]))
+
+    @pytest.mark.parametrize(
+        "mode, p, k, p_omega",
+        [("acos", 300, 10, None), ("sacos", 0, 10, None), ("sacos_missing", 0, 50, 0.7)],
+    )
+    def test_noisy_cell_at_a_single_weight(self, mode, p, k, p_omega):
+        # noise in the inlier columns makes the learned L full rank; without
+        # the gap cut the basis fills the sketch and every score is rounding
+        cfg = AcosConfig(gamma=0.2, m=30, p=p, seed=0)
+        res = phase_grid(
+            mode, cfg, [5], [k], [0.4], trials=10, seed=SEED + 20, n1=100, n2=1000,
+            noise_sigma=1e-4, p_omega=p_omega, normalize=True,
+        )
+        assert res.grid[(5, k)] >= 0.8
 
 
 class TestResidualOperator:
@@ -214,14 +255,14 @@ class TestResidualOperator:
 
     def test_canonical_projection(self):
         # rank-1 matrix whose columns span e1
-        basis = subspace_basis(np.array([[1.0, 2.0], [0.0, 0.0]]), 1.0)
+        basis = subspace_basis(np.array([[1.0, 2.0], [0.0, 0.0]]))
         project = basis.project_out
         assert np.allclose(project(np.array([1.0, 2.0])), [0.0, 2.0], atol=1e-12)
 
     def test_kernel_and_idempotence(self):
         rng = np.random.Generator(np.random.Philox(key=13))
         X = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 10))
-        basis = subspace_basis(X, 1.0)
+        basis = subspace_basis(X)
         project = basis.project_out
         inside = X[:, :3] @ rng.standard_normal(3)
         assert np.linalg.norm(project(inside)) < 1e-10 * np.linalg.norm(inside)
@@ -231,7 +272,7 @@ class TestResidualOperator:
     def test_matrix_application_is_columnwise(self):
         rng = np.random.Generator(np.random.Philox(key=14))
         X = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9))
-        basis = subspace_basis(X, 1.0)
+        basis = subspace_basis(X)
         project = basis.project_out
         V = rng.standard_normal((6, 5))
         cols = np.column_stack([project(v) for v in V.T])
@@ -239,7 +280,7 @@ class TestResidualOperator:
 
     def test_empty_basis_returns_a_copy(self):
         with pytest.warns(RuntimeWarning):
-            basis = subspace_basis(np.zeros((4, 3)), 1.0)
+            basis = subspace_basis(np.zeros((4, 3)))
         assert basis.dim == 0
         X = np.random.Generator(np.random.Philox(key=15)).standard_normal((4, 5))
         out = basis.project_out(X)
