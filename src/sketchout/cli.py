@@ -33,7 +33,6 @@ def _add_config_flags(parser) -> None:
     parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--p", type=int, default=0)
     parser.add_argument("--lam", type=float, default=None)
-    parser.add_argument("--k-ub", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -43,10 +42,7 @@ _PHASE_KEYS = {"mode", "n1", "n2", "gamma", "m", "p", "seed", "r_values", "k_val
 
 
 def _config(args) -> AcosConfig:
-    return AcosConfig(
-        gamma=args.gamma, m=args.m, p=args.p, lam=args.lam,
-        k_ub=args.k_ub, seed=args.seed,
-    )
+    return AcosConfig(gamma=args.gamma, m=args.m, p=args.p, lam=args.lam, seed=args.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,11 +83,13 @@ def _cmd_budget(args) -> int:
     budget = SampleBudget(
         n2=args.n2, n_L=n_low, r=args.r, k=args.k, mu_L=args.mu_l, delta=args.delta,
     )
-    gamma = min_gamma(budget)
-    print("m_min     = %d" % min_row_budget(budget))
-    print("p_min     = %d" % min_col_budget(budget))
+    # compute every value first, so invalid input leaves stdout empty
+    m_min, p_min = min_row_budget(budget), min_col_budget(budget)
+    gamma, k_max = min_gamma(budget), max_outliers(budget)
+    print("m_min     = %d" % m_min)
+    print("p_min     = %d" % p_min)
     print("gamma_min = %.6f%s" % (gamma, "  (INFEASIBLE: rate above 1)" if gamma > 1 else ""))
-    print("k_max     = %d" % max_outliers(budget))
+    print("k_max     = %d" % k_max)
     print(
         "note: the guarantee constants are conservative; empirical runs "
         "succeed with far smaller m and p (e.g. m = 0.3 n1, p = 0.3 n2)."

@@ -34,7 +34,7 @@ from .sketching import (
     make_row_subsampler,
 )
 from .prox import lasso_path_solve
-from .solver import GAP_RATIO, default_lambda, outlier_pursuit, rmc_solve, subspace_basis
+from .solver import GAP_RATIO, _gap_cut, default_lambda, outlier_pursuit, rmc_solve, subspace_basis
 
 MODES = ("acos", "sacos", "sacos_missing")
 
@@ -57,15 +57,14 @@ class AcosConfig:
 
     ``m`` is the number of sketch rows, ``p`` the compression size of the
     decoding step (ignored by sacos), ``gamma`` the column-sampling rate.
-    ``lam`` overrides the separation weight; if None it defaults to
-    3/(7 sqrt(k_ub)), with k_ub falling back to a tenth of the columns.
+    ``lam`` is the separation weight; if None it defaults to 3/(7 sqrt(k))
+    with k = ceil(n2/10), a tenth of the columns as the outlier bound.
     """
 
     gamma: float
     m: int
     p: int = 0
     lam: float | None = None
-    k_ub: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -148,10 +147,7 @@ def _as_source(M) -> MatrixSource:
 
 
 def _resolve_lambda(cfg: AcosConfig, n2: int) -> float:
-    if cfg.lam is not None:
-        return cfg.lam
-    k_ub = cfg.k_ub if cfg.k_ub is not None else max(1, math.ceil(0.1 * n2))
-    return default_lambda(k_ub)
+    return cfg.lam if cfg.lam is not None else default_lambda(max(1, math.ceil(0.1 * n2)))
 
 
 def _sample_columns(n2: int, cfg: AcosConfig) -> np.ndarray:
@@ -163,31 +159,6 @@ def _sample_columns(n2: int, cfg: AcosConfig) -> np.ndarray:
     if idx.size == 0:
         raise PipelineError("column sample empty after retry")
     return idx
-
-
-def _gap_cut(scores: np.ndarray) -> tuple[float, int]:
-    """Separation quality of a score vector: (gap ratio, declared count).
-
-    The cut is placed at the largest multiplicative gap between consecutive
-    positive scores in sorted order.  When exact zeros are present and no
-    positive-internal gap exceeds GAP_RATIO, the positive/zero boundary is
-    the cut and the ratio is infinite (a cleanly thresholded solution).
-    """
-    s = np.sort(scores)[::-1]
-    pos = s[s > 0]
-    if pos.size == 0:
-        return 0.0, 0
-    best, count = 0.0, 1
-    if pos.size >= 2:
-        # a quotient beyond the float range is a gap of infinite ratio, the
-        # correct limit here; log-space gaps could flip near-GAP_RATIO ties
-        with np.errstate(over="ignore"):
-            ratios = pos[:-1] / pos[1:]
-        cut = int(np.argmax(ratios))
-        best, count = float(ratios[cut]), cut + 1
-    if pos.size < s.size and best <= GAP_RATIO:
-        return np.inf, int(pos.size)
-    return best, count
 
 
 def extract_support(scores: np.ndarray) -> np.ndarray:

@@ -102,10 +102,11 @@ F_QUARTER = f_jl(0.25)
 class SampleBudget:
     """Problem parameters entering the sampling-budget formulas.
 
-    ``mu_L`` is the column incoherence of the low-rank part, in
-    [1, n_L/r]; ``delta`` the acceptable failure probability.  The JL
-    distortion is fixed at 1/4 (``F_QUARTER``) because the guarantee
-    constants are stated there.
+    Of the ``n2`` columns, ``k`` (0 to n2) are outliers and ``n_L`` (1 to
+    n2) are nonzero low-rank columns.  ``mu_L`` is the column incoherence
+    of the low-rank part, in [1, n_L/r]; ``delta`` the acceptable failure
+    probability.  The JL distortion is fixed at 1/4 (``F_QUARTER``)
+    because the guarantee constants are stated there.
     """
 
     n2: int
@@ -116,6 +117,12 @@ class SampleBudget:
     delta: float = 0.1
 
     def __post_init__(self) -> None:
+        if self.n2 < 1:
+            raise ValueError("n2 must be at least 1")
+        if not 0 <= self.k <= self.n2:
+            raise ValueError("k must lie in [0, n2]")
+        if not 1 <= self.n_L <= self.n2:
+            raise ValueError("n_L must lie in [1, n2]")
         if self.r < 1:
             raise ValueError("rank must be at least 1")
         if not 0.0 < self.delta < 1.0:
@@ -145,8 +152,6 @@ def min_col_budget(b: SampleBudget) -> int:
     """
     if b.k < 1:
         raise ValueError("column budget needs at least one outlier")
-    if b.k > b.n2:
-        raise ValueError("more outliers than columns")
     num = 11.0 * b.k + 2.0 * b.k * math.log(b.n2 / b.k) + math.log(2.0 / b.delta)
     return math.ceil(num / F_QUARTER)
 
@@ -159,8 +164,6 @@ def min_gamma(b: SampleBudget) -> float:
     infeasible at this size; the caller decides whether to accept a
     vacuous guarantee.
     """
-    if b.n_L < 1 or b.n2 < 1:
-        raise ValueError("need at least one column")
     return max(
         1.0 / 20.0,
         200.0 * math.log(5.0 / b.delta) / b.n_L,

@@ -55,6 +55,32 @@ DIVERGE_PATIENCE = 10
 GAP_RATIO = 10.0
 
 
+def _gap_cut(values: np.ndarray) -> tuple[float, int]:
+    """Largest-gap rule: (gap ratio, count of values above the gap).
+
+    The cut is placed at the largest multiplicative gap between consecutive
+    positive values in sorted order.  When exact zeros are present and no
+    positive-internal gap exceeds GAP_RATIO, the positive/zero boundary is
+    the cut and the ratio is infinite (a cleanly thresholded solution).
+    Score vectors and full-rank spectra (``subspace_basis``) share it.
+    """
+    s = np.sort(values)[::-1]
+    pos = s[s > 0]
+    if pos.size == 0:
+        return 0.0, 0
+    best, count = 0.0, 1
+    if pos.size >= 2:
+        # a quotient beyond the float range is a gap of infinite ratio, the
+        # correct limit here; log-space gaps could flip near-GAP_RATIO ties
+        with np.errstate(over="ignore"):
+            ratios = pos[:-1] / pos[1:]
+        cut = int(np.argmax(ratios))
+        best, count = float(ratios[cut]), cut + 1
+    if pos.size < s.size and best <= GAP_RATIO:
+        return np.inf, int(pos.size)
+    return best, count
+
+
 @dataclass(frozen=True)
 class OpSolution:
     """Recovered pair (L, C) with convergence diagnostics.
@@ -71,12 +97,12 @@ class OpSolution:
     degenerate: bool = False
 
 
-def default_lambda(k_ub: int) -> float:
-    """Column-sparsity weight 3 / (7 sqrt(k_ub)) for an outlier-count upper
-    bound k_ub."""
-    if k_ub < 1:
+def default_lambda(k: int) -> float:
+    """Column-sparsity weight 3 / (7 sqrt(k)) for an outlier-count upper
+    bound k."""
+    if k < 1:
         raise ValueError("outlier upper bound must be at least 1")
-    return 3.0 / (7.0 * math.sqrt(k_ub))
+    return 3.0 / (7.0 * math.sqrt(k))
 
 
 def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
@@ -171,9 +197,8 @@ def subspace_basis(X: np.ndarray) -> SubspaceBasis:
         return SubspaceBasis(U[:, :0], 0, 1.0)
     d = int(np.sum(s > max(X.shape) * np.finfo(float).eps * s[0]))
     if d == s.size > 1:
-        # every value is positive here, so no ratio divides by zero
-        ratios = s[:-1] / s[1:]
-        i = int(np.argmax(ratios))
-        if ratios[i] > GAP_RATIO:
-            d = i + 1
+        # every value is positive here, so the rule cuts between two of them
+        ratio, count = _gap_cut(s)
+        if ratio > GAP_RATIO:
+            d = count
     return SubspaceBasis(U[:, :d], d, float(np.sum(s[:d])) / total)

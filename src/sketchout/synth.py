@@ -172,7 +172,9 @@ def phase_grid(
 
     Every (cell, weight, trial) gets a fresh instance and fresh operators
     under a seed derived from (seed, r, k, weight index, trial), so cells
-    and trials are order-independent and reproducible.
+    and trials are order-independent and reproducible.  Of
+    ``cfg_template`` only gamma, m and p are read: every trial replaces
+    its ``lam`` with the weight and its ``seed`` with the derived seed.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))

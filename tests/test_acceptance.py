@@ -225,7 +225,7 @@ def test_c11_saliency_smoke(tmp_path):
     img = planted_image()  # 50 x 100, five hot patches, 20% sampling at m=20
     src = tmp_path / "in.pgm"
     write_pgm(src, img)
-    cfg = AcosConfig(gamma=0.6, m=20, k_ub=5, seed=3)
+    cfg = AcosConfig(gamma=0.6, m=20, seed=3)
     mask, _ = saliency_map(read_pgm(src), "sacos", cfg, threshold=0.5)
     lit = {
         i for i in range(50) if mask[(i // 10) * 10, (i % 10) * 10] == 255

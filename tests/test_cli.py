@@ -37,6 +37,15 @@ class TestBudgetCommand:
         assert code == 0
         assert "INFEASIBLE" in out
 
+    @pytest.mark.parametrize("extra", [
+        ["--k", "0"], ["--k", "-1"], ["--k", "2000"], ["--k", "10", "--n-low", "5000"],
+    ], ids=["no-outliers", "negative-k", "k-above-n2", "n-low-above-n2"])
+    def test_invalid_input_prints_nothing(self, capsys, extra):
+        # every value is checked before the first line is printed
+        code, out, err = run(capsys, "budget", "--n2", "1000", "--r", "5", *extra)
+        assert code == 2 and out == ""
+        assert "error:" in err
+
     def test_n1_is_unknown_argument(self, capsys):
         # no budget formula depends on the row count
         with pytest.raises(SystemExit) as exc:
@@ -116,9 +125,40 @@ class TestDetectCommand:
         assert exc.value.code == 2
         assert "--energy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["detect", "saliency"])
+    def test_k_ub_is_unknown_argument(self, capsys, command):
+        # the separation weight is set by --lam alone
+        files = ["m.csv"] if command == "detect" else ["in.pgm", "out.pgm"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, "--m", "10", "--k-ub", "5"])
+        assert exc.value.code == 2
+        assert "--k-ub" in capsys.readouterr().err
+
     def test_nonexistent_file(self, capsys):
         code, _, err = run(capsys, "detect", "/no/such/file.csv", "--m", "5")
         assert code == 2
+
+    def _sparse_sample(self, tmp_path, capsys, seed):
+        # 8 columns at gamma 0.05: the column sample is often empty
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, generate_instance(20, 8, 1, 1, seed=0).M)
+        return run(
+            capsys, "detect", str(path), "--mode", "sacos", "--m", "5",
+            "--gamma", "0.05", "--seed", str(seed),
+        )
+
+    def test_empty_column_sample_is_solver_failure(self, tmp_path, capsys):
+        # seed 3: the first draw and the retry are both empty
+        code, out, err = self._sparse_sample(tmp_path, capsys, 3)
+        assert code == 3 and out == ""
+        assert "solver failure: column sample empty after retry" in err
+
+    def test_empty_column_sample_is_redrawn_once(self, tmp_path, capsys):
+        # seed 1: only the first draw is empty, and the retry samples one
+        # column, so the declared set is not checked
+        code, out, _ = self._sparse_sample(tmp_path, capsys, 1)
+        assert code == 0
+        assert "sampling_rate:" in out
 
 
 class TestSaliencyCommand:
@@ -128,7 +168,7 @@ class TestSaliencyCommand:
         write_pgm(src, img)
         code, out, _ = run(
             capsys, "saliency", str(src), str(dst), "--mode", "sacos",
-            "--gamma", "0.6", "--m", "20", "--k-ub", "5",
+            "--gamma", "0.6", "--m", "20",
             "--threshold", "0.5", "--seed", "3",
         )
         assert code == 0

@@ -76,7 +76,7 @@ class TestMaskImage:
 class TestSaliencyMap:
     def test_planted_patches_found(self):
         img = planted_image()
-        cfg = AcosConfig(gamma=0.6, m=20, lam=None, k_ub=5, seed=3)
+        cfg = AcosConfig(gamma=0.6, m=20, seed=3)
         mask, declared = saliency_map(img, "sacos", cfg, threshold=0.5)
         assert declared.tolist() == [3, 11, 22, 33, 44]
         assert mask.shape == (50, 100)

@@ -1,25 +1,64 @@
-"""The README's Python examples and the experiment drivers run as written."""
+"""The README's examples and commands, and the experiment drivers, work as written."""
 
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from sketchout import cli
+
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+SH_LINES = [
+    line.strip()
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+    for line in block.splitlines()
+]
+CLI_LINES = [line for line in SH_LINES if line.startswith("sketchout ")]
 
 
 def test_python_blocks_run_in_order():
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README, re.S)
     assert blocks
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
 
 
-@pytest.mark.parametrize("script", ["run_phase_grids.py", "saliency_demo.py", "check_corpus.py"])
+@pytest.mark.parametrize("line", CLI_LINES)
+def test_cli_line_parses(line):
+    # a flag the parser no longer knows exits 2
+    try:
+        cli._build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    except SystemExit as exc:
+        pytest.fail("README command does not parse (exit %s): %s" % (exc.code, line))
+
+
+def test_script_lines_name_existing_files():
+    scripts = [line for line in SH_LINES if line.startswith("python3 scripts/")]
+    assert scripts
+    for line in scripts:
+        assert (ROOT / shlex.split(line)[1]).is_file(), line
+
+
+def test_phase_configs_exist_and_are_complete():
+    lines = [line for line in CLI_LINES if line.split()[1] == "phase"]
+    assert lines
+    required = {"n1", "n2", "m", "r_values", "k_values", "lambda_set"}
+    for line in lines:
+        path = ROOT / cli._build_parser().parse_args(shlex.split(line)[1:]).config
+        assert path.is_file(), line
+        keys = set(json.loads(path.read_text()))
+        assert required <= keys, (line, required - keys)
+        assert keys <= cli._PHASE_KEYS, (line, keys - cli._PHASE_KEYS)
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
 def test_script_help(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -191,7 +191,8 @@ class TestBudgets:
         delta=st.floats(1e-4, 0.99),
     )
     def test_col_budget_matches_high_precision(self, k, n2, delta):
-        b = SampleBudget(n2=n2, n_L=n2 - k, r=1, k=k, delta=delta)
+        # n_L does not enter the column budget; it only has to be valid
+        b = SampleBudget(n2=n2, n_L=max(1, n2 - k), r=1, k=k, delta=delta)
         exact = _mp_budget_col(k, n2, delta)
         if abs(exact - mpmath.nint(exact)) < 1e-9:
             return
@@ -233,6 +234,15 @@ class TestBudgets:
         assert max_outliers(bigger) <= max_outliers(b)
 
     def test_budget_validation(self):
+        for fields, field in [
+            (dict(n2=0, n_L=1, k=0), "n2"),
+            (dict(n2=10, n_L=5, k=-1), "k"),
+            (dict(n2=10, n_L=5, k=11), "k"),
+            (dict(n2=10, n_L=0, k=1), "n_L"),
+            (dict(n2=10, n_L=11, k=1), "n_L"),
+        ]:
+            with pytest.raises(ValueError, match="^%s " % field):
+                SampleBudget(r=1, **fields)
         with pytest.raises(ValueError):
             SampleBudget(n2=1, n_L=1, r=0, k=1)
         with pytest.raises(ValueError):
