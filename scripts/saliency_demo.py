@@ -33,7 +33,6 @@ def planted_image(height=50, width=100, patch=10, seed=5):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("results"))
-    ap.add_argument("--threshold", type=float, default=0.5)
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -41,11 +40,12 @@ def main():
     write_pgm(args.out / "saliency_input.pgm", img)
     print("planted patches:", list(HOT))
     # acos scores come from a single random probe, so they spread more than
-    # sacos residual norms; expect it to trade misses for its lower rate
+    # sacos residual norms and a planted patch can fall below the largest
+    # gap; acos measures fewer entries in exchange
     runs = [("sacos", 20, 0), ("sacos", 10, 0), ("acos", 10, 50)]
     for mode, m, p in runs:
         cfg = AcosConfig(gamma=0.6, m=m, p=p, seed=3)
-        mask, declared = saliency_map(img, mode, cfg, threshold=args.threshold)
+        mask, declared = saliency_map(img, mode, cfg)
         name = "saliency_%s_m%d.pgm" % (mode, m)
         write_pgm(args.out / name, mask)
         print("%-5s m=%2d: declared %s -> %s" % (mode, m, declared.tolist(), args.out / name))

@@ -68,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("output", help="output PGM mask")
     s.add_argument("--mode", choices=["acos", "sacos"], default="sacos")
     _add_config_flags(s)
-    s.add_argument("--threshold", type=float, default=0.25,
-                   help="declare fraction of the maximum score")
 
     p = sub.add_parser("phase", help="phase-transition grid from a JSON config")
     p.add_argument("config", help="flat JSON config")
@@ -110,7 +108,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_saliency(args) -> int:
     image = read_pgm(args.image)
-    mask, declared = saliency_map(image, args.mode, _config(args), args.threshold)
+    mask, declared = saliency_map(image, args.mode, _config(args))
     write_pgm(args.output, mask)
     print("salient patches: %d / %d" % (declared.size, patch_matrix(image).matrix.shape[1]))
     return 0

@@ -3,7 +3,8 @@
 An image is decomposed into non-overlapping square patches, each
 vectorized by column stacking into one column of a patch matrix; on the
 low-rank-plus-outlier model, salient patches are exactly the outlier
-columns.  Trailing pixels that do not fill a whole patch are dropped;
+columns, so ``saliency_map`` declares the patches that ``detect``
+declares.  Trailing pixels that do not fill a whole patch are dropped;
 every covered pixel appears exactly once in the matrix, so the covered
 region round-trips exactly.
 
@@ -18,10 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pipeline import AcosConfig, detect
-
-#: Scores at or below this fraction of the patch-matrix column scale are
-#: treated as exact zeros, so a perfectly explained image declares nothing.
-SCORE_FLOOR = 1e-9
 
 
 @dataclass
@@ -76,30 +73,19 @@ def patch_mask_image(grid: PatchGrid, declared) -> np.ndarray:
 
 
 def saliency_map(
-    image: np.ndarray,
-    mode: str,
-    cfg: AcosConfig,
-    threshold: float = 0.25,
+    image: np.ndarray, mode: str, cfg: AcosConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch saliency mask from compressive samples of the patch matrix.
 
-    Runs the chosen pipeline on the patch matrix and declares a patch
-    salient when its score exceeds ``threshold`` times the maximum score.
+    Runs the chosen pipeline on the patch matrix; the salient patches are
+    the outlier columns it declares, by the package's largest-gap rule.
     Returns the uint8 mask over the covered region and the sorted indices
     of the declared patches (row-major over the patch grid), the patches
     the mask lights.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold is a fraction of the maximum score")
-    if mode not in ("acos", "sacos"):
-        raise ValueError("mode must be acos or sacos")
     grid = patch_matrix(image)
     est, _ = detect(mode, grid.matrix, cfg)
-    scores = est.scores.copy()
-    scale = float(np.max(np.linalg.norm(grid.matrix, axis=0)))
-    scores[scores <= SCORE_FLOOR * scale] = 0.0
-    declared = np.nonzero(scores > threshold * scores.max())[0]
-    return patch_mask_image(grid, declared), declared
+    return patch_mask_image(grid, est.declared), est.declared
 
 
 def read_pgm(path) -> np.ndarray:

@@ -21,7 +21,6 @@ rate above 1) is signalled, never clamped.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +54,7 @@ def make_column_sampler(n2: int, gamma: float, seed: int) -> SketchOperator:
     """Bernoulli(gamma) column selector over n2 columns.
 
     Returns the operator I[:, S] (shape n2 x |S|) with the selected indices
-    in increasing order.  An empty selection is legal but flagged with a
-    warning since downstream solvers cannot use it.
+    in increasing order; the selection may be empty.
     """
     if n2 < 1:
         raise ValueError("n2 must be positive")
@@ -64,8 +62,6 @@ def make_column_sampler(n2: int, gamma: float, seed: int) -> SketchOperator:
         raise ValueError("gamma must lie in [0, 1]")
     draws = generator(seed).random(n2)
     idx = np.nonzero(draws < gamma)[0]
-    if idx.size == 0:
-        warnings.warn("column sampler selected no columns", RuntimeWarning)
     mat = np.zeros((n2, idx.size))
     mat[idx, np.arange(idx.size)] = 1.0
     return SketchOperator(mat, idx)
@@ -102,7 +98,7 @@ F_QUARTER = f_jl(0.25)
 class SampleBudget:
     """Problem parameters entering the sampling-budget formulas.
 
-    Of the ``n2`` columns, ``k`` (0 to n2) are outliers and ``n_L`` (1 to
+    Of the ``n2`` columns, ``k`` (1 to n2) are outliers and ``n_L`` (1 to
     n2) are nonzero low-rank columns.  ``mu_L`` is the column incoherence
     of the low-rank part, in [1, n_L/r]; ``delta`` the acceptable failure
     probability.  The JL distortion is fixed at 1/4 (``F_QUARTER``)
@@ -119,8 +115,8 @@ class SampleBudget:
     def __post_init__(self) -> None:
         if self.n2 < 1:
             raise ValueError("n2 must be at least 1")
-        if not 0 <= self.k <= self.n2:
-            raise ValueError("k must lie in [0, n2]")
+        if not 1 <= self.k <= self.n2:
+            raise ValueError("k must lie in [1, n2]")
         if not 1 <= self.n_L <= self.n2:
             raise ValueError("n_L must lie in [1, n2]")
         if self.r < 1:
@@ -134,14 +130,9 @@ class SampleBudget:
 def min_row_budget(b: SampleBudget) -> int:
     """Smallest sufficient number of sketch rows m.
 
-    ceil((5(r+1) + ln k + ln(2/delta)) / f(1/4)); for k = 0 the ln k term
-    is dropped and a degenerate-input warning is emitted.
+    ceil((5(r+1) + ln k + ln(2/delta)) / f(1/4)).
     """
-    num = 5.0 * (b.r + 1) + math.log(2.0 / b.delta)
-    if b.k == 0:
-        warnings.warn("row budget evaluated with no outliers", RuntimeWarning)
-    else:
-        num += math.log(b.k)
+    num = 5.0 * (b.r + 1) + math.log(2.0 / b.delta) + math.log(b.k)
     return math.ceil(num / F_QUARTER)
 
 
@@ -150,8 +141,6 @@ def min_col_budget(b: SampleBudget) -> int:
 
     ceil((11k + 2k ln(n2/k) + ln(2/delta)) / f(1/4)).
     """
-    if b.k < 1:
-        raise ValueError("column budget needs at least one outlier")
     num = 11.0 * b.k + 2.0 * b.k * math.log(b.n2 / b.k) + math.log(2.0 / b.delta)
     return math.ceil(num / F_QUARTER)
 

@@ -226,13 +226,13 @@ def test_c11_saliency_smoke(tmp_path):
     src = tmp_path / "in.pgm"
     write_pgm(src, img)
     cfg = AcosConfig(gamma=0.6, m=20, seed=3)
-    mask, _ = saliency_map(read_pgm(src), "sacos", cfg, threshold=0.5)
+    mask, _ = saliency_map(read_pgm(src), "sacos", cfg)
     lit = {
         i for i in range(50) if mask[(i // 10) * 10, (i % 10) * 10] == 255
     }
     uniform_mask, _ = saliency_map(
         np.full((40, 60), 99, dtype=np.uint8), "sacos",
-        AcosConfig(gamma=0.6, m=12, lam=0.4, seed=2), threshold=0.25,
+        AcosConfig(gamma=0.6, m=12, lam=0.4, seed=2),
     )
     ok = lit == {3, 11, 22, 33, 44} and not uniform_mask.any()
     report(11, "planted patches %s recovered; uniform image empty" % sorted(lit), ok)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -37,14 +38,19 @@ class TestBudgetCommand:
         assert code == 0
         assert "INFEASIBLE" in out
 
-    @pytest.mark.parametrize("extra", [
-        ["--k", "0"], ["--k", "-1"], ["--k", "2000"], ["--k", "10", "--n-low", "5000"],
+    @pytest.mark.parametrize("extra, field", [
+        (["--k", "0"], "k"), (["--k", "-1"], "k"), (["--k", "2000"], "k"),
+        (["--k", "10", "--n-low", "5000"], "n_L"),
     ], ids=["no-outliers", "negative-k", "k-above-n2", "n-low-above-n2"])
-    def test_invalid_input_prints_nothing(self, capsys, extra):
-        # every value is checked before the first line is printed
-        code, out, err = run(capsys, "budget", "--n2", "1000", "--r", "5", *extra)
+    def test_invalid_input_prints_nothing(self, capsys, extra, field):
+        # every value is checked before the first line is printed and
+        # before any budget is evaluated, so no warning is raised either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "budget", "--n2", "1000", "--r", "5", *extra)
         assert code == 2 and out == ""
-        assert "error:" in err
+        assert err.startswith("error: %s must" % field)
+        assert "RuntimeWarning" not in err
 
     def test_n1_is_unknown_argument(self, capsys):
         # no budget formula depends on the row count
@@ -168,8 +174,7 @@ class TestSaliencyCommand:
         write_pgm(src, img)
         code, out, _ = run(
             capsys, "saliency", str(src), str(dst), "--mode", "sacos",
-            "--gamma", "0.6", "--m", "20",
-            "--threshold", "0.5", "--seed", "3",
+            "--gamma", "0.6", "--m", "20", "--seed", "3",
         )
         assert code == 0
         mask = read_pgm(dst)

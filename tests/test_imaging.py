@@ -9,7 +9,7 @@ from sketchout.imaging import (
     saliency_map,
     write_pgm,
 )
-from sketchout.pipeline import AcosConfig
+from sketchout.pipeline import AcosConfig, detect
 
 
 def planted_image(height=50, width=100, patch=10, hot=(3, 11, 22, 33, 44), seed=5):
@@ -77,7 +77,7 @@ class TestSaliencyMap:
     def test_planted_patches_found(self):
         img = planted_image()
         cfg = AcosConfig(gamma=0.6, m=20, seed=3)
-        mask, declared = saliency_map(img, "sacos", cfg, threshold=0.5)
+        mask, declared = saliency_map(img, "sacos", cfg)
         assert declared.tolist() == [3, 11, 22, 33, 44]
         assert mask.shape == (50, 100)
         assert np.array_equal(mask, patch_mask_image(patch_matrix(img), declared))
@@ -85,17 +85,27 @@ class TestSaliencyMap:
     def test_uniform_image_empty_mask(self):
         img = np.full((40, 60), 77, dtype=np.uint8)
         cfg = AcosConfig(gamma=0.6, m=12, lam=0.4, seed=2)
-        mask, declared = saliency_map(img, "sacos", cfg, threshold=0.25)
+        mask, declared = saliency_map(img, "sacos", cfg)
         assert not mask.any()
         assert declared.size == 0
 
-    def test_bad_mode_and_threshold(self):
+    @pytest.mark.parametrize("mode, cfg", [
+        ("acos", AcosConfig(gamma=0.6, m=10, p=50, seed=3)),
+        ("sacos", AcosConfig(gamma=0.6, m=20, seed=3)),
+    ], ids=["acos", "sacos"])
+    def test_declares_what_detection_declares(self, mode, cfg):
+        img = planted_image()
+        est, _ = detect(mode, patch_matrix(img).matrix, cfg)
+        _, declared = saliency_map(img, mode, cfg)
+        assert declared.tolist() == est.declared.tolist()
+
+    def test_bad_mode(self):
         img = planted_image()
         cfg = AcosConfig(gamma=0.5, m=10)
         with pytest.raises(ValueError):
             saliency_map(img, "other", cfg)
         with pytest.raises(ValueError):
-            saliency_map(img, "sacos", cfg, threshold=0.0)
+            saliency_map(img, "sacos_missing", cfg)
 
 
 class TestPgm:
