@@ -17,6 +17,7 @@ solver failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import io
@@ -34,11 +35,6 @@ def _add_config_flags(parser) -> None:
     parser.add_argument("--p", type=int, default=0)
     parser.add_argument("--lam", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
-
-
-#: The keys a phase config may hold; any other key is rejected.
-_PHASE_KEYS = {"mode", "n1", "n2", "gamma", "m", "p", "seed", "r_values", "k_values",
-               "lambda_set", "trials", "noise_sigma", "p_omega", "normalize"}
 
 
 def _config(args) -> AcosConfig:
@@ -116,21 +112,13 @@ def _cmd_saliency(args) -> int:
 
 def _cmd_phase(args) -> int:
     raw = io.load_config(args.config)
-    unknown = sorted(set(raw) - _PHASE_KEYS)
-    if unknown:
-        raise ValueError("unknown config keys: %s" % ", ".join(unknown))
-    # optional keys pass through only when present, so their defaults stay
-    # those of AcosConfig and phase_grid; phase_grid seeds every trial itself
-    cfg_keys = {"p": raw["p"]} if "p" in raw else {}
-    grid_keys = {key: raw[key] for key in ("noise_sigma", "p_omega", "normalize") if key in raw}
+    # the config keys are phase_grid's keywords: a missing or unknown key
+    # fails here, before any trial runs
     try:
-        cfg = AcosConfig(gamma=raw.get("gamma", 0.2), m=raw["m"], **cfg_keys)
-        result = phase_grid(
-            raw.get("mode", "acos"), cfg, raw["r_values"], raw["k_values"], raw["lambda_set"],
-            raw.get("trials", 20), raw.get("seed", 0), n1=raw["n1"], n2=raw["n2"], **grid_keys,
-        )
-    except KeyError as exc:
-        raise ValueError("config is missing required key %s" % exc) from exc
+        inspect.signature(phase_grid).bind(**raw)
+    except TypeError as exc:
+        raise ValueError("config: %s" % exc) from exc
+    result = phase_grid(**raw)
     io.write_phase_csv(args.out_csv, result)
     io.write_phase_pgm(args.out_pgm, result)
     print("cells: %d  mean sampling rate: %.4f" % (len(result.grid), result.sampling_rate))
@@ -149,7 +137,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (SolverDivergenceError, PipelineError, FloatingPointError) as exc:

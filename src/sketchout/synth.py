@@ -11,8 +11,9 @@ operators are tied to column positions.
 A trial is deemed successful when, for at least one score vector along the
 regularization path, some threshold separates the true outlier scores from
 all the rest (the oracle rule).  The phase grid sweeps (rank, outliers)
-cells, runs a configured pipeline for each of several separation weights,
-and records the pointwise-maximum success frequency per cell.
+cells, runs one pipeline for each of several separation weights, and
+records the pointwise-maximum success frequency per cell.  Its keywords
+are the keys of a ``sketchout phase`` config.
 """
 
 from __future__ import annotations
@@ -153,40 +154,49 @@ class PhaseGridResult:
     cell_rate: dict
 
 
+def _check_kind(kind, what, **values) -> None:
+    """Raise ValueError naming the first value that is not a ``kind``; a
+    bool passes only where ``kind`` is bool."""
+    for key, value in values.items():
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError("%s must be %s, got %r" % (key, what, value))
+
+
 def phase_grid(
-    mode: str,
-    cfg_template: AcosConfig,
-    r_values,
-    k_values,
-    lambda_set,
-    trials: int,
-    seed: int,
-    *,
-    n1: int,
-    n2: int,
-    noise_sigma: float = 0.0,
-    p_omega: float | None = None,
-    normalize: bool = False,
+    *, n1: int, n2: int, m: int, r_values: list, k_values: list, lambda_set: list,
+    mode: str = "acos", gamma: float = 0.2, p: int = 0, trials: int = 20, seed: int = 0,
+    noise_sigma: float = 0.0, p_omega: float | None = None, normalize: bool = False,
 ) -> PhaseGridResult:
     """Monte-Carlo success frequencies over an (r, k) grid.
 
+    The keywords are exactly the keys of a ``sketchout phase`` config.
     Every (cell, weight, trial) gets a fresh instance and fresh operators
     under a seed derived from (seed, r, k, weight index, trial), so cells
-    and trials are order-independent and reproducible.  Of
-    ``cfg_template`` only gamma, m and p are read: every trial replaces
-    its ``lam`` with the weight and its ``seed`` with the derived seed.
+    and trials are order-independent and reproducible; each trial runs
+    ``AcosConfig(gamma, m, p)`` with the weight as ``lam`` and the derived
+    seed.  ``p_omega`` is the observation rate of mode sacos_missing and
+    applies to no other mode.  Values of the wrong type raise ValueError
+    before any trial.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
-    if mode == "sacos_missing" and p_omega is None:
-        raise ValueError("missing-data mode needs p_omega")
-    if trials < 1 or not len(r_values) or not len(k_values):
-        raise ValueError("need nonempty grid axes and trials >= 1")
-    if not len(lambda_set):
-        raise ValueError("need at least one separation weight")
+    if (mode == "sacos_missing") != (p_omega is not None):
+        raise ValueError("p_omega is required by mode sacos_missing and applies to no other mode")
+    _check_kind(numbers.Integral, "an integer", n1=n1, n2=n2, m=m, p=p, trials=trials, seed=seed)
+    _check_kind(numbers.Real, "a number", gamma=gamma, noise_sigma=noise_sigma)
+    if p_omega is not None:
+        _check_kind(numbers.Real, "a number", p_omega=p_omega)
+    _check_kind(bool, "true or false", normalize=normalize)
+    _check_kind(list, "a list", r_values=r_values, k_values=k_values, lambda_set=lambda_set)
+    for key, axis in (("r_values", r_values), ("k_values", k_values)):
+        for value in axis:
+            _check_kind(numbers.Integral, "a list of integers", **{key: value})
+    if trials < 1 or not (r_values and k_values and lambda_set):
+        raise ValueError("need nonempty grid axes and weights, and trials >= 1")
     for lam in lambda_set:
         if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 < lam < math.inf:
             raise ValueError("separation weights must be positive numbers, got %r" % (lam,))
+    base = AcosConfig(gamma=gamma, m=m, p=p)
 
     grid, cell_best, cell_rate = {}, {}, {}
     for r in r_values:
@@ -202,12 +212,11 @@ def phase_grid(
                     inst = generate_instance(
                         n1, n2, r, k, derive_seed(cell_seed, 0), normalize
                     )
-                    if noise_sigma > 0:
-                        inst = add_noise(inst, noise_sigma, derive_seed(cell_seed, 1))
+                    inst = add_noise(inst, noise_sigma, derive_seed(cell_seed, 1))
                     mask = None
                     if mode == "sacos_missing":
                         mask = bernoulli_mask(n1, n2, p_omega, derive_seed(cell_seed, 2))
-                    cfg = replace(cfg_template, lam=lam, seed=derive_seed(cell_seed, 3))
+                    cfg = replace(base, lam=lam, seed=derive_seed(cell_seed, 3))
                     est, rate = detect(mode, inst.M, cfg, mask)
                     rates.append(rate)
                     if oracle_success(est.score_path, inst.true_support):

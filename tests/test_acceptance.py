@@ -46,33 +46,31 @@ def test_c01_sampling_rate_accounting():
 
 
 def test_c02_acos_white_region():
-    cfg = AcosConfig(gamma=0.2, m=30, p=300, seed=0)
     res = phase_grid(
-        "acos", cfg, [5], [10], [0.3, 0.4, 0.5], trials=20, seed=SEED, n1=100, n2=1000
+        mode="acos", n1=100, n2=1000, gamma=0.2, m=30, p=300, r_values=[5], k_values=[10],
+        lambda_set=[0.3, 0.4, 0.5], trials=20, seed=SEED,
     )
     freq = res.grid[(5, 10)]
     report(2, "acos white region (r=5, k=10) success %.2f >= 0.9" % freq, freq >= 0.9)
 
 
 def test_c03_acos_black_region():
-    cfg = AcosConfig(gamma=0.2, m=30, p=300, seed=0)
     res = phase_grid(
-        "acos", cfg, [40], [100], [0.3, 0.4, 0.5], trials=20, seed=SEED + 1,
-        n1=100, n2=1000,
+        mode="acos", n1=100, n2=1000, gamma=0.2, m=30, p=300, r_values=[40], k_values=[100],
+        lambda_set=[0.3, 0.4, 0.5], trials=20, seed=SEED + 1,
     )
     freq = res.grid[(40, 100)]
     report(3, "acos black region (r=40, k=100) success %.2f <= 0.1" % freq, freq <= 0.1)
 
 
 def test_c04_sacos_phase_points():
-    cfg = AcosConfig(gamma=0.2, m=30, seed=0)
     white = phase_grid(
-        "sacos", cfg, [10], [300], [0.3, 0.4, 0.5], trials=20, seed=SEED + 2,
-        n1=100, n2=1000,
+        mode="sacos", n1=100, n2=1000, gamma=0.2, m=30, r_values=[10], k_values=[300],
+        lambda_set=[0.3, 0.4, 0.5], trials=20, seed=SEED + 2,
     ).grid[(10, 300)]
     black = phase_grid(
-        "sacos", cfg, [40], [900], [0.3, 0.4, 0.5], trials=20, seed=SEED + 3,
-        n1=100, n2=1000,
+        mode="sacos", n1=100, n2=1000, gamma=0.2, m=30, r_values=[40], k_values=[900],
+        lambda_set=[0.3, 0.4, 0.5], trials=20, seed=SEED + 3,
     ).grid[(40, 900)]
     report(
         4,
@@ -82,20 +80,18 @@ def test_c04_sacos_phase_points():
 
 
 def test_c05_noisy_acos():
-    cfg = AcosConfig(gamma=0.2, m=30, p=300, seed=0)
     res = phase_grid(
-        "acos", cfg, [5], [10], [0.3, 0.4, 0.5], trials=20, seed=SEED + 4,
-        n1=100, n2=1000, noise_sigma=1e-4, normalize=True,
+        mode="acos", n1=100, n2=1000, gamma=0.2, m=30, p=300, r_values=[5], k_values=[10],
+        lambda_set=[0.3, 0.4, 0.5], trials=20, seed=SEED + 4, noise_sigma=1e-4, normalize=True,
     )
     freq = res.grid[(5, 10)]
     report(5, "noisy acos (sigma=1e-4) success %.2f >= 0.8" % freq, freq >= 0.8)
 
 
 def test_c06_missing_data_sacos():
-    cfg = AcosConfig(gamma=0.2, m=30, seed=0)
     res = phase_grid(
-        "sacos_missing", cfg, [5], [50], [0.3, 0.4, 0.5], trials=20, seed=SEED + 5,
-        n1=100, n2=1000, p_omega=0.7,
+        mode="sacos_missing", n1=100, n2=1000, gamma=0.2, m=30, r_values=[5], k_values=[50],
+        lambda_set=[0.3, 0.4, 0.5], trials=20, seed=SEED + 5, p_omega=0.7,
     )
     freq = res.grid[(5, 50)]
     rate = res.sampling_rate

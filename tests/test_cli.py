@@ -221,31 +221,44 @@ class TestPhaseCommand:
         code, _, err = run(capsys, "phase", str(cfg_path), "--out-csv", "x", "--out-pgm", "y")
         assert code == 2
 
-    def test_unknown_key_rejected_before_any_trial(self, tmp_path, capsys):
-        # a typo and a removed option ("energy") alike
-        for key in ("trails", "energy"):
-            cfg = {
-                "mode": "sacos", "n1": 16, "n2": 40, "gamma": 0.5, "m": 8,
-                "r_values": [1], "k_values": [2], "lambda_set": [0.4], key: 1,
-            }
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps(cfg))
-            csv, pgm = tmp_path / "a.csv", tmp_path / "a.pgm"
-            code, out, err = run(capsys, "phase", str(cfg_path), "--out-csv", str(csv), "--out-pgm", str(pgm))
-            assert code == 2 and out == ""
-            assert "unknown config keys: %s" % key in err
-            assert not csv.exists() and not pgm.exists()
-
-    @pytest.mark.parametrize("weights", [[None], ["oops"], [0.4, -1.0]], ids=["null", "text", "negative"])
-    def test_bad_weight_rejected_before_any_trial(self, tmp_path, capsys, weights):
+    @staticmethod
+    def rejected(tmp_path, capsys, **keys):
+        """Run a small sacos config with ``keys`` set and return stderr,
+        checking the run exits 2 with empty stdout and no output file."""
         cfg = {
             "mode": "sacos", "n1": 16, "n2": 40, "gamma": 0.5, "m": 8,
-            "r_values": [1], "k_values": [2], "lambda_set": weights, "trials": 1,
+            "r_values": [1], "k_values": [2], "lambda_set": [0.4], "trials": 1,
         }
+        cfg.update(keys)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         csv, pgm = tmp_path / "a.csv", tmp_path / "a.pgm"
-        code, _, err = run(capsys, "phase", str(cfg_path), "--out-csv", str(csv), "--out-pgm", str(pgm))
-        assert code == 2
-        assert "separation weights" in err
+        code, out, err = run(capsys, "phase", str(cfg_path), "--out-csv", str(csv), "--out-pgm", str(pgm))
+        assert code == 2 and out == ""
         assert not csv.exists() and not pgm.exists()
+        return err
+
+    def test_unknown_key_rejected_before_any_trial(self, tmp_path, capsys):
+        # a typo and a removed option ("energy") alike
+        for key in ("trails", "energy"):
+            assert "'%s'" % key in self.rejected(tmp_path, capsys, **{key: 1})
+
+    @pytest.mark.parametrize("weights", [[None], ["oops"], [0.4, -1.0]], ids=["null", "text", "negative"])
+    def test_bad_weight_rejected_before_any_trial(self, tmp_path, capsys, weights):
+        assert "separation weights" in self.rejected(tmp_path, capsys, lambda_set=weights)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("trials", "2", "trials must be an integer"),
+            ("r_values", 5, "r_values must be a list"),
+            ("m", 8.5, "m must be an integer"),
+            ("gamma", "0.5", "gamma must be a number"),
+            ("normalize", "no", "normalize must be true or false"),
+            ("noise_sigma", -1, "sigma must be nonnegative"),
+            ("p_omega", 0.7, "p_omega is required by mode sacos_missing"),
+        ],
+        ids=["trials", "r_values", "m", "gamma", "normalize", "noise_sigma", "p_omega"],
+    )
+    def test_malformed_value_rejected_before_any_trial(self, tmp_path, capsys, key, value, message):
+        assert message in self.rejected(tmp_path, capsys, **{key: value})

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sketchout import io
-from sketchout.pipeline import AcosConfig
 from sketchout.synth import phase_grid
 
 
@@ -44,9 +43,9 @@ class TestMatrixCsv:
 
 @pytest.fixture(scope="module")
 def result():
-    cfg = AcosConfig(gamma=0.5, m=8, seed=0)
     return phase_grid(
-        "sacos", cfg, [1, 2], [2, 4], [0.4, 0.5], trials=2, seed=8, n1=16, n2=40
+        mode="sacos", n1=16, n2=40, gamma=0.5, m=8, r_values=[1, 2], k_values=[2, 4],
+        lambda_set=[0.4, 0.5], trials=2, seed=8,
     )
 
 

@@ -1,5 +1,6 @@
 """The README's examples and commands, and the experiment drivers, work as written."""
 
+import inspect
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from sketchout import cli
+from sketchout.synth import phase_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -20,6 +22,8 @@ SH_LINES = [
     for line in block.splitlines()
 ]
 CLI_LINES = [line for line in SH_LINES if line.startswith("sketchout ")]
+#: A phase config's keys are phase_grid's keywords.
+PHASE_KEYS = inspect.signature(phase_grid).parameters
 
 
 def test_python_blocks_run_in_order():
@@ -49,13 +53,23 @@ def test_script_lines_name_existing_files():
 def test_phase_configs_exist_and_are_complete():
     lines = [line for line in CLI_LINES if line.split()[1] == "phase"]
     assert lines
-    required = {"n1", "n2", "m", "r_values", "k_values", "lambda_set"}
+    required = {key for key, par in PHASE_KEYS.items() if par.default is par.empty}
     for line in lines:
         path = ROOT / cli._build_parser().parse_args(shlex.split(line)[1:]).config
         assert path.is_file(), line
         keys = set(json.loads(path.read_text()))
         assert required <= keys, (line, required - keys)
-        assert keys <= cli._PHASE_KEYS, (line, keys - cli._PHASE_KEYS)
+        assert keys <= set(PHASE_KEYS), (line, keys - set(PHASE_KEYS))
+
+
+def test_phase_config_bullet_lists_every_key_and_default():
+    bullet = README.split("* phase configs — ")[1].split("\n* ")[0]
+    assert set(re.findall(r"`(\w+)`", bullet)) - {"phase_grid"} == set(PHASE_KEYS)
+    # an optional key is written `key` (default as JSON)
+    written = dict(re.findall(r"`(\w+)`\s+\(([^):,]+)", bullet))
+    for key, par in PHASE_KEYS.items():
+        if par.default is not par.empty:
+            assert written.get(key) == json.dumps(par.default), key
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchout import solver
-from sketchout.pipeline import AcosConfig
 from sketchout.solver import (
     TOL_RESIDUAL,
     default_lambda,
@@ -242,10 +241,10 @@ class TestRankRule:
     def test_noisy_cell_at_a_single_weight(self, mode, p, k, p_omega):
         # noise in the inlier columns makes the learned L full rank; without
         # the gap cut the basis fills the sketch and every score is rounding
-        cfg = AcosConfig(gamma=0.2, m=30, p=p, seed=0)
         res = phase_grid(
-            mode, cfg, [5], [k], [0.4], trials=10, seed=SEED + 20, n1=100, n2=1000,
-            noise_sigma=1e-4, p_omega=p_omega, normalize=True,
+            mode=mode, n1=100, n2=1000, gamma=0.2, m=30, p=p, r_values=[5], k_values=[k],
+            lambda_set=[0.4], trials=10, seed=SEED + 20, noise_sigma=1e-4, p_omega=p_omega,
+            normalize=True,
         )
         assert res.grid[(5, k)] >= 0.8
 

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sketchout.pipeline import AcosConfig
 from sketchout.synth import (
     add_noise,
     bernoulli_mask,
@@ -207,44 +206,54 @@ class TestHypergeometricBound:
 
 class TestPhaseGrid:
     def test_easy_cell_is_certain(self):
-        cfg = AcosConfig(gamma=0.5, m=10, seed=0)
-        res = phase_grid("sacos", cfg, [1], [2], [0.43], trials=1, seed=5, n1=20, n2=60)
+        res = phase_grid(
+            mode="sacos", n1=20, n2=60, gamma=0.5, m=10, r_values=[1], k_values=[2],
+            lambda_set=[0.43], trials=1, seed=5,
+        )
         assert res.grid[(1, 2)] == 1.0
 
     def test_pathological_cell_fails(self):
         # rank above the sketch dimension: the subsampled solve cannot learn
         # the subspace, so no separation threshold exists
-        cfg = AcosConfig(gamma=0.5, m=10, seed=0)
         res = phase_grid(
-            "sacos", cfg, [12], [40], [0.3, 0.4, 0.5], trials=10, seed=6, n1=20, n2=60
+            mode="sacos", n1=20, n2=60, gamma=0.5, m=10, r_values=[12], k_values=[40],
+            lambda_set=[0.3, 0.4, 0.5], trials=10, seed=6,
         )
         assert res.grid[(12, 40)] == 0.0
 
     def test_infeasible_cells_absent(self):
-        cfg = AcosConfig(gamma=0.5, m=8, seed=0)
-        res = phase_grid("sacos", cfg, [2, 25], [8], [0.4], trials=1, seed=7, n1=20, n2=30)
+        res = phase_grid(
+            mode="sacos", n1=20, n2=30, gamma=0.5, m=8, r_values=[2, 25], k_values=[8],
+            lambda_set=[0.4], trials=1, seed=7,
+        )
         assert (2, 8) in res.grid and (25, 8) not in res.grid
 
     def test_reproducible(self):
-        cfg = AcosConfig(gamma=0.5, m=8, seed=0)
-        kw = dict(trials=2, seed=8, n1=16, n2=40)
-        a = phase_grid("sacos", cfg, [1, 2], [2, 4], [0.4, 0.5], **kw)
-        b = phase_grid("sacos", cfg, [1, 2], [2, 4], [0.4, 0.5], **kw)
+        kw = dict(mode="sacos", n1=16, n2=40, gamma=0.5, m=8, r_values=[1, 2], k_values=[2, 4],
+                  lambda_set=[0.4, 0.5], trials=2, seed=8)
+        a = phase_grid(**kw)
+        b = phase_grid(**kw)
         assert a.grid == b.grid and a.cell_lambda_best == b.cell_lambda_best
 
     def test_lambda_pointwise_max(self):
         # a weight far outside the working range loses to a sane one
-        cfg = AcosConfig(gamma=0.5, m=10, seed=0)
-        res = phase_grid("sacos", cfg, [2], [4], [1e-4, 0.4], trials=3, seed=9, n1=20, n2=60)
+        res = phase_grid(
+            mode="sacos", n1=20, n2=60, gamma=0.5, m=10, r_values=[2], k_values=[4],
+            lambda_set=[1e-4, 0.4], trials=3, seed=9,
+        )
         assert res.grid[(2, 4)] == 1.0
         assert res.cell_lambda_best[(2, 4)] == 0.4
 
     def test_missing_mode_needs_density(self):
-        cfg = AcosConfig(gamma=0.5, m=8, seed=0)
         with pytest.raises(ValueError):
-            phase_grid("sacos_missing", cfg, [1], [2], [0.4], 1, 0, n1=16, n2=40)
+            phase_grid(
+                mode="sacos_missing", n1=16, n2=40, gamma=0.5, m=8, r_values=[1], k_values=[2],
+                lambda_set=[0.4], trials=1, seed=0,
+            )
 
     def test_unknown_mode(self):
-        cfg = AcosConfig(gamma=0.5, m=8, seed=0)
         with pytest.raises(ValueError):
-            phase_grid("other", cfg, [1], [2], [0.4], 1, 0, n1=16, n2=40)
+            phase_grid(
+                mode="other", n1=16, n2=40, gamma=0.5, m=8, r_values=[1], k_values=[2],
+                lambda_set=[0.4], trials=1, seed=0,
+            )
