@@ -11,7 +11,9 @@ Subcommands:
   CSV + PGM outputs.
 
 Exit codes: 0 success, 2 invalid input (non-finite data included), 3
-solver failure.
+solver failure.  A warning the package raises during a command goes to
+stderr once per distinct message, as ``warning: <message>``, before any
+error line; it does not change the exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+import warnings
 
 from . import io
 from .imaging import patch_matrix, read_pgm, saliency_map, write_pgm
@@ -135,14 +138,20 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (SolverDivergenceError, PipelineError, FloatingPointError) as exc:
-        print("solver failure: %s" % exc, file=sys.stderr)
-        return 3
+    with warnings.catch_warnings(record=True) as caught:
+        # the package's own warnings are reported whatever filters the caller set
+        warnings.filterwarnings("always", module=r"sketchout\.")
+        try:
+            code, failure = _COMMANDS[args.command](args), None
+        except (ValueError, OSError) as exc:
+            code, failure = 2, "error: %s" % exc
+        except (SolverDivergenceError, PipelineError, FloatingPointError) as exc:
+            code, failure = 3, "solver failure: %s" % exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print("warning: %s" % message, file=sys.stderr)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,10 +13,26 @@ entries (Lam stays zero elsewhere).  The loop stops once that residual,
 relative to ||Y||_F, is at most TOL_RESIDUAL; this one test also decides
 ``converged``.  The penalty starts at RHO_SCALE / ||Y|| (operator norm,
 unobserved entries zeroed) and is multiplied by RHO_GROWTH whenever the
-residual stalls.  The loop runs on Y divided by the smallest power of two
-above its largest absolute entry, so the iterates and the stop do not
-depend on the input's scale.  ``outlier_pursuit`` is the same solve with
-every entry observed.
+residual falls by less than 3% in an iteration (STALL_GATE).  On masked
+problems the rank and the outlier support settle early and the residual
+then falls by one or two percent an iteration, so a 1% gate lets the
+penalty stall and the solve run into MAX_ITERS; a looser gate than 3%
+grows the penalty so fast that the residual test passes before the
+learned subspace is accurate.  The residual stays the stop because a
+duality-gap stop loose enough to save iterations ends before the inlier
+columns are annihilated to the precision the pipelines read.  The loop
+runs on Y divided by the smallest power of two above its largest
+absolute entry, so the iterates and the stop do not depend on the
+input's scale.  ``outlier_pursuit`` is the same solve with every entry
+observed.
+
+Each result also reports, without acting on it, the relative duality gap
+of its final iterate: (L, C + R), R the observed residual, is exactly
+feasible, and Lam / max(1, ||Lam||_2, max_j ||Lam_j|| / lambda) is dual
+feasible.  A solve that passes the residual test can carry a gap up to
+about 3e-5 at an observation rate of 0.7, and up to about 1e-2 at 0.5
+with its objective within 1e-6 of the optimum: once the penalty is
+large, the multiplier lags the accurate primal iterate.
 
 ``subspace_basis`` extracts an orthonormal basis of the recovered column
 space, of the numerical rank, or cut at the largest singular-value gap
@@ -43,10 +59,11 @@ class SolverDivergenceError(RuntimeError):
 TOL_RESIDUAL = 1e-7
 MAX_ITERS = 500
 #: Initial penalty RHO_SCALE / ||Y||_2, grown by RHO_GROWTH whenever the
-#: residual fails to drop below STALL_GATE times its previous value.
+#: residual fails to drop below STALL_GATE times its previous value, that
+#: is, falls by less than 3% (the module docstring gives the reason).
 RHO_SCALE = 1.25
 RHO_GROWTH = 1.6
-STALL_GATE = 0.99
+STALL_GATE = 0.97
 #: Consecutive residual increases tolerated before declaring divergence.
 DIVERGE_PATIENCE = 10
 #: Minimum multiplicative separation for a gap to count: between declared
@@ -86,7 +103,9 @@ class OpSolution:
     """Recovered pair (L, C) with convergence diagnostics.
 
     ``residual`` is the relative constraint violation ||Y - L - C||_F /
-    ||Y||_F on the observed entries.
+    ||Y||_F on the observed entries.  ``gap`` is the relative duality gap
+    of the final iterate (see the module docstring): a report only, which
+    neither stops the loop nor decides ``converged``.
     """
 
     low_rank: np.ndarray = field(repr=False)
@@ -94,7 +113,8 @@ class OpSolution:
     residual: float
     iterations: int
     converged: bool
-    degenerate: bool = False
+    degenerate: bool
+    gap: float
 
 
 def default_lambda(k: int) -> float:
@@ -132,7 +152,7 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     Y = np.where(mask, Y_obs, 0.0)
     degenerate = int(mask.sum()) < sum(Y.shape) - 1
     if not Y.any():
-        return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, not degenerate, degenerate)
+        return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, not degenerate, degenerate, 0.0)
     # Solve at unit scale: dividing by a power of two is exact, and it keeps
     # the squared norms of the stopping rule from overflowing or underflowing.
     e = np.frexp(np.max(np.abs(Y)))[1]
@@ -162,7 +182,17 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
             rho *= RHO_GROWTH
         res_prev = res
     converged = bool(res <= TOL_RESIDUAL) and not degenerate
-    return OpSolution(np.ldexp(L, e), np.ldexp(C, e), res, it, converged, degenerate)
+    gap = _duality_gap(Y, L, C + R, Lam, lam)
+    return OpSolution(np.ldexp(L, e), np.ldexp(C, e), res, it, converged, degenerate, gap)
+
+
+def _duality_gap(Y: np.ndarray, L: np.ndarray, C: np.ndarray, Lam: np.ndarray, lam: float) -> float:
+    """Relative gap between the objective of the feasible pair (L, C) and
+    the dual bound of the multiplier Lam, scaled into the dual feasible set.
+    Lam is zero off the observed entries, where Y is zero too."""
+    primal = np.linalg.svd(L, compute_uv=False).sum() + lam * np.linalg.norm(C, axis=0).sum()
+    scale = max(1.0, np.linalg.norm(Lam, 2), np.max(np.linalg.norm(Lam, axis=0)) / lam)
+    return float((primal - np.vdot(Lam, Y) / scale) / primal)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,8 @@ class PhaseGridResult:
     ``grid`` maps (r, k) to the pointwise maximum over the separation
     weights of the per-weight success frequencies; ``cell_lambda_best`` and
     ``cell_rate`` carry the winning weight and the mean realized sampling
-    rate per cell.  Infeasible cells (r > min(n1, n2 - k)) are absent.
+    rate per cell.  Infeasible cells (k >= n2 or r > min(n1, n2 - k)) are
+    absent.
     """
 
     grid: dict
@@ -175,8 +176,8 @@ def phase_grid(
     and trials are order-independent and reproducible; each trial runs
     ``AcosConfig(gamma, m, p)`` with the weight as ``lam`` and the derived
     seed.  ``p_omega`` is the observation rate of mode sacos_missing and
-    applies to no other mode.  Values of the wrong type raise ValueError
-    before any trial.
+    applies to no other mode.  Values of the wrong type, and a grid without
+    a feasible cell, raise ValueError before any trial.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
@@ -197,39 +198,39 @@ def phase_grid(
         if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 < lam < math.inf:
             raise ValueError("separation weights must be positive numbers, got %r" % (lam,))
     base = AcosConfig(gamma=gamma, m=m, p=p)
+    cells = [(r, k) for r in r_values for k in k_values if k < n2 and r <= min(n1, n2 - k)]
+    if not cells:
+        raise ValueError("no feasible (r, k) cell: each needs k < n2 and r <= min(n1, n2 - k)")
 
     grid, cell_best, cell_rate = {}, {}, {}
-    for r in r_values:
-        for k in k_values:
-            if k >= n2 or r > min(n1, n2 - k):
-                continue
-            freqs = []
-            rates = []
-            for li, lam in enumerate(lambda_set):
-                wins = 0
-                for t in range(trials):
-                    cell_seed = derive_seed(seed, r, k, li, t)
-                    inst = generate_instance(
-                        n1, n2, r, k, derive_seed(cell_seed, 0), normalize
-                    )
-                    inst = add_noise(inst, noise_sigma, derive_seed(cell_seed, 1))
-                    mask = None
-                    if mode == "sacos_missing":
-                        mask = bernoulli_mask(n1, n2, p_omega, derive_seed(cell_seed, 2))
-                    cfg = replace(base, lam=lam, seed=derive_seed(cell_seed, 3))
-                    est, rate = detect(mode, inst.M, cfg, mask)
-                    rates.append(rate)
-                    if oracle_success(est.score_path, inst.true_support):
-                        wins += 1
-                freqs.append(wins / trials)
-            best = int(np.argmax(freqs))
-            grid[(r, k)] = freqs[best]
-            cell_best[(r, k)] = lambda_set[best]
-            cell_rate[(r, k)] = float(np.mean(rates))
+    for r, k in cells:
+        freqs = []
+        rates = []
+        for li, lam in enumerate(lambda_set):
+            wins = 0
+            for t in range(trials):
+                cell_seed = derive_seed(seed, r, k, li, t)
+                inst = generate_instance(
+                    n1, n2, r, k, derive_seed(cell_seed, 0), normalize
+                )
+                inst = add_noise(inst, noise_sigma, derive_seed(cell_seed, 1))
+                mask = None
+                if mode == "sacos_missing":
+                    mask = bernoulli_mask(n1, n2, p_omega, derive_seed(cell_seed, 2))
+                cfg = replace(base, lam=lam, seed=derive_seed(cell_seed, 3))
+                est, rate = detect(mode, inst.M, cfg, mask)
+                rates.append(rate)
+                if oracle_success(est.score_path, inst.true_support):
+                    wins += 1
+            freqs.append(wins / trials)
+        best = int(np.argmax(freqs))
+        grid[(r, k)] = freqs[best]
+        cell_best[(r, k)] = lambda_set[best]
+        cell_rate[(r, k)] = float(np.mean(rates))
     return PhaseGridResult(
         grid=grid,
         trials_per_cell=trials,
-        sampling_rate=sum(cell_rate.values(), 0.0) / max(len(cell_rate), 1),
+        sampling_rate=sum(cell_rate.values(), 0.0) / len(cell_rate),
         r_values=list(r_values),
         k_values=list(k_values),
         cell_lambda_best=cell_best,

@@ -194,6 +194,17 @@ class TestSaliencyCommand:
         assert not read_pgm(dst).any()
         assert "salient patches: 0" in out
 
+    def test_package_warning_reported_once_without_source_line(self, tmp_path, capsys):
+        # at the default gamma the learned subspace of the planted image is
+        # empty, and every call of subspace_basis on it warns
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, planted_image())
+        code, out, err = run(capsys, "saliency", str(src), str(dst), "--m", "20")
+        assert code == 0
+        assert "salient patches: 0 / 50" in out
+        assert err.splitlines() == ["warning: zero matrix has an empty column space"]
+        assert "RuntimeWarning" not in err
+
 
 class TestPhaseCommand:
     def test_smoke_and_determinism(self, tmp_path, capsys):
@@ -237,6 +248,12 @@ class TestPhaseCommand:
         assert code == 2 and out == ""
         assert not csv.exists() and not pgm.exists()
         return err
+
+    @pytest.mark.parametrize(
+        "keys", [{"n1": 0}, {"k_values": [40, 50]}], ids=["no-rows", "k-at-or-above-n2"]
+    )
+    def test_grid_without_feasible_cell_rejected(self, tmp_path, capsys, keys):
+        assert "no feasible (r, k) cell" in self.rejected(tmp_path, capsys, **keys)
 
     def test_unknown_key_rejected_before_any_trial(self, tmp_path, capsys):
         # a typo and a removed option ("energy") alike

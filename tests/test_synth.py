@@ -228,6 +228,13 @@ class TestPhaseGrid:
         )
         assert (2, 8) in res.grid and (25, 8) not in res.grid
 
+    def test_grid_without_feasible_cell_rejected(self):
+        with pytest.raises(ValueError, match="no feasible"):
+            phase_grid(
+                mode="sacos", n1=20, n2=30, gamma=0.5, m=8, r_values=[25], k_values=[8, 30],
+                lambda_set=[0.4], trials=1, seed=7,
+            )
+
     def test_reproducible(self):
         kw = dict(mode="sacos", n1=16, n2=40, gamma=0.5, m=8, r_values=[1, 2], k_values=[2, 4],
                   lambda_set=[0.4, 0.5], trials=2, seed=8)
