@@ -95,8 +95,6 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    if args.mask is not None and args.mode != "sacos_missing":
-        raise ValueError("--mask applies to --mode sacos_missing only")
     M = io.read_matrix_csv(args.matrix)
     mask = None if args.mask is None else io.read_matrix_csv(args.mask) > 0.5
     est, rate = detect(args.mode, M, _config(args), mask)

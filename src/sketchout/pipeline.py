@@ -8,13 +8,14 @@ against the subspace complement, one dense compression across columns).
 its residual norm orthogonal to the learned subspace.  ``sacos_missing``
 is the missing-data variant: the sketch becomes a row subsample, the
 separation step a masked solve, and each column is scored on its observed
-entries only.  ``detect`` runs any of the three by name (``MODES``) and
-reports the sampling rate as a fraction of the matrix entries.
+entries only.  ``detect`` runs any of the three by name (``MODES``),
+accepts an observation mask for sacos_missing only, and reports the
+sampling rate as a fraction of the matrix entries.
 
-All access to the data matrix goes through :class:`MatrixSource`, which
-exposes only operator applications and masked row reads, counts every
-scalar measurement taken, and rejects non-finite measurements, so the
-adaptivity boundary is auditable.
+Each pipeline takes the data matrix as an array and wraps it in its own
+:class:`MatrixSource`, which exposes only operator applications and
+masked row reads, counts every scalar measurement taken, and rejects
+non-finite measurements, so the adaptivity boundary is auditable.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .sketching import (
     make_row_subsampler,
 )
 from .prox import lasso_path_solve
-from .solver import GAP_RATIO, _gap_cut, default_lambda, outlier_pursuit, rmc_solve, subspace_basis
+from .solver import GAP_RATIO, _gap_cut, outlier_pursuit, rmc_solve, subspace_basis
 
 MODES = ("acos", "sacos", "sacos_missing")
 
@@ -55,10 +56,12 @@ class PipelineError(RuntimeError):
 class AcosConfig:
     """Sampling and decoding parameters for one pipeline run.
 
-    ``m`` is the number of sketch rows, ``p`` the compression size of the
-    decoding step (ignored by sacos), ``gamma`` the column-sampling rate.
-    ``lam`` is the separation weight; if None it defaults to 3/(7 sqrt(k))
-    with k = ceil(n2/10), a tenth of the columns as the outlier bound.
+    ``gamma`` is the column-sampling rate and ``m`` the number of sketch
+    rows (sampled rows for sacos_missing).  ``p`` is the compression
+    size of the acos decoding step, which needs p >= 1; the sacos variants
+    do not read it.  ``lam`` is the separation weight; None leaves it to
+    the pipeline, which sizes it from the column count (``_resolve_lambda``).
+    ``seed`` derives the seed of every operator the run draws.
     """
 
     gamma: float
@@ -142,12 +145,10 @@ class MatrixSource:
         return self._collect(lambda: np.where(mask, self._M[rows], 0.0), int(mask.sum()))
 
 
-def _as_source(M) -> MatrixSource:
-    return M if isinstance(M, MatrixSource) else MatrixSource(M)
-
-
 def _resolve_lambda(cfg: AcosConfig, n2: int) -> float:
-    return cfg.lam if cfg.lam is not None else default_lambda(max(1, math.ceil(0.1 * n2)))
+    """``cfg.lam``, or the Outlier Pursuit weight 3 / (7 sqrt(k)) for the
+    outlier bound k = ceil(n2 / 10); n2 >= 1 makes k >= 1."""
+    return cfg.lam if cfg.lam is not None else 3.0 / (7.0 * math.sqrt(math.ceil(0.1 * n2)))
 
 
 def _sample_columns(n2: int, cfg: AcosConfig) -> np.ndarray:
@@ -190,7 +191,7 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     """
     if cfg.p < 1:
         raise ValueError("decoding step needs p >= 1")
-    src = _as_source(M)
+    src = MatrixSource(M)
     n1, n2 = src.shape
     cols = _sample_columns(n2, cfg)
     sketch = make_gaussian_sketch(cfg.m, n1, derive_seed(cfg.seed, 2))
@@ -233,7 +234,7 @@ def sacos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     """Single-compression variant: sketch every column once (m n2
     measurements), learn the subspace from a column subsample, and score
     each sketched column by its residual norm outside the subspace."""
-    src = _as_source(M)
+    src = MatrixSource(M)
     n1, n2 = src.shape
     cols = _sample_columns(n2, cfg)
     sketch = make_gaussian_sketch(cfg.m, n1, derive_seed(cfg.seed, 2))
@@ -259,7 +260,7 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     observations than the basis dimension, score zero and are flagged.
     Returns the fraction of matrix entries read.
     """
-    src = _as_source(M_obs)
+    src = MatrixSource(M_obs)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != src.shape:
         raise ValueError("mask shape must match the data")
@@ -291,18 +292,18 @@ def detect(mode: str, M, cfg: AcosConfig, mask=None) -> tuple[SupportEstimate, f
     """Run the pipeline named by ``mode`` (one of MODES) on M.
 
     Returns the estimate and the sampling rate, the fraction of the
-    n1 x n2 entries measured.  ``mask`` is required by, and only read in,
-    the missing-data mode.
+    n1 x n2 entries measured.  ``mask`` is required by the missing-data
+    mode and accepted by no other: passing one to acos or sacos, or none
+    to sacos_missing, raises ValueError.
     """
-    if mode == "sacos_missing":
-        if mask is None:
-            raise ValueError("sacos_missing needs an observation mask")
-        return sacos_missing(M, mask, cfg)
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
-    src = _as_source(M)
-    est, count = (acos if mode == "acos" else sacos)(src, cfg)
-    return est, count / float(math.prod(src.shape))
+    if (mask is not None) != (mode == "sacos_missing"):
+        raise ValueError("mode sacos_missing needs an observation mask, and no other mode reads one")
+    if mode == "sacos_missing":
+        return sacos_missing(M, mask, cfg)
+    est, count = (acos if mode == "acos" else sacos)(M, cfg)
+    return est, count / np.size(M)
 
 
 def measurement_count(

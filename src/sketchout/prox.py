@@ -27,9 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """sign(v) * max(|v| - tau, 0), elementwise."""
-    if tau < 0:
+def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
+    """sign(v) * max(|v| - tau, 0), elementwise; ``tau`` is a scalar or an
+    array that broadcasts against v."""
+    if np.any(tau < 0):
         raise ValueError("threshold must be nonnegative")
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
@@ -190,7 +191,7 @@ def lasso_path_solve(
             g = D.T @ r
             # objective decrease of each live column's best single-coordinate step
             u = c[live] + g[live] / sq
-            t = np.sign(u) * np.maximum(np.abs(u) - mu / sq, 0.0)
+            t = soft_threshold(u, mu / sq)
             d = t - c[live]
             gain = np.zeros_like(c)
             gain[live] = g[live] * d - 0.5 * sq * d * d - mu * (np.abs(t) - np.abs(c[live]))

@@ -42,7 +42,6 @@ into L).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -115,14 +114,6 @@ class OpSolution:
     converged: bool
     degenerate: bool
     gap: float
-
-
-def default_lambda(k: int) -> float:
-    """Column-sparsity weight 3 / (7 sqrt(k)) for an outlier-count upper
-    bound k."""
-    if k < 1:
-        raise ValueError("outlier upper bound must be at least 1")
-    return 3.0 / (7.0 * math.sqrt(k))
 
 
 def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:

@@ -176,14 +176,17 @@ def phase_grid(
     and trials are order-independent and reproducible; each trial runs
     ``AcosConfig(gamma, m, p)`` with the weight as ``lam`` and the derived
     seed.  ``p_omega`` is the observation rate of mode sacos_missing and
-    applies to no other mode.  Values of the wrong type, and a grid without
-    a feasible cell, raise ValueError before any trial.
+    applies to no other mode.  Values of the wrong type, an acos grid with
+    p < 1, and a grid without a feasible cell raise ValueError before any
+    trial.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
     if (mode == "sacos_missing") != (p_omega is not None):
         raise ValueError("p_omega is required by mode sacos_missing and applies to no other mode")
     _check_kind(numbers.Integral, "an integer", n1=n1, n2=n2, m=m, p=p, trials=trials, seed=seed)
+    if mode == "acos" and p < 1:
+        raise ValueError("mode acos needs p >= 1 for its decoding step, got p=%d" % p)
     _check_kind(numbers.Real, "a number", gamma=gamma, noise_sigma=noise_sigma)
     if p_omega is not None:
         _check_kind(numbers.Real, "a number", p_omega=p_omega)

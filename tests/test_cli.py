@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sketchout import io
+from sketchout import io, solver
 from sketchout.cli import main
 from sketchout.imaging import read_pgm, write_pgm
 from sketchout.synth import bernoulli_mask, generate_instance
@@ -110,7 +110,7 @@ class TestDetectCommand:
             "--m", "10", "--p", "40", "--lam", "0.4",
         )
         assert code == 2 and out == ""
-        assert "--mask" in err
+        assert "no other mode reads one" in err
 
     def test_nonfinite_entry_is_invalid_input(self, tmp_path, capsys):
         M = generate_instance(20, 50, 2, 3, seed=1).M
@@ -158,6 +158,17 @@ class TestDetectCommand:
         code, out, err = self._sparse_sample(tmp_path, capsys, 3)
         assert code == 3 and out == ""
         assert "solver failure: column sample empty after retry" in err
+
+    def test_solver_divergence_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "RHO_GROWTH", 0.5)
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, generate_instance(20, 60, 2, 4, seed=1).M)
+        code, out, err = run(
+            capsys, "detect", str(path), "--mode", "sacos", "--m", "10",
+            "--gamma", "1.0", "--lam", "0.4",
+        )
+        assert code == 3 and out == ""
+        assert "solver failure: residual increased for 10 consecutive iterations" in err
 
     def test_empty_column_sample_is_redrawn_once(self, tmp_path, capsys):
         # seed 1: only the first draw is empty, and the retry samples one

@@ -11,7 +11,6 @@ from sketchout import pipeline, prox, solver
 from sketchout.pipeline import (
     MODES,
     AcosConfig,
-    MatrixSource,
     acos,
     detect,
     extract_support,
@@ -133,22 +132,29 @@ class TestAcos:
         inst = generate_instance(30, 150, 2, 4, seed=21)
         mask = bernoulli_mask(30, 150, 0.7, seed=3)
         cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
-        src = MatrixSource(inst.M)
-        est, count = acos(src, cfg)
+        est, count = acos(inst.M, cfg)
         sampler = make_column_sampler(150, cfg.gamma, derive_seed(cfg.seed, 1))
         assert count == sampler.indices.size * cfg.m + cfg.p
-        assert count == src.measurements
 
-        src = MatrixSource(inst.M)
-        est, count = sacos(src, cfg)
-        assert count == src.measurements == measurement_count(cfg, 0, "sacos", 30, 150)[0]
+        est, count = sacos(inst.M, cfg)
+        assert count == measurement_count(cfg, 0, "sacos", 30, 150)[0]
 
         # the missing-data path reads only the observed entries of its rows
-        src = MatrixSource(inst.M)
-        est, fraction = sacos_missing(src, mask, cfg)
+        est, fraction = sacos_missing(inst.M, mask, cfg)
         rows = make_row_subsampler(30, cfg.m, derive_seed(cfg.seed, 2)).indices
-        assert src.measurements == mask[rows].sum()
-        assert fraction == src.measurements / (30 * 150)
+        assert fraction == mask[rows].sum() / (30 * 150)
+
+    def test_zero_matrix_gives_decoder_no_input(self):
+        # a zero probe row leaves the decoder nothing to fit: every path
+        # point scores zero and nothing is declared
+        cfg = AcosConfig(gamma=0.5, m=5, p=20, lam=0.4)
+        with pytest.warns(RuntimeWarning, match="zero matrix has an empty column space"):
+            est, count = acos(np.zeros((20, 60)), cfg)
+        assert est.declared.size == 0
+        assert est.score_path.shape == (pipeline.PATH_POINTS, 60)
+        assert not est.score_path.any()
+        sampled = make_column_sampler(60, cfg.gamma, derive_seed(cfg.seed, 1)).indices
+        assert count == sampled.size * cfg.m + cfg.p == 160
 
     def test_score_path_shape_and_mu(self):
         inst = generate_instance(20, 80, 1, 2, seed=4)
@@ -349,7 +355,7 @@ class TestDetect:
         }
         assert set(direct) == set(MODES)
         for mode, (est, reported) in direct.items():
-            got, rate = detect(mode, inst.M, cfg, mask)
+            got, rate = detect(mode, inst.M, cfg, mask if mode == "sacos_missing" else None)
             assert np.array_equal(got.scores, est.scores)
             assert np.array_equal(got.declared, est.declared)
             assert got.mu_used == est.mu_used
@@ -361,7 +367,7 @@ class TestDetect:
     @pytest.mark.parametrize("mode", MODES)
     def test_estimate_is_complete_and_frozen(self, mode):
         inst = generate_instance(30, 150, 2, 4, seed=21)
-        mask = bernoulli_mask(30, 150, 0.7, seed=3)
+        mask = bernoulli_mask(30, 150, 0.7, seed=3) if mode == "sacos_missing" else None
         est, _ = detect(mode, inst.M, AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77), mask)
         assert est.score_path.ndim == 2 and est.score_path.shape[1] == 150
         assert any(np.array_equal(row, est.scores) for row in est.score_path)
@@ -376,6 +382,9 @@ class TestDetect:
             detect("other", inst.M, cfg)
         with pytest.raises(ValueError, match="mask"):
             detect("sacos_missing", inst.M, cfg)
+        for mode in ("acos", "sacos"):
+            with pytest.raises(ValueError, match="no other mode reads one"):
+                detect(mode, inst.M, cfg, np.ones(inst.M.shape, bool))
 
 
 class TestConvergedFlag:
@@ -383,7 +392,7 @@ class TestConvergedFlag:
     def test_capped_separation_solve_is_reported(self, mode, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERS", 1)
         inst = generate_instance(30, 150, 2, 4, seed=21)
-        mask = bernoulli_mask(30, 150, 0.7, seed=3)
+        mask = bernoulli_mask(30, 150, 0.7, seed=3) if mode == "sacos_missing" else None
         cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
         est, _ = detect(mode, inst.M, cfg, mask)
         assert est.converged is False
@@ -405,7 +414,7 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("mode", ["sacos", "sacos_missing"])
     def test_declared_set_invariant_to_input_scale(self, mode):
         inst = generate_instance(40, 200, 2, 8, seed=32)
-        mask = bernoulli_mask(40, 200, 0.8, seed=33)
+        mask = bernoulli_mask(40, 200, 0.8, seed=33) if mode == "sacos_missing" else None
         cfg = AcosConfig(gamma=0.4, m=30, p=80, lam=0.4, seed=18)
         ref = list(detect(mode, inst.M, cfg, mask)[0].declared)
         assert ref == list(inst.true_support)
@@ -423,8 +432,10 @@ class TestNonFiniteInput:
         j = int(np.setdiff1d(np.arange(150), sampled)[0])
         M = inst.M.copy()
         M[:, j] = bad
-        mask = bernoulli_mask(30, 150, 0.7, seed=3)
-        mask[:, j] = True
+        mask = None
+        if mode == "sacos_missing":
+            mask = bernoulli_mask(30, 150, 0.7, seed=3)
+            mask[:, j] = True
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="measurements must be finite"):

@@ -19,6 +19,8 @@ class TestSoftThreshold:
     def test_closed_form_example(self):
         out = soft_threshold(np.array([3.0, -0.5, 0.0]), 1.0)
         assert np.array_equal(out, [2.0, 0.0, 0.0])
+        out = soft_threshold(np.array([3.0, -3.0, 0.5]), np.array([1.0, 2.0, 1.0]))
+        assert np.array_equal(out, [2.0, -1.0, 0.0])
 
     def test_zero_threshold_is_identity(self):
         v = np.array([1.5, -2.0, 0.25])
@@ -27,6 +29,8 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.ones(2), -0.1)
+        with pytest.raises(ValueError):
+            soft_threshold(np.ones(2), np.array([0.1, -0.1]))
 
     @settings(max_examples=100)
     @given(v=arrays(np.float64, 6, elements=finite), tau=st.floats(0, 10))

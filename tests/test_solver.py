@@ -10,7 +10,7 @@ from sketchout.rng import derive_seed
 from sketchout.solver import (
     MAX_ITERS,
     TOL_RESIDUAL,
-    default_lambda,
+    SolverDivergenceError,
     outlier_pursuit,
     rmc_solve,
     subspace_basis,
@@ -27,13 +27,11 @@ def rank1(seed, shape=(30, 200)):
 
 class TestDefaultLambda:
     def test_reference_values(self):
-        assert default_lambda(1) == pytest.approx(3.0 / 7.0)
-        assert default_lambda(9) == pytest.approx(1.0 / 7.0)
-        assert default_lambda(49) == pytest.approx(3.0 / 49.0)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            default_lambda(0)
+        # k = ceil(n2 / 10) outliers: n2 = 10, 90, 490 give k = 1, 9, 49
+        cfg = AcosConfig(gamma=0.2, m=10)
+        assert pipeline._resolve_lambda(cfg, 10) == pytest.approx(3.0 / 7.0)
+        assert pipeline._resolve_lambda(cfg, 90) == pytest.approx(1.0 / 7.0)
+        assert pipeline._resolve_lambda(cfg, 490) == pytest.approx(3.0 / 49.0)
 
 
 class TestOutlierPursuit:
@@ -46,7 +44,7 @@ class TestOutlierPursuit:
 
     def test_rank_one_clean(self, helpers):
         Y = rank1(7)
-        sol = outlier_pursuit(Y, default_lambda(1))
+        sol = outlier_pursuit(Y, 3.0 / 7.0)
         assert sol.converged
         assert np.max(np.linalg.norm(sol.column_sparse, axis=0)) < 1e-6
         assert helpers.principal_angle(sol.low_rank, Y) < 1e-6
@@ -97,6 +95,14 @@ class TestOutlierPursuit:
             basis.dim = 0
 
 
+class TestDivergenceGuard:
+    def test_shrinking_penalty_raises(self, monkeypatch):
+        # a penalty that shrinks on every stall lets the residual climb
+        monkeypatch.setattr(solver, "RHO_GROWTH", 0.5)
+        with pytest.raises(SolverDivergenceError, match="residual increased for 10 consecutive"):
+            outlier_pursuit(generate_instance(20, 60, 2, 4, seed=1).M, 0.4)
+
+
 class TestRmcSolve:
     def test_full_mask_matches_unmasked(self):
         inst = generate_instance(20, 60, 2, 3, seed=5)
@@ -114,7 +120,7 @@ class TestRmcSolve:
         Y = rank1(3, (40, 120))
         rng = np.random.Generator(np.random.Philox(key=9))
         mask = rng.random(Y.shape) < 0.7
-        sol = rmc_solve(np.where(mask, Y, np.nan), mask, default_lambda(1))
+        sol = rmc_solve(np.where(mask, Y, np.nan), mask, 3.0 / 7.0)
         assert sol.converged
         assert helpers.principal_angle(sol.low_rank, Y) < 1e-3
 

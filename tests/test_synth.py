@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sketchout import synth
 from sketchout.synth import (
     add_noise,
     bernoulli_mask,
@@ -264,3 +265,18 @@ class TestPhaseGrid:
                 mode="other", n1=16, n2=40, gamma=0.5, m=8, r_values=[1], k_values=[2],
                 lambda_set=[0.4], trials=1, seed=0,
             )
+
+    def test_acos_without_decoder_rejected_before_any_trial(self, monkeypatch):
+        calls, detect = [], synth.detect
+
+        def spy(*args):
+            calls.append(args)
+            return detect(*args)
+
+        monkeypatch.setattr(synth, "detect", spy)
+        with pytest.raises(ValueError, match="p >= 1"):
+            phase_grid(
+                mode="acos", n1=20, n2=60, m=5, r_values=[1], k_values=[2],
+                lambda_set=[0.4], trials=2,
+            )
+        assert calls == []
