@@ -24,7 +24,7 @@ import sys
 import warnings
 
 from . import io
-from .imaging import patch_matrix, read_pgm, saliency_map, write_pgm
+from .imaging import PATCH, read_pgm, saliency_map, write_pgm
 from .pipeline import MODES, AcosConfig, PipelineError, detect
 from .sketching import SampleBudget, max_outliers, min_col_budget, min_gamma, min_row_budget
 from .solver import SolverDivergenceError
@@ -107,7 +107,7 @@ def _cmd_saliency(args) -> int:
     image = read_pgm(args.image)
     mask, declared = saliency_map(image, args.mode, _config(args))
     write_pgm(args.output, mask)
-    print("salient patches: %d / %d" % (declared.size, patch_matrix(image).matrix.shape[1]))
+    print("salient patches: %d / %d" % (declared.size, mask.size // PATCH**2))
     return 0
 
 

@@ -1,12 +1,14 @@
 """Patch matrices and saliency masks for grayscale images.
 
-An image is decomposed into non-overlapping square patches, each
+An image is decomposed into non-overlapping PATCH x PATCH patches, each
 vectorized by column stacking into one column of a patch matrix; on the
 low-rank-plus-outlier model, salient patches are exactly the outlier
 columns, so ``saliency_map`` declares the patches that ``detect``
 declares.  Trailing pixels that do not fill a whole patch are dropped;
 every covered pixel appears exactly once in the matrix, so the covered
-region round-trips exactly.
+region round-trips exactly.  The patch grid follows from the image shape
+alone: an h x w image has (h // PATCH) x (w // PATCH) patches, ordered
+row-major.
 
 Only binary PGM (P5, maxval 255) images are handled; callers convert
 other formats beforehand.
@@ -14,62 +16,33 @@ other formats beforehand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .pipeline import AcosConfig, detect
 
-
-@dataclass
-class PatchGrid:
-    """Vectorized non-overlapping patches of a grayscale image.
-
-    ``matrix`` has one column per patch (column-stacked pixels in [0, 1]),
-    patches ordered row-major over the patch grid.
-    """
-
-    image_height: int
-    image_width: int
-    patch: int
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def grid_rows(self) -> int:
-        return self.image_height // self.patch
-
-    @property
-    def grid_cols(self) -> int:
-        return self.image_width // self.patch
+#: Side of a square patch, in pixels.
+PATCH = 10
 
 
-def patch_matrix(image: np.ndarray, patch: int = 10) -> PatchGrid:
-    """Decompose a grayscale image into a patch-size^2 x patch-count matrix."""
+def patch_matrix(image: np.ndarray) -> np.ndarray:
+    """The PATCH^2 x patch-count matrix of a grayscale image: one column
+    per patch (column-stacked pixels in [0, 1]), patches row-major over
+    the patch grid."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError("expected a 2-D grayscale image")
-    if patch < 1:
-        raise ValueError("patch side must be positive")
     h, w = image.shape
-    if h < patch or w < patch:
+    if h < PATCH or w < PATCH:
         raise ValueError("image smaller than one patch")
     if image.dtype.kind in "ui":
         image = image.astype(float) / 255.0
     else:
         image = image.astype(float)
-    gr, gc = h // patch, w // patch
-    blocks = image[: gr * patch, : gc * patch].reshape(gr, patch, gc, patch)
+    gr, gc = h // PATCH, w // PATCH
+    blocks = image[: gr * PATCH, : gc * PATCH].reshape(gr, PATCH, gc, PATCH)
     # column j = (i_patch * gc + j_patch); each patch column-stacked
-    cols = blocks.transpose(0, 2, 3, 1).reshape(gr * gc, patch * patch)
-    return PatchGrid(h, w, patch, cols.T.copy())
-
-
-def patch_mask_image(grid: PatchGrid, declared) -> np.ndarray:
-    """255/0 mask over the covered region with declared patches lit."""
-    patch, gr, gc = grid.patch, grid.grid_rows, grid.grid_cols
-    flat = np.zeros(gr * gc, dtype=np.uint8)
-    flat[np.asarray(declared, dtype=int)] = 255
-    return np.kron(flat.reshape(gr, gc), np.ones((patch, patch), dtype=np.uint8))
+    cols = blocks.transpose(0, 2, 3, 1).reshape(gr * gc, PATCH * PATCH)
+    return cols.T.copy()
 
 
 def saliency_map(
@@ -77,15 +50,18 @@ def saliency_map(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch saliency mask from compressive samples of the patch matrix.
 
-    Runs the chosen pipeline on the patch matrix; the salient patches are
-    the outlier columns it declares, by the package's largest-gap rule.
-    Returns the uint8 mask over the covered region and the sorted indices
-    of the declared patches (row-major over the patch grid), the patches
-    the mask lights.
+    Runs the chosen pipeline on ``patch_matrix(image)``; the salient
+    patches are the outlier columns it declares, by the package's
+    largest-gap rule.  Returns the uint8 mask over the covered region
+    (PATCH * (h // PATCH) rows by PATCH * (w // PATCH) columns), 255 on
+    the declared patches and 0 elsewhere, and the sorted indices of the
+    declared patches (row-major over the patch grid).
     """
-    grid = patch_matrix(image)
-    est, _ = detect(mode, grid.matrix, cfg)
-    return patch_mask_image(grid, est.declared), est.declared
+    est, _ = detect(mode, patch_matrix(image), cfg)
+    h, w = np.shape(image)
+    lit = np.zeros((h // PATCH, w // PATCH), dtype=np.uint8)
+    lit.flat[est.declared] = 255
+    return np.kron(lit, np.ones((PATCH, PATCH), dtype=np.uint8)), est.declared
 
 
 def read_pgm(path) -> np.ndarray:

@@ -58,10 +58,11 @@ class AcosConfig:
 
     ``gamma`` is the column-sampling rate and ``m`` the number of sketch
     rows (sampled rows for sacos_missing).  ``p`` is the compression
-    size of the acos decoding step, which needs p >= 1; the sacos variants
-    do not read it.  ``lam`` is the separation weight; None leaves it to
-    the pipeline, which sizes it from the column count (``_resolve_lambda``).
-    ``seed`` derives the seed of every operator the run draws.
+    size of the acos decoding step, which needs p >= 1 (``check_mode``);
+    the sacos variants do not read it.  ``lam`` is the separation weight,
+    positive and finite; None leaves it to the pipeline, which sizes it
+    from the column count (``_resolve_lambda``).  ``seed`` derives the
+    seed of every operator the run draws.
     """
 
     gamma: float
@@ -75,8 +76,8 @@ class AcosConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if self.lam is not None and not 0 < self.lam < math.inf:
+            raise ValueError("separation weights must be positive and finite, got %r" % (self.lam,))
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,19 @@ class MatrixSource:
         return self._collect(lambda: np.where(mask, self._M[rows], 0.0), int(mask.sum()))
 
 
+def check_mode(mode: str, cfg: AcosConfig, masked: bool) -> None:
+    """The entry rules of a pipeline run: ``mode`` is one of MODES, an
+    observation mask comes with sacos_missing and with no other mode
+    (``masked`` says whether one does), and acos has a decoding step,
+    p >= 1.  Raises ValueError naming the broken rule."""
+    if mode not in MODES:
+        raise ValueError("mode must be one of %s" % (MODES,))
+    if masked != (mode == "sacos_missing"):
+        raise ValueError("mode sacos_missing needs an observation mask, and no other mode reads one")
+    if mode == "acos" and cfg.p < 1:
+        raise ValueError("mode acos needs p >= 1 for its decoding step, got p=%r" % (cfg.p,))
+
+
 def _resolve_lambda(cfg: AcosConfig, n2: int) -> float:
     """``cfg.lam``, or the Outlier Pursuit weight 3 / (7 sqrt(k)) for the
     outlier bound k = ceil(n2 / 10); n2 >= 1 makes k >= 1."""
@@ -189,8 +203,7 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     best multiplicative separation.  Also returns the exact number of
     scalar measurements collected (|S| m + p).
     """
-    if cfg.p < 1:
-        raise ValueError("decoding step needs p >= 1")
+    check_mode("acos", cfg, False)
     src = MatrixSource(M)
     n1, n2 = src.shape
     cols = _sample_columns(n2, cfg)
@@ -257,8 +270,9 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     is the residual of its observed subvector against the basis restricted
     to its observed rows (re-orthonormalized per column, all columns in one
     batched QR).  Columns with no observations, or with no more
-    observations than the basis dimension, score zero and are flagged.
-    Returns the fraction of matrix entries read.
+    observations than the basis dimension, score zero, are flagged, and
+    take no part in the declaration.  Returns the fraction of matrix
+    entries read.
     """
     src = MatrixSource(M_obs)
     mask = np.asarray(mask, dtype=bool)
@@ -282,9 +296,12 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     coef = np.einsum("jmd,mj->jd", Q, data_r)
     scores = np.linalg.norm(data_r.T - np.einsum("jmd,jd->jm", Q, coef), axis=1)
     flags = {"unobserved": counts == 0, "rank_deficient": (counts > 0) & (counts <= basis.dim)}
-    scores[counts <= basis.dim] = 0.0
-    est = SupportEstimate(scores, extract_support(scores), scores[None], sol.converged,
-                          column_flags=flags)
+    scored = counts > basis.dim
+    scores[~scored] = 0.0
+    # a placeholder zero is no score: below positive ones it would count as
+    # a clean gap (extract_support) and declare every scored column
+    declared = np.flatnonzero(scored)[extract_support(scores[scored])]
+    est = SupportEstimate(scores, declared, scores[None], sol.converged, column_flags=flags)
     return est, src.measurements / (n1 * n2)
 
 
@@ -294,12 +311,10 @@ def detect(mode: str, M, cfg: AcosConfig, mask=None) -> tuple[SupportEstimate, f
     Returns the estimate and the sampling rate, the fraction of the
     n1 x n2 entries measured.  ``mask`` is required by the missing-data
     mode and accepted by no other: passing one to acos or sacos, or none
-    to sacos_missing, raises ValueError.
+    to sacos_missing, raises ValueError, as does any other broken
+    ``check_mode`` rule.
     """
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s" % (MODES,))
-    if (mask is not None) != (mode == "sacos_missing"):
-        raise ValueError("mode sacos_missing needs an observation mask, and no other mode reads one")
+    check_mode(mode, cfg, mask is not None)
     if mode == "sacos_missing":
         return sacos_missing(M, mask, cfg)
     est, count = (acos if mode == "acos" else sacos)(M, cfg)
@@ -311,12 +326,16 @@ def measurement_count(
 ) -> tuple[int, float]:
     """Closed-form measurement total and sampling rate for a pipeline run.
 
-    acos collects realized_s * m + p scalars; sacos collects m * n2.
+    acos collects realized_s * m + p scalars; sacos collects m * n2.  The
+    count of sacos_missing depends on the mask and has no closed form here.
     """
     if mode == "acos":
         count = realized_s * cfg.m + cfg.p
     elif mode == "sacos":
         count = cfg.m * n2
+    elif mode == "sacos_missing":
+        raise ValueError("the measurement count of mode sacos_missing depends on the mask "
+                         "and has no closed form here")
     else:
         raise ValueError("unknown mode %r" % mode)
     return count, count / float(n1 * n2)

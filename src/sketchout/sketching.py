@@ -123,8 +123,8 @@ class SampleBudget:
             raise ValueError("rank must be at least 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.mu_L < 1.0:
-            raise ValueError("incoherence parameter is at least 1")
+        if not 1.0 <= self.mu_L < math.inf:
+            raise ValueError("mu_L must be finite and at least 1")
 
 
 def min_row_budget(b: SampleBudget) -> int:

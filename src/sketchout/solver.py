@@ -138,8 +138,8 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
         raise ValueError("mask must observe at least one entry")
     if not np.all(np.isfinite(Y_obs[mask])):
         raise ValueError("observed entries must be finite")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lambda must be positive and finite, got %r" % (lam,))
     Y = np.where(mask, Y_obs, 0.0)
     degenerate = int(mask.sum()) < sum(Y.shape) - 1
     if not Y.any():

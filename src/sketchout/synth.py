@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pipeline import MODES, AcosConfig, detect
+from .pipeline import AcosConfig, check_mode, detect
 from .rng import derive_seed, generator
 
 
@@ -62,8 +62,8 @@ def generate_instance(
 
 def add_noise(inst: ProblemInstance, sigma: float, seed: int) -> ProblemInstance:
     """Additive i.i.d. N(0, sigma^2) perturbation of M; L and C unchanged."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be nonnegative and finite, got %r" % (sigma,))
     if sigma == 0:
         return inst
     N = generator(seed).standard_normal(inst.M.shape) * sigma
@@ -176,17 +176,13 @@ def phase_grid(
     and trials are order-independent and reproducible; each trial runs
     ``AcosConfig(gamma, m, p)`` with the weight as ``lam`` and the derived
     seed.  ``p_omega`` is the observation rate of mode sacos_missing and
-    applies to no other mode.  Values of the wrong type, an acos grid with
-    p < 1, and a grid without a feasible cell raise ValueError before any
-    trial.
+    applies to no other mode.  Before any trial, each value's type is
+    checked, one ``AcosConfig`` is built per weight (so each weight is
+    positive and finite), ``check_mode`` runs with a mask exactly when
+    ``p_omega`` is set, and a grid without a feasible cell is rejected;
+    each raises ValueError.
     """
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s" % (MODES,))
-    if (mode == "sacos_missing") != (p_omega is not None):
-        raise ValueError("p_omega is required by mode sacos_missing and applies to no other mode")
     _check_kind(numbers.Integral, "an integer", n1=n1, n2=n2, m=m, p=p, trials=trials, seed=seed)
-    if mode == "acos" and p < 1:
-        raise ValueError("mode acos needs p >= 1 for its decoding step, got p=%d" % p)
     _check_kind(numbers.Real, "a number", gamma=gamma, noise_sigma=noise_sigma)
     if p_omega is not None:
         _check_kind(numbers.Real, "a number", p_omega=p_omega)
@@ -198,9 +194,9 @@ def phase_grid(
     if trials < 1 or not (r_values and k_values and lambda_set):
         raise ValueError("need nonempty grid axes and weights, and trials >= 1")
     for lam in lambda_set:
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 < lam < math.inf:
-            raise ValueError("separation weights must be positive numbers, got %r" % (lam,))
-    base = AcosConfig(gamma=gamma, m=m, p=p)
+        _check_kind(numbers.Real, "numbers", **{"separation weights": lam})
+    configs = [AcosConfig(gamma=gamma, m=m, p=p, lam=lam) for lam in lambda_set]
+    check_mode(mode, configs[0], p_omega is not None)
     cells = [(r, k) for r in r_values for k in k_values if k < n2 and r <= min(n1, n2 - k)]
     if not cells:
         raise ValueError("no feasible (r, k) cell: each needs k < n2 and r <= min(n1, n2 - k)")
@@ -209,7 +205,7 @@ def phase_grid(
     for r, k in cells:
         freqs = []
         rates = []
-        for li, lam in enumerate(lambda_set):
+        for li, lam_cfg in enumerate(configs):
             wins = 0
             for t in range(trials):
                 cell_seed = derive_seed(seed, r, k, li, t)
@@ -220,7 +216,7 @@ def phase_grid(
                 mask = None
                 if mode == "sacos_missing":
                     mask = bernoulli_mask(n1, n2, p_omega, derive_seed(cell_seed, 2))
-                cfg = replace(base, lam=lam, seed=derive_seed(cell_seed, 3))
+                cfg = replace(lam_cfg, seed=derive_seed(cell_seed, 3))
                 est, rate = detect(mode, inst.M, cfg, mask)
                 rates.append(rate)
                 if oracle_success(est.score_path, inst.true_support):

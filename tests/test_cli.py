@@ -40,8 +40,8 @@ class TestBudgetCommand:
 
     @pytest.mark.parametrize("extra, field", [
         (["--k", "0"], "k"), (["--k", "-1"], "k"), (["--k", "2000"], "k"),
-        (["--k", "10", "--n-low", "5000"], "n_L"),
-    ], ids=["no-outliers", "negative-k", "k-above-n2", "n-low-above-n2"])
+        (["--k", "10", "--n-low", "5000"], "n_L"), (["--k", "10", "--mu-l", "nan"], "mu_L"),
+    ], ids=["no-outliers", "negative-k", "k-above-n2", "n-low-above-n2", "nan-mu-l"])
     def test_invalid_input_prints_nothing(self, capsys, extra, field):
         # every value is checked before the first line is printed and
         # before any budget is evaluated, so no warning is raised either
@@ -123,6 +123,17 @@ class TestDetectCommand:
         )
         assert code == 2
         assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_nonfinite_weight_is_invalid_input(self, tmp_path, capsys, lam):
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, generate_instance(20, 60, 2, 4, seed=1).M)
+        code, out, err = run(
+            capsys, "detect", str(path), "--mode", "sacos", "--m", "10", "--gamma", "0.5",
+            "--lam", lam,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: separation weights must be positive and finite, got %s\n" % lam
 
     def test_energy_is_unknown_argument(self, capsys):
         # the basis dimension is read from the spectrum, not set by a flag
@@ -284,9 +295,11 @@ class TestPhaseCommand:
             ("gamma", "0.5", "gamma must be a number"),
             ("normalize", "no", "normalize must be true or false"),
             ("noise_sigma", -1, "sigma must be nonnegative"),
-            ("p_omega", 0.7, "p_omega is required by mode sacos_missing"),
+            ("noise_sigma", float("nan"), "sigma must be nonnegative and finite"),
+            ("p_omega", 0.7, "mode sacos_missing needs an observation mask"),
         ],
-        ids=["trials", "r_values", "m", "gamma", "normalize", "noise_sigma", "p_omega"],
+        ids=["trials", "r_values", "m", "gamma", "normalize", "noise_sigma", "noise_sigma-nan",
+             "p_omega"],
     )
     def test_malformed_value_rejected_before_any_trial(self, tmp_path, capsys, key, value, message):
         assert message in self.rejected(tmp_path, capsys, **{key: value})

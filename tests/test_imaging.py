@@ -1,14 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sketchout.imaging import (
-    PatchGrid,
-    patch_matrix,
-    patch_mask_image,
-    read_pgm,
-    saliency_map,
-    write_pgm,
-)
+from sketchout import imaging
+from sketchout.imaging import patch_matrix, read_pgm, saliency_map, write_pgm
 from sketchout.pipeline import AcosConfig, detect
 
 
@@ -24,51 +20,68 @@ def planted_image(height=50, width=100, patch=10, hot=(3, 11, 22, 33, 44), seed=
     return img
 
 
+def lit_patches(shape, declared, grid_cols):
+    """The expected mask: 10 x 10 blocks of 255 at the declared patches."""
+    mask = np.zeros(shape, dtype=np.uint8)
+    for idx in declared:
+        i, j = divmod(idx, grid_cols)
+        mask[10 * i : 10 * (i + 1), 10 * j : 10 * (j + 1)] = 255
+    return mask
+
+
 class TestPatchMatrix:
     def test_standard_image_shape(self):
-        grid = patch_matrix(np.zeros((300, 400), dtype=np.uint8), 10)
-        assert grid.matrix.shape == (100, 1200)
-        assert grid.grid_rows == 30 and grid.grid_cols == 40
+        assert patch_matrix(np.zeros((300, 400), dtype=np.uint8)).shape == (100, 1200)
 
     def test_partial_patches_dropped(self):
-        grid = patch_matrix(np.zeros((25, 25), dtype=np.uint8), 10)
-        assert grid.matrix.shape == (100, 4)
+        assert patch_matrix(np.zeros((25, 25), dtype=np.uint8)).shape == (100, 4)
 
     def test_column_stacking_order(self):
-        img = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-        grid = patch_matrix(img, 2)
-        assert np.allclose(grid.matrix[:, 0] * 255, [1, 3, 2, 4])
+        img = np.arange(100, dtype=np.uint8).reshape(10, 10)
+        column = patch_matrix(img)[:, 0] * 255
+        assert np.allclose(column[:3], [0, 10, 20]) and np.allclose(column[10:12], [1, 11])
+        assert np.allclose(column, img.flatten(order="F"))
 
     def test_round_trip_exact(self):
         # column j holds patch (j // 5, j % 5) of the 3 x 5 patch grid,
         # column-stacked; together the columns hold every covered pixel
         rng = np.random.Generator(np.random.Philox(key=1))
         img = rng.random((37, 53))
-        grid = patch_matrix(img, 10)
-        assert grid.matrix.shape == (100, 15)
+        matrix = patch_matrix(img)
+        assert matrix.shape == (100, 15)
         for j in range(15):
             i, k = divmod(j, 5)
             block = img[10 * i : 10 * (i + 1), 10 * k : 10 * (k + 1)]
-            assert np.array_equal(grid.matrix[:, j], block.flatten(order="F"))
+            assert np.array_equal(matrix[:, j], block.flatten(order="F"))
 
     def test_pixel_scaling_to_unit(self):
         img = np.full((10, 10), 255, dtype=np.uint8)
-        assert patch_matrix(img, 10).matrix.max() == 1.0
+        assert patch_matrix(img).max() == 1.0
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            patch_matrix(np.zeros((5, 20)), 10)
+            patch_matrix(np.zeros((5, 20)))
 
 
 class TestMaskImage:
-    def test_dimensions_follow_floor_rule(self):
-        grid = patch_matrix(np.zeros((37, 53)), 10)
-        mask = patch_mask_image(grid, [0])
-        assert mask.shape == (30, 50)
+    """The mask ``saliency_map`` draws for a given declared set."""
 
-    def test_blocks_lit(self):
-        grid = patch_matrix(np.zeros((20, 30)), 10)
-        mask = patch_mask_image(grid, [4])  # patch row 1, col 1
+    @staticmethod
+    def declaring(monkeypatch, declared):
+        """Make saliency_map's detection declare ``declared``, whatever the image."""
+        result = SimpleNamespace(declared=np.array(declared, dtype=int))
+        monkeypatch.setattr(imaging, "detect", lambda mode, M, cfg: (result, 0.0))
+
+    def test_dimensions_follow_floor_rule(self, monkeypatch):
+        self.declaring(monkeypatch, [0])
+        mask, _ = saliency_map(np.zeros((37, 53)), "sacos", AcosConfig(gamma=0.5, m=5))
+        assert mask.shape == (30, 50)
+        assert np.array_equal(mask, lit_patches((30, 50), [0], 5))
+
+    def test_blocks_lit(self, monkeypatch):
+        self.declaring(monkeypatch, [4])  # patch row 1, col 1
+        mask, declared = saliency_map(np.zeros((20, 30)), "sacos", AcosConfig(gamma=0.5, m=5))
+        assert declared.tolist() == [4]
         assert mask[10:, 10:20].min() == 255
         assert mask.sum() == 255 * 100
 
@@ -80,7 +93,7 @@ class TestSaliencyMap:
         mask, declared = saliency_map(img, "sacos", cfg)
         assert declared.tolist() == [3, 11, 22, 33, 44]
         assert mask.shape == (50, 100)
-        assert np.array_equal(mask, patch_mask_image(patch_matrix(img), declared))
+        assert np.array_equal(mask, lit_patches((50, 100), declared, 10))
 
     def test_uniform_image_empty_mask(self):
         img = np.full((40, 60), 77, dtype=np.uint8)
@@ -95,7 +108,7 @@ class TestSaliencyMap:
     ], ids=["acos", "sacos"])
     def test_declares_what_detection_declares(self, mode, cfg):
         img = planted_image()
-        est, _ = detect(mode, patch_matrix(img).matrix, cfg)
+        est, _ = detect(mode, patch_matrix(img), cfg)
         _, declared = saliency_map(img, mode, cfg)
         assert declared.tolist() == est.declared.tolist()
 

@@ -229,6 +229,8 @@ class TestBudgets:
             (dict(n2=10, n_L=5, k=11), "k"),
             (dict(n2=10, n_L=0, k=1), "n_L"),
             (dict(n2=10, n_L=11, k=1), "n_L"),
+            (dict(n2=10, n_L=5, k=1, mu_L=math.nan), "mu_L"),
+            (dict(n2=10, n_L=5, k=1, mu_L=math.inf), "mu_L"),
         ]:
             with pytest.raises(ValueError, match="^%s " % field):
                 SampleBudget(r=1, **fields)

@@ -142,6 +142,12 @@ class TestRmcSolve:
             with pytest.raises(ValueError, match="lambda"):
                 rmc_solve(np.ones((3, 3)), np.ones((3, 3), bool), lam)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_nonfinite_lambda_rejected(self, lam):
+        # an infinite weight used to "converge" with a NaN duality gap
+        with pytest.raises(ValueError, match="lambda"):
+            outlier_pursuit(generate_instance(20, 60, 2, 4, seed=1).M, lam)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rmc_solve(np.ones((3, 3)), np.ones((3, 4), bool), 0.3)

@@ -92,6 +92,12 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(inst, -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        inst = generate_instance(5, 12, 1, 1, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            add_noise(inst, sigma, seed=0)
+
 
 class TestBernoulliMask:
     def test_full_density(self):
