@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchout import AcosConfig, pipeline, sacos_missing, solver
+from sketchout import AcosConfig, detect, pipeline, solver
 from sketchout.rng import derive_seed
+from sketchout.sketching import make_gaussian_sketch
 from sketchout.solver import (
     MAX_ITERS,
     TOL_RESIDUAL,
@@ -97,10 +98,14 @@ class TestOutlierPursuit:
 
 class TestDivergenceGuard:
     def test_shrinking_penalty_raises(self, monkeypatch):
-        # a penalty that shrinks on every stall lets the residual climb
+        # a penalty that shrinks on every stall lets the residual climb; the
+        # input is the 10-row sketch that sacos separates in
+        # tests/test_cli.py::test_solver_divergence_is_solver_failure
         monkeypatch.setattr(solver, "RHO_GROWTH", 0.5)
+        M = generate_instance(20, 60, 2, 4, seed=1).M
+        Y = make_gaussian_sketch(10, 20, derive_seed(0, 2)).matrix @ M
         with pytest.raises(SolverDivergenceError, match="residual increased for 10 consecutive"):
-            outlier_pursuit(generate_instance(20, 60, 2, 4, seed=1).M, 0.4)
+            outlier_pursuit(Y, 0.4)
 
 
 class TestRmcSolve:
@@ -189,19 +194,21 @@ class TestConvergedFlag:
         assert sol.converged
 
 
-def _separation_input(inst, mask, cfg, monkeypatch):
-    """The masked subproblem (Y, mask, lam) that ``sacos_missing`` hands to
-    ``rmc_solve``, taken without solving it."""
+def _separation_input(mode, inst, mask, cfg, monkeypatch):
+    """The subproblem (Y, mask, lam) that ``detect(mode, ...)`` hands to
+    ``rmc_solve`` (acos and sacos through ``outlier_pursuit``, with a full
+    mask), taken without solving it."""
 
     class Taken(Exception):
         pass
 
-    def take(*args):
-        raise Taken(*args)
+    def take(Y, mask, lam):
+        raise Taken(Y, mask, lam)
 
     with monkeypatch.context() as mp, pytest.raises(Taken) as exc:
         mp.setattr(pipeline, "rmc_solve", take)
-        sacos_missing(inst.M, mask, cfg)
+        mp.setattr(pipeline, "outlier_pursuit", lambda Y, lam: take(Y, np.ones(Y.shape, bool), lam))
+        detect(mode, inst.M, cfg, mask)
     return exc.value.args
 
 
@@ -209,7 +216,8 @@ def corpus_c06_input(i, monkeypatch):
     """Separation subproblem of c06 input i of scripts/check_corpus.py."""
     inst = generate_instance(100, 1000, 5, 50, seed=5500 + i)
     mask = bernoulli_mask(100, 1000, 0.7, seed=900 + i)
-    return _separation_input(inst, mask, AcosConfig(gamma=0.2, m=30, lam=0.4, seed=500 + i), monkeypatch)
+    cfg = AcosConfig(gamma=0.2, m=30, lam=0.4, seed=500 + i)
+    return _separation_input("sacos_missing", inst, mask, cfg, monkeypatch)
 
 
 def half_observed_input(trial, monkeypatch):
@@ -220,7 +228,32 @@ def half_observed_input(trial, monkeypatch):
     inst = generate_instance(100, 1000, 5, 50, derive_seed(cell_seed, 0))
     mask = bernoulli_mask(100, 1000, 0.5, derive_seed(cell_seed, 2))
     cfg = AcosConfig(gamma=0.2, m=30, lam=0.4, seed=derive_seed(cell_seed, 3))
-    return _separation_input(inst, mask, cfg, monkeypatch)
+    return _separation_input("sacos_missing", inst, mask, cfg, monkeypatch)
+
+
+def outlier_free_acos_input(i, monkeypatch):
+    """Separation subproblem of acos on the outlier-free corpus cell (5, 0)
+    of scripts/check_corpus.py, extended past its five inputs."""
+    inst = generate_instance(100, 1000, 5, 0, seed=5000 + i)
+    cfg = AcosConfig(gamma=0.2, m=30, p=300, lam=0.4, seed=500 + i)
+    return _separation_input("acos", inst, None, cfg, monkeypatch)
+
+
+class TestAcceleration:
+    """Anderson acceleration of the separation loop, pinned by iteration
+    counts."""
+
+    def test_masked_corpus_solves_are_short(self, monkeypatch):
+        # the plain loop averages 211.5 iterations on these sixteen
+        iterations = [rmc_solve(*corpus_c06_input(i, monkeypatch)).iterations for i in range(16)]
+        assert np.mean(iterations) <= 100
+
+    def test_outlier_free_solves_stay_short(self, monkeypatch):
+        # these settle at once (3 or 4 plain iterations); extrapolating
+        # before the memory holds a useful step must not cost much more
+        for i in range(10):
+            sol = rmc_solve(*outlier_free_acos_input(i, monkeypatch))
+            assert sol.converged and sol.iterations <= 10
 
 
 def _fixed_rho_reference(Y, mask, lam, tol=1e-10, max_iters=20000):
