@@ -137,6 +137,12 @@ class TestPgm:
         assert img.shape == (2, 3)
         assert img.tobytes() == body
 
+    def test_rejects_maxval_other_than_255(self, tmp_path):
+        path = tmp_path / "deep.pgm"
+        path.write_bytes(b"P5\n2 2\n15\n" + bytes(4))
+        with pytest.raises(ValueError, match="maxval"):
+            read_pgm(path)
+
     def test_rejects_ascii_format(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sketchout import io
+from sketchout.imaging import read_pgm
 from sketchout.synth import phase_grid
 
 
@@ -61,13 +62,24 @@ class TestPhaseOutputs:
         assert first[0] == "1" and first[4] == "2"
 
     def test_pgm_heat_map(self, tmp_path, result):
-        from sketchout.imaging import read_pgm
-
         path = tmp_path / "phase.pgm"
         io.write_phase_pgm(path, result)
         img = read_pgm(path)
         assert img.shape == (2, 2)  # k rows, r columns
         assert img[0, 0] == int(round(255 * result.grid[(1, 2)]))
+
+    def test_infeasible_cell_skipped_and_black(self, tmp_path):
+        # r = 17 exceeds n1 = 16: the cell has no row and a black pixel
+        res = phase_grid(
+            mode="sacos", n1=16, n2=40, gamma=0.5, m=8, r_values=[1, 17], k_values=[2],
+            lambda_set=[0.4], trials=1, seed=8,
+        )
+        assert (17, 2) not in res.grid and res.grid[(1, 2)] == 1.0
+        csv, pgm = tmp_path / "phase.csv", tmp_path / "phase.pgm"
+        io.write_phase_csv(csv, res)
+        assert [line.split(",")[:2] for line in csv.read_text().splitlines()[1:]] == [["1", "2"]]
+        io.write_phase_pgm(pgm, res)
+        assert read_pgm(pgm).tolist() == [[255, 0]]
 
     def test_outputs_byte_stable(self, tmp_path, result):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

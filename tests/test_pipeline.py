@@ -419,6 +419,13 @@ class TestDetect:
             with pytest.raises(ValueError, match="no other mode reads one"):
                 detect(mode, inst.M, cfg, np.ones(inst.M.shape, bool))
 
+    @pytest.mark.parametrize("shape", [(30,), (30, 0)], ids=["vector", "no-columns"])
+    @pytest.mark.parametrize("mode", ["acos", "sacos"])
+    def test_non_matrix_data_rejected(self, mode, shape):
+        cfg = AcosConfig(gamma=0.5, m=5, p=10, lam=0.4)
+        with pytest.raises(ValueError, match="data must be a matrix"):
+            detect(mode, np.ones(shape), cfg)
+
 
 class TestConvergedFlag:
     @pytest.mark.parametrize("mode", MODES)

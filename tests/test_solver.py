@@ -18,6 +18,7 @@ from sketchout.solver import (
 )
 from sketchout.synth import bernoulli_mask, generate_instance, phase_grid
 
+from conftest import fixed_rho_reference
 from test_acceptance import SEED
 
 
@@ -248,38 +249,31 @@ class TestAcceleration:
         iterations = [rmc_solve(*corpus_c06_input(i, monkeypatch)).iterations for i in range(16)]
         assert np.mean(iterations) <= 100
 
+    def test_singular_gram_falls_back_to_the_plain_step(self, helpers, monkeypatch):
+        # the first mixing solve raises: that step stays plain, the memory
+        # restarts, and the solve ends at the same subspace
+        inst = generate_instance(30, 150, 2, 4, seed=21)
+        mask = bernoulli_mask(30, 150, 0.7, seed=3)
+        ref = rmc_solve(inst.M, mask, 0.4)
+        calls, solve = [], np.linalg.solve
+
+        def fail_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", fail_once)
+        sol = rmc_solve(inst.M, mask, 0.4)
+        assert len(calls) > 1 and sol.converged
+        assert helpers.principal_angle(sol.low_rank, ref.low_rank) < 1e-6
+
     def test_outlier_free_solves_stay_short(self, monkeypatch):
         # these settle at once (3 or 4 plain iterations); extrapolating
         # before the memory holds a useful step must not cost much more
         for i in range(10):
             sol = rmc_solve(*outlier_free_acos_input(i, monkeypatch))
             assert sol.converged and sol.iterations <= 10
-
-
-def _fixed_rho_reference(Y, mask, lam, tol=1e-10, max_iters=20000):
-    """Independent reference for the masked program: plain ADMM at the fixed
-    penalty 20 / ||Y||_2 with an SVD-based threshold, run until the relative
-    duality gap of (L, C + residual) and the scaled multiplier is at most
-    tol.  Returns L."""
-    Y = np.where(mask, Y, 0.0) / np.max(np.abs(Y[mask]))
-    rho = 20.0 / np.linalg.norm(Y, 2)
-    L, C, Lam = np.zeros_like(Y), np.zeros_like(Y), np.zeros_like(Y)
-    for it in range(1, max_iters + 1):
-        Z = np.where(mask, Y + Lam / rho, L + C)
-        U, s, Vt = np.linalg.svd(Z - C, full_matrices=False)
-        L = (U * np.maximum(s - 1.0 / rho, 0.0)) @ Vt
-        G = Z - L
-        norms = np.linalg.norm(G, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            C = G * np.where(norms > 0, np.maximum(1.0 - lam / (rho * norms), 0.0), 0.0)
-        R = np.where(mask, Y - L - C, 0.0)
-        Lam += rho * R
-        if it % 10 == 0:
-            primal = np.linalg.svd(L, compute_uv=False).sum() + lam * np.linalg.norm(C + R, axis=0).sum()
-            scale = max(1.0, np.linalg.norm(Lam, 2), np.linalg.norm(Lam, axis=0).max() / lam)
-            if primal - np.vdot(Lam, Y) / scale <= tol * primal:
-                return L
-    raise AssertionError("reference did not reach a gap of %g" % tol)
 
 
 def leading_sin_theta(A, B, d):
@@ -310,7 +304,7 @@ class TestMaskedSolveAccuracy:
     def test_learned_subspace_near_optimum(self, subproblem, index, monkeypatch):
         Y, mask, lam = subproblem(index, monkeypatch)
         sol = rmc_solve(Y, mask, lam)
-        assert leading_sin_theta(sol.low_rank, _fixed_rho_reference(Y, mask, lam), 5) <= 1e-5
+        assert leading_sin_theta(sol.low_rank, fixed_rho_reference(Y, mask, lam), 5) <= 1e-5
 
 
 class TestSubspaceBasis:

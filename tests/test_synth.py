@@ -242,6 +242,17 @@ class TestPhaseGrid:
                 lambda_set=[0.4], trials=1, seed=7,
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 0), ("r_values", []), ("k_values", []), ("lambda_set", [])],
+    )
+    def test_empty_grid_rejected(self, field, value):
+        kw = dict(mode="sacos", n1=16, n2=40, gamma=0.5, m=8, r_values=[1], k_values=[2],
+                  lambda_set=[0.4], trials=1, seed=0)
+        kw[field] = value
+        with pytest.raises(ValueError, match="nonempty grid axes"):
+            phase_grid(**kw)
+
     def test_reproducible(self):
         kw = dict(mode="sacos", n1=16, n2=40, gamma=0.5, m=8, r_values=[1, 2], k_values=[2, 4],
                   lambda_set=[0.4, 0.5], trials=2, seed=8)
