@@ -13,12 +13,17 @@ declared count, the true-positive count, ``converged``, the sampling rate
 and (acos only) the winning decoder weight ``mu_used``, then the oracle
 success count of each cell and mode.  ``--json PATH`` writes the same
 data plus each declared set, so the output of two commits can be diffed.
-The full corpus takes about 10 s with one BLAS thread.
+``--expect PATH`` compares every field of every entry and cell (except
+``mu_used``, which drifts at solver precision) with a snapshot written by
+``--json``, such as ``scripts/corpus_expected.json``, names each entry that
+differs and the fields that do, and exits 1 if any does.  The full corpus
+takes about 10 s with one BLAS thread.
 """
 
 import argparse
 import json
 import pathlib
+import sys
 
 from sketchout import AcosConfig, bernoulli_mask, detect, generate_instance
 from sketchout.synth import oracle_success
@@ -41,9 +46,31 @@ def corpus():
         yield "sacos_missing", 5, 50, i, inst, mask, cfg
 
 
+def differences(got, want):
+    """One line per entry or cell whose fields differ between two results
+    in the ``--json`` format, ``mu_used`` aside."""
+
+    def entries(doc):
+        return {(part, e["mode"], e["r"], e["k"], e.get("i")):
+                {f: v for f, v in e.items() if f != "mu_used"}
+                for part in ("inputs", "cells") for e in doc[part]}
+
+    got, want = entries(got), entries(want)
+    lines = []
+    for key in sorted(got.keys() | want.keys(), key=str):
+        g, w = got.get(key, {}), want.get(key, {})
+        fields = sorted(f for f in g.keys() | w.keys() if g.get(f) != w.get(f))
+        if fields:
+            lines.append("%s differs from the snapshot in %s"
+                         % (" ".join(map(str, key)), ", ".join(fields)))
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--json", type=pathlib.Path, help="also write the results here")
+    ap.add_argument("--expect", type=pathlib.Path,
+                    help="compare with this snapshot and exit 1 if any field differs")
     args = ap.parse_args()
 
     inputs, cells = [], {}
@@ -64,9 +91,16 @@ def main():
               "rate %.6f%s" % (mode, r, k, i, len(declared), true_pos, est.converged, rate, mu))
     for cell in cells.values():
         print("%(mode)-13s (%(r)d,%(k)d) oracle success %(oracle_successes)d/%(inputs)d" % cell)
+    result = dict(inputs=inputs, cells=list(cells.values()))
     if args.json:
-        args.json.write_text(
-            json.dumps(dict(inputs=inputs, cells=list(cells.values())), indent=1) + "\n")
+        args.json.write_text(json.dumps(result, indent=1) + "\n")
+    if args.expect:
+        # compare the JSON form, as the snapshot holds it
+        bad = differences(json.loads(json.dumps(result)), json.loads(args.expect.read_text()))
+        for line in bad:
+            print(line)
+        print("corpus gate: %d entries differ from %s" % (len(bad), args.expect))
+        sys.exit(1 if bad else 0)
 
 
 if __name__ == "__main__":

@@ -268,8 +268,8 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     rows are ever read, and unobserved entries count as zeros from then on.
     The separation step solves the masked program, and each column's score
     is the residual of its observed subvector against the basis restricted
-    to its observed rows (re-orthonormalized per column, all columns in one
-    batched QR).  Columns with no observations, or with no more
+    to its observed rows (fit by its normal equations, all columns in one
+    batched solve).  Columns with no observations, or with no more
     observations than the basis dimension, score zero, are flagged, and
     take no part in the declaration.  Returns the fraction of matrix
     entries read.
@@ -288,16 +288,21 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     sol = rmc_solve(data_r[:, cols], mask_r[:, cols], lam)
     basis = subspace_basis(sol.low_rank)
 
-    # one reduced QR per column, batched: column j's basis with the rows it
-    # does not observe zeroed, so its data (zero there too) is fit on its
-    # observed entries only
+    # each scored column's least-squares fit by the basis rows it observes,
+    # from its normal equations; a singular Gram takes the pseudo-inverse
+    B, d = basis.basis, basis.dim
     counts = mask_r.sum(axis=0)
-    Q, _ = np.linalg.qr(mask_r.T[:, :, None] * basis.basis)
-    coef = np.einsum("jmd,mj->jd", Q, data_r)
-    scores = np.linalg.norm(data_r.T - np.einsum("jmd,jd->jm", Q, coef), axis=1)
-    flags = {"unobserved": counts == 0, "rank_deficient": (counts > 0) & (counts <= basis.dim)}
-    scored = counts > basis.dim
-    scores[~scored] = 0.0
+    flags = {"unobserved": counts == 0, "rank_deficient": (counts > 0) & (counts <= d)}
+    scored = counts > d
+    W, data_s = mask_r[:, scored].T, data_r[:, scored].T
+    gram = (W @ (B[:, :, None] * B[:, None, :]).reshape(cfg.m, d * d)).reshape(len(W), d, d)
+    rhs = (data_s @ B)[:, :, None]
+    try:
+        coef = np.linalg.solve(gram, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        coef = (np.linalg.pinv(gram, hermitian=True) @ rhs)[:, :, 0]
+    scores = np.zeros(n2)
+    scores[scored] = np.linalg.norm(data_s - W * (coef @ B.T), axis=1)
     # a placeholder zero is no score: below positive ones it would count as
     # a clean gap (extract_support) and declare every scored column
     declared = np.flatnonzero(scored)[extract_support(scores[scored])]

@@ -4,48 +4,48 @@
 
     min ||L||_* + lambda ||C||_{1,2}   s.t.  Y = L + C on observed entries
 
-by an inexact augmented-Lagrangian loop, run as a fixed-point map on the
-state (Z, C): Z holds Y + Lam / rho on the observed entries (Lam the
-multiplier, zero elsewhere) and the current estimate L + C elsewhere.  One
-evaluation of the map sets L by singular value thresholding of Z - C, C by
-columnwise group shrinkage of Z - L, and takes the residual R = Y - L - C
-on the observed entries; it returns Z + R where observed (Lam raised by rho
-times R) and L + C elsewhere, with the new C.  The loop stops once that
-residual, relative to ||Y||_F, is at most TOL_RESIDUAL; this one test also
-decides ``converged``.  The penalty starts at RHO_SCALE / ||Y|| (operator
-norm, unobserved entries zeroed) and is multiplied by RHO_GROWTH whenever
-the residual falls by less than 3% in an iteration (STALL_GATE).  On masked
-problems the rank and the outlier support settle early and the residual
-then falls by one or two percent an iteration, so a 1% gate lets the
-penalty stall and the solve run into MAX_ITERS; a looser gate than 3%
-grows the penalty so fast that the residual test passes before the
-learned subspace is accurate.  The residual stays the stop because a
-duality-gap stop loose enough to save iterations ends before the inlier
-columns are annihilated to the precision the pipelines read.  The loop
-runs on Y divided by the smallest power of two above its largest
-absolute entry, so the iterates and the stop do not depend on the
-input's scale.  ``outlier_pursuit`` is the same solve with every entry
-observed.
+by an inexact augmented-Lagrangian loop, run as a fixed-point map on Z,
+which holds Y + Lam / rho on the observed entries (Lam the multiplier,
+zero elsewhere) and the current estimate L + C elsewhere.  One evaluation
+of the map sets L by singular value thresholding of Z - C, C by columnwise
+group shrinkage of Z - L, and takes the residual R = Y - L - C on the
+observed entries; it returns Z + R where observed (Lam raised by rho times
+R) and L + C elsewhere, and its C is the next evaluation's.  The loop
+stops once that residual, relative to ||Y||_F, is at most TOL_RESIDUAL;
+this one test also decides ``converged``.  The penalty starts at
+RHO_SCALE / ||Y|| (operator norm, unobserved entries zeroed) and is
+multiplied by RHO_GROWTH whenever the residual falls by less than 3% in an
+iteration (STALL_GATE).  On masked problems the rank and the outlier
+support settle early and the residual then falls by one or two percent an
+iteration, so a 1% gate lets the penalty stall and the solve run into
+MAX_ITERS; a looser gate than 3% grows the penalty so fast that the
+residual test passes before the learned subspace is accurate.  The
+residual stays the stop because a duality-gap stop loose enough to save
+iterations ends before the inlier columns are annihilated to the precision
+the pipelines read.  The loop runs on Y divided by the smallest power of
+two above its largest absolute entry, so the iterates and the stop do not
+depend on the input's scale.  ``outlier_pursuit`` is the same solve with
+every entry observed.
 
 Once the rank and the support settle, the map is locally linear (Poon &
-Liang 2019), and the loop extrapolates over it by type-II Anderson
-acceleration (Walker & Ni 2011): the next state is the map's output minus
-the combination of the last AA_MEMORY output differences whose step
-differences best cancel the current step, found from their Gram matrix.  A
-growing penalty changes the map, so it rescales the Lam / rho part of Z and
-restarts the memory, as does a singular Gram matrix (the step is then the
-plain one).  The returned (L, C) is always a map evaluation, never an
-extrapolated point, so the residual test certifies what is returned.
-Masked solves at an observation rate of 0.7 take about 210 plain steps and
-about 60 accelerated ones.
+Liang 2019), and the loop extrapolates Z over it by type-II Anderson
+acceleration (Walker & Ni 2011): the next Z is the map's output minus the
+combination of the last AA_MEMORY (8) output differences whose step
+differences best cancel the current step, found from their Gram matrix.
+C is not mixed; it follows Z through the map.  A growing penalty changes
+the map, so it rescales the Lam / rho part of Z and restarts the memory,
+as does a singular Gram matrix (the step is then the plain one).  The
+returned (L, C) is always a map evaluation, never an extrapolated point,
+so the residual test certifies what is returned.  Masked solves at an
+observation rate of 0.7 take about 210 plain steps and 54 accelerated ones.
 
 Each result also reports, without acting on it, the relative duality gap
 of its final iterate: (L, C + R) is exactly feasible, and Lam / max(1,
 ||Lam||_2, max_j ||Lam_j|| / lambda) is dual feasible.  A solve that passes
-the residual test can carry a gap up to about 6e-5 at an observation rate
-of 0.7, and up to about 7e-4 at 0.5 with its objective within 6e-6 of the
-optimum: once the penalty is large, the multiplier lags the accurate
-primal iterate.
+the residual test can carry a gap up to about 8e-5 at an observation rate
+of 0.7, and up to about 1.3e-3 at 0.5 with its objective within 3e-6 of
+the optimum (``scripts/separation_study.py`` measures these): once the
+penalty is large, the multiplier lags the accurate primal iterate.
 
 ``subspace_basis`` extracts an orthonormal basis of the recovered column
 space, of the numerical rank, or cut at the largest singular-value gap
@@ -77,7 +77,7 @@ RHO_SCALE = 1.25
 RHO_GROWTH = 1.6
 STALL_GATE = 0.97
 #: Anderson acceleration mixes the last AA_MEMORY steps of the iteration.
-AA_MEMORY = 5
+AA_MEMORY = 8
 #: Consecutive residual increases tolerated before declaring divergence.
 DIVERGE_PATIENCE = 10
 #: Minimum multiplicative separation for a gap to count: between declared
@@ -167,12 +167,10 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     Y = np.ldexp(Y, -e)
     normY = np.linalg.norm(Y, "fro")
     rho = RHO_SCALE / np.linalg.norm(Y, 2)
-    # The state X = (Z, C), with Z = Y + Lam / rho on the observed entries
-    # and L + C elsewhere (Lam = 0 and Y is zero off the mask at the start).
-    # G is the map's output and F = G - X its step; dF and dG are rings of
-    # their differences, and H is the Gram matrix of the dF held.
-    X = np.stack([Y, np.zeros_like(Y)])
-    dF = np.empty((AA_MEMORY, X.size))
+    # Z starts at Y (Lam = 0).  G is the map's output and F = G - Z its step;
+    # dF and dG are rings of their differences, H is the Gram of the dF held.
+    Z, C = Y, np.zeros_like(Y)
+    dF = np.empty((AA_MEMORY, Y.size))
     dG = np.empty_like(dF)
     H = np.empty((AA_MEMORY, AA_MEMORY))
     rhs = np.zeros(AA_MEMORY)
@@ -181,15 +179,12 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     res_prev = np.inf
     bad = 0
     for it in range(1, MAX_ITERS + 1):
-        Z, C = X
         L = svt(Z - C, 1.0 / rho)
         C = group_shrink(Z - L, lam / rho)
         LC = L + C
         R = np.where(mask, Y - LC, 0.0)
         res = np.linalg.norm(R, "fro") / normY
-        G = np.empty_like(X)
-        G[0] = np.where(mask, Z + R, LC)
-        G[1] = C
+        G = np.where(mask, Z + R, LC)
         bad = bad + 1 if res > res_prev else 0
         if bad >= DIVERGE_PATIENCE:
             raise SolverDivergenceError(
@@ -201,12 +196,12 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
             # Z holds Lam / rho where observed: rescale it to the new
             # penalty, and forget the steps taken under the old one
             rho_old, rho = rho, rho * RHO_GROWTH
-            G[0] = np.where(mask, Y + (G[0] - Y) * (rho_old / rho), G[0])
-            X, F_prev, held, slot = G, None, 0, 0
+            G = np.where(mask, Y + (G - Y) * (rho_old / rho), G)
+            Z, F_prev, held, slot = G, None, 0, 0
             res_prev = res
             continue
         res_prev = res
-        F = (G - X).ravel()
+        F = (G - Z).ravel()
         if F_prev is not None:
             np.subtract(F, F_prev, out=dF[slot])
             np.subtract(G.ravel(), G_prev, out=dG[slot])
@@ -218,7 +213,7 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
             rhs[slot] = dF[slot] @ F
             slot = (slot + 1) % AA_MEMORY
         F_prev, G_prev = F, G.ravel()
-        X = G
+        Z = G
         if held:
             # type-II Anderson: G minus the combination of past G steps
             # whose F steps best cancel F
@@ -227,8 +222,8 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
             except np.linalg.LinAlgError:
                 F_prev, held, slot = None, 0, 0
             else:
-                X = G - (gamma @ dG[:held]).reshape(G.shape)
-    Lam = rho * np.where(mask, G[0] - Y, 0.0)
+                Z = G - (gamma @ dG[:held]).reshape(G.shape)
+    Lam = rho * np.where(mask, G - Y, 0.0)
     converged = bool(res <= TOL_RESIDUAL) and not degenerate
     gap = _duality_gap(Y, L, C + R, Lam, lam)
     return OpSolution(np.ldexp(L, e), np.ldexp(C, e), res, it, converged, degenerate, gap)

@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+
+from sketchout import AcosConfig, bernoulli_mask, detect, generate_instance, pipeline
+from sketchout.rng import derive_seed
 
 
 def orth_basis(A, rtol=None):
@@ -61,6 +66,53 @@ def fixed_rho_reference(Y, mask, lam, tol=1e-10, max_iters=20000):
             if primal - np.vdot(Lam, Y) / scale <= tol * primal:
                 return top * L
     raise AssertionError("reference did not reach a gap of %g" % tol)
+
+
+def separation_input(mode, inst, mask, cfg):
+    """The subproblem (Y, mask, lam) that ``detect(mode, ...)`` hands to
+    ``rmc_solve`` (acos and sacos through ``outlier_pursuit``, with a full
+    mask), taken without solving it."""
+
+    class Taken(Exception):
+        pass
+
+    def take(Y, mask, lam):
+        raise Taken(Y, mask, lam)
+
+    def take_full(Y, lam):
+        take(Y, np.ones(Y.shape, bool), lam)
+
+    with mock.patch.object(pipeline, "rmc_solve", take), \
+            mock.patch.object(pipeline, "outlier_pursuit", take_full), pytest.raises(Taken) as exc:
+        detect(mode, inst.M, cfg, mask)
+    return exc.value.args
+
+
+def corpus_c06_input(i):
+    """Separation subproblem of c06 input i of scripts/check_corpus.py."""
+    inst = generate_instance(100, 1000, 5, 50, seed=5500 + i)
+    mask = bernoulli_mask(100, 1000, 0.7, seed=900 + i)
+    cfg = AcosConfig(gamma=0.2, m=30, lam=0.4, seed=500 + i)
+    return separation_input("sacos_missing", inst, mask, cfg)
+
+
+def half_observed_input(trial):
+    """Separation subproblem of trial ``trial`` of ``phase_grid(mode=
+    "sacos_missing", n1=100, n2=1000, m=30, gamma=0.2, r_values=[5],
+    k_values=[50], lambda_set=[0.4], seed=11, p_omega=0.5)``."""
+    cell_seed = derive_seed(11, 5, 50, 0, trial)
+    inst = generate_instance(100, 1000, 5, 50, derive_seed(cell_seed, 0))
+    mask = bernoulli_mask(100, 1000, 0.5, derive_seed(cell_seed, 2))
+    cfg = AcosConfig(gamma=0.2, m=30, lam=0.4, seed=derive_seed(cell_seed, 3))
+    return separation_input("sacos_missing", inst, mask, cfg)
+
+
+def leading_sin_theta(A, B, d):
+    """sin of the largest principal angle between the leading d left
+    singular subspaces of A and B."""
+    U = np.linalg.svd(A, full_matrices=False)[0][:, :d]
+    V = np.linalg.svd(B, full_matrices=False)[0][:, :d]
+    return float(np.linalg.norm(U - V @ (V.T @ U), 2))
 
 
 @pytest.fixture

@@ -329,6 +329,48 @@ class TestSacosMissing:
             assert np.array_equal(est.column_flags[name], flags[name])
         assert flags["unobserved"][3] and flags["rank_deficient"][5]
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_scores_match_per_column_least_squares(self, dim, monkeypatch):
+        # a random basis in place of the learned one, so every scored
+        # column has a residual of the order of its data
+        inst = generate_instance(40, 200, 3, 10, seed=51)
+        cfg = AcosConfig(gamma=0.4, m=20, lam=0.4, seed=52)
+        rows = make_row_subsampler(40, cfg.m, derive_seed(cfg.seed, 2)).indices
+        rng = np.random.Generator(np.random.Philox(key=53 + dim))
+        basis = solver.SubspaceBasis(np.linalg.qr(rng.standard_normal((cfg.m, dim)))[0], dim, 1.0)
+        mask = bernoulli_mask(40, 200, 0.6, seed=54)
+        for j in range(10):  # exactly dim + 1 observations
+            mask[:, j] = False
+            mask[rng.choice(rows, dim + 1, replace=False), j] = True
+        monkeypatch.setattr(pipeline, "subspace_basis", lambda X: basis)
+        est, _ = sacos_missing(inst.M, mask, cfg)
+        mask_r = mask[rows]
+        scored = np.flatnonzero(mask_r.sum(axis=0) > dim)
+        assert np.all(mask_r[:, :10].sum(axis=0) == dim + 1) and scored.size > 150
+        for j in scored:
+            obs = np.flatnonzero(mask_r[:, j])
+            v = inst.M[rows[obs], j]
+            coef = np.linalg.lstsq(basis.basis[obs], v, rcond=None)[0]
+            residual = np.linalg.norm(v - basis.basis[obs] @ coef)
+            assert abs(est.scores[j] - residual) <= 1e-10 * residual
+
+    def test_zero_matrix_scores_zero(self):
+        # the learned basis is empty (d = 0), and every column is scored
+        cfg = AcosConfig(gamma=0.5, m=40, lam=0.4, seed=1)
+        with pytest.warns(RuntimeWarning, match="zero matrix has an empty column space"):
+            est, _ = detect("sacos_missing", np.zeros((40, 200)), cfg, bernoulli_mask(40, 200, 0.7, seed=2))
+        assert np.all(est.scores == 0.0) and est.declared.size == 0
+
+    def test_singular_restricted_basis_scores_zero(self):
+        # the learned basis is row 0's direction, so a scored column that
+        # does not observe row 0 fits its data by a zero restricted basis
+        M = np.zeros((40, 200))
+        M[0] = 1.0
+        mask = bernoulli_mask(40, 200, 0.7, seed=2)
+        assert not mask[0].all()
+        est, _ = detect("sacos_missing", M, AcosConfig(gamma=0.5, m=40, lam=0.4, seed=1), mask)
+        assert np.max(est.scores) <= 1e-12 and est.declared.size == 0
+
 
 def _per_column_scores(basis, data_r, mask_r):
     """Reference for the batched scoring of sacos_missing: one reduced QR
