@@ -18,15 +18,14 @@ from sketchout.imaging import write_pgm
 HOT = (3, 11, 22, 33, 44)
 
 
-def planted_image(height=50, width=100, patch=10, seed=5):
-    img = np.full((height, width), 128, dtype=np.uint8)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    gc = width // patch
+def planted_image():
+    """A 50 x 100 image of constant gray, with uniform noise in the 10 x 10
+    patches HOT (patches numbered row by row, 10 to a row)."""
+    img = np.full((50, 100), 128, dtype=np.uint8)
+    rng = np.random.Generator(np.random.Philox(key=5))
     for idx in HOT:
-        i, j = divmod(idx, gc)
-        img[i * patch : (i + 1) * patch, j * patch : (j + 1) * patch] = rng.integers(
-            0, 256, size=(patch, patch)
-        )
+        i, j = divmod(idx, 10)
+        img[10 * i : 10 * (i + 1), 10 * j : 10 * (j + 1)] = rng.integers(0, 256, size=(10, 10))
     return img
 
 

@@ -177,10 +177,12 @@ def phase_grid(
     ``AcosConfig(gamma, m, p)`` with the weight as ``lam`` and the derived
     seed.  ``p_omega`` is the observation rate of mode sacos_missing and
     applies to no other mode.  Before any trial, each value's type is
-    checked, one ``AcosConfig`` is built per weight (so each weight is
-    positive and finite), ``check_mode`` runs with a mask exactly when
-    ``p_omega`` is set, and a grid without a feasible cell is rejected;
-    each raises ValueError.
+    checked, a repeated grid value or weight is rejected (a repeated weight
+    would draw fresh trials and inflate the maximum over weights), one
+    ``AcosConfig`` is built per weight (so each weight is positive and
+    finite), ``check_mode`` runs with a mask exactly when ``p_omega`` is
+    set, and a grid without a feasible cell is rejected; each raises
+    ValueError.
     """
     _check_kind(numbers.Integral, "an integer", n1=n1, n2=n2, m=m, p=p, trials=trials, seed=seed)
     _check_kind(numbers.Real, "a number", gamma=gamma, noise_sigma=noise_sigma)
@@ -195,6 +197,9 @@ def phase_grid(
         raise ValueError("need nonempty grid axes and weights, and trials >= 1")
     for lam in lambda_set:
         _check_kind(numbers.Real, "numbers", **{"separation weights": lam})
+    for key, values in (("r_values", r_values), ("k_values", k_values), ("lambda_set", lambda_set)):
+        if len(set(values)) < len(values):
+            raise ValueError("%s repeats a value: %r" % (key, values))
     configs = [AcosConfig(gamma=gamma, m=m, p=p, lam=lam) for lam in lambda_set]
     check_mode(mode, configs[0], p_omega is not None)
     cells = [(r, k) for r in r_values for k in k_values if k < n2 and r <= min(n1, n2 - k)]

@@ -1,3 +1,5 @@
+import pathlib
+import sys
 from unittest import mock
 
 import numpy as np
@@ -5,6 +7,10 @@ import pytest
 
 from sketchout import AcosConfig, bernoulli_mask, detect, generate_instance, pipeline
 from sketchout.rng import derive_seed
+
+# the scripts' fixed inputs are the tests' inputs too
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
+from check_corpus import entry  # noqa: E402
 
 
 def orth_basis(A, rtol=None):
@@ -27,6 +33,21 @@ def principal_angle(A, B):
 
 def nonzero_columns(X, tol=1e-6):
     return set(np.nonzero(np.linalg.norm(X, axis=0) > tol)[0])
+
+
+def gaussian_product(shape, rank, seed):
+    """A Gaussian product of the given rank, so its singular values are distinct."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+
+
+def with_spectrum(shape, sigma, seed):
+    """A matrix of the given shape whose nonzero singular values are ``sigma``,
+    with random singular vectors."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    Q, _ = np.linalg.qr(rng.standard_normal((shape[0], len(sigma))))
+    P, _ = np.linalg.qr(rng.standard_normal((shape[1], len(sigma))))
+    return (Q * sigma) @ P.T
 
 
 def separation_objective(L, C, lam):
@@ -90,10 +111,7 @@ def separation_input(mode, inst, mask, cfg):
 
 def corpus_c06_input(i):
     """Separation subproblem of c06 input i of scripts/check_corpus.py."""
-    inst = generate_instance(100, 1000, 5, 50, seed=5500 + i)
-    mask = bernoulli_mask(100, 1000, 0.7, seed=900 + i)
-    cfg = AcosConfig(gamma=0.2, m=30, lam=0.4, seed=500 + i)
-    return separation_input("sacos_missing", inst, mask, cfg)
+    return separation_input("sacos_missing", *entry("sacos_missing", 5, 50, i))
 
 
 def half_observed_input(trial):
@@ -113,14 +131,3 @@ def leading_sin_theta(A, B, d):
     U = np.linalg.svd(A, full_matrices=False)[0][:, :d]
     V = np.linalg.svd(B, full_matrices=False)[0][:, :d]
     return float(np.linalg.norm(U - V @ (V.T @ U), 2))
-
-
-@pytest.fixture
-def helpers():
-    class H:
-        pass
-
-    H.orth_basis = staticmethod(orth_basis)
-    H.principal_angle = staticmethod(principal_angle)
-    H.nonzero_columns = staticmethod(nonzero_columns)
-    return H

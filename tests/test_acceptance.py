@@ -17,7 +17,7 @@ from sketchout.solver import outlier_pursuit, rmc_solve
 from sketchout.synth import generate_instance, column_incoherence, phase_grid
 
 from conftest import fixed_rho_reference, nonzero_columns, principal_angle, separation_objective
-from test_imaging import planted_image
+from saliency_demo import planted_image
 
 SEED = 20260811
 

@@ -9,7 +9,7 @@ from sketchout.cli import main
 from sketchout.imaging import read_pgm, write_pgm
 from sketchout.synth import bernoulli_mask, generate_instance
 
-from test_imaging import planted_image
+from saliency_demo import planted_image
 
 
 def run(capsys, *argv):
@@ -111,6 +111,21 @@ class TestDetectCommand:
         )
         assert code == 2 and out == ""
         assert "no other mode reads one" in err
+
+    @pytest.mark.parametrize("bad", [np.nan, 2.0, 0.7, -1.0], ids=["nan", "two", "fraction", "negative"])
+    def test_mask_entry_other_than_0_or_1_is_invalid_input(self, tmp_path, capsys, bad):
+        mask = bernoulli_mask(30, 150, 0.7, seed=2)
+        mpath, kpath = tmp_path / "m.csv", tmp_path / "mask.csv"
+        io.write_matrix_csv(mpath, np.where(mask, generate_instance(30, 150, 2, 4, seed=1).M, 0.0))
+        mask = mask.astype(float)
+        mask[7, 40] = bad
+        io.write_matrix_csv(kpath, mask)
+        code, out, err = run(
+            capsys, "detect", str(mpath), "--mode", "sacos_missing", "--mask", str(kpath),
+            "--m", "20", "--gamma", "0.4", "--lam", "0.4", "--seed", "3",
+        )
+        assert code == 2 and out == ""
+        assert "mask entries must be exactly 0 or 1" in err
 
     def test_nonfinite_entry_is_invalid_input(self, tmp_path, capsys):
         M = generate_instance(20, 50, 2, 3, seed=1).M
@@ -285,6 +300,13 @@ class TestPhaseCommand:
     @pytest.mark.parametrize("weights", [[None], ["oops"], [0.4, -1.0]], ids=["null", "text", "negative"])
     def test_bad_weight_rejected_before_any_trial(self, tmp_path, capsys, weights):
         assert "separation weights" in self.rejected(tmp_path, capsys, lambda_set=weights)
+
+    @pytest.mark.parametrize(
+        "key, values", [("r_values", [1, 1]), ("k_values", [2, 4, 2]), ("lambda_set", [0.4, 0.5, 0.4])],
+        ids=["r_values", "k_values", "lambda_set"],
+    )
+    def test_repeated_grid_value_rejected_before_any_trial(self, tmp_path, capsys, key, values):
+        assert "%s repeats a value" % key in self.rejected(tmp_path, capsys, **{key: values})
 
     @pytest.mark.parametrize(
         "key, value, message",

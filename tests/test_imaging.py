@@ -7,17 +7,7 @@ from sketchout import imaging
 from sketchout.imaging import patch_matrix, read_pgm, saliency_map, write_pgm
 from sketchout.pipeline import AcosConfig, detect
 
-
-def planted_image(height=50, width=100, patch=10, hot=(3, 11, 22, 33, 44), seed=5):
-    """Constant background with a few high-variance noise patches."""
-    img = np.full((height, width), 128, dtype=np.uint8)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    gc = width // patch
-    for idx in hot:
-        i, j = divmod(idx, gc)
-        block = rng.integers(0, 256, size=(patch, patch))
-        img[i * patch : (i + 1) * patch, j * patch : (j + 1) * patch] = block
-    return img
+from saliency_demo import planted_image
 
 
 def lit_patches(shape, declared, grid_cols):

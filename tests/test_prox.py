@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from sketchout.prox import TOL_OBJECTIVE, group_shrink, lasso_path_solve, soft_threshold, svt
 
+from conftest import gaussian_product, with_spectrum
+
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
 
@@ -54,20 +56,6 @@ def _svd_svt(X, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
-def _with_singular_values(shape, values, seed):
-    """A matrix of the given shape whose nonzero singular values are ``values``."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    Q1, _ = np.linalg.qr(rng.standard_normal((shape[0], values.size)))
-    Q2, _ = np.linalg.qr(rng.standard_normal((shape[1], values.size)))
-    return (Q1 * values) @ Q2.T
-
-
-def _matrix(shape, rank, seed):
-    """A Gaussian product of the given rank, so its singular values are distinct."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
-
-
 _SVT_CASES = [((8, 20), 8), ((20, 8), 8), ((12, 12), 12), ((8, 20), 4), ((20, 8), 4)]
 _SVT_IDS = ["wide", "tall", "square", "wide_rank_deficient", "tall_rank_deficient"]
 
@@ -110,7 +98,7 @@ class TestSvt:
 
     @pytest.mark.parametrize("shape, rank", _SVT_CASES, ids=_SVT_IDS)
     def test_matches_svd_reference(self, shape, rank):
-        X = _matrix(shape, rank, seed=20 + rank)
+        X = gaussian_product(shape, rank, seed=20 + rank)
         s = np.linalg.svd(X, compute_uv=False)
         taus = [0.0, 0.5 * s[0], 2.0 * s[0]]
         for i in (1, rank // 2, rank - 2):  # interior singular values
@@ -121,13 +109,13 @@ class TestSvt:
     @pytest.mark.parametrize("shape", [(6, 15), (15, 6)], ids=["wide", "tall"])
     def test_repeated_singular_values(self, shape):
         values = np.array([3.0, 3.0, 3.0, 1.0, 1.0, 0.5])
-        X = _with_singular_values(shape, values, seed=30)
+        X = with_spectrum(shape, values, seed=30)
         for tau in (0.0, 0.2, 0.5, 0.7, 1.0, 2.0, 3.0 * (1 - 1e-9)):
             assert np.max(np.abs(svt(X, tau) - _svd_svt(X, tau))) <= 1e-10 * 3.0
 
     @pytest.mark.parametrize("shape, rank", _SVT_CASES, ids=_SVT_IDS)
     def test_threshold_above_top_value_gives_exact_zero(self, shape, rank):
-        X = _matrix(shape, rank, seed=40 + rank)
+        X = gaussian_product(shape, rank, seed=40 + rank)
         top = np.linalg.norm(X, 2)
         for tau in (top * (1 + 1e-12), 2.0 * top, 1e6 * top):
             assert np.array_equal(svt(X, tau), np.zeros(shape))
@@ -142,7 +130,7 @@ class TestSvt:
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
     @pytest.mark.parametrize("shape", [(8, 20), (20, 8)], ids=["wide", "tall"])
     def test_positively_homogeneous_over_float_range(self, shape, scale):
-        X = _matrix(shape, 5, seed=50)
+        X = gaussian_product(shape, 5, seed=50)
         tau = 0.5 * np.linalg.norm(X, 2)
         ref = scale * svt(X, tau)
         out = svt(scale * X, scale * tau)

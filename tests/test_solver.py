@@ -21,16 +21,16 @@ from sketchout.synth import bernoulli_mask, generate_instance, phase_grid
 from conftest import (
     corpus_c06_input,
     fixed_rho_reference,
+    gaussian_product,
     half_observed_input,
     leading_sin_theta,
+    nonzero_columns,
+    principal_angle,
     separation_input,
+    with_spectrum,
 )
+from check_corpus import entry
 from test_acceptance import SEED
-
-
-def rank1(seed, shape=(30, 200)):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
 
 
 class TestDefaultLambda:
@@ -50,22 +50,22 @@ class TestOutlierPursuit:
         assert sol.converged and sol.residual == 0.0
         assert sol.gap == 0.0
 
-    def test_rank_one_clean(self, helpers):
-        Y = rank1(7)
+    def test_rank_one_clean(self):
+        Y = gaussian_product((30, 200), 1, seed=7)
         sol = outlier_pursuit(Y, 3.0 / 7.0)
         assert sol.converged
         assert np.max(np.linalg.norm(sol.column_sparse, axis=0)) < 1e-6
-        assert helpers.principal_angle(sol.low_rank, Y) < 1e-6
+        assert principal_angle(sol.low_rank, Y) < 1e-6
 
-    def test_planted_instance_recovered(self, helpers):
+    def test_planted_instance_recovered(self):
         # inside the empirical recovery region for this size; the guarantee
         # value 3/(7 sqrt(5)) sits below the working range here
         inst = generate_instance(30, 200, 2, 5, seed=11)
         sol = outlier_pursuit(inst.M, 0.3)
         assert sol.converged
-        declared = helpers.nonzero_columns(sol.column_sparse)
+        declared = nonzero_columns(sol.column_sparse)
         assert declared == set(inst.true_support)
-        assert helpers.principal_angle(sol.low_rank, inst.L) < 1e-3
+        assert principal_angle(sol.low_rank, inst.L) < 1e-3
         assert -1e-12 <= sol.gap < 1e-6
 
     def test_feasibility_on_converged_runs(self):
@@ -95,7 +95,7 @@ class TestOutlierPursuit:
             outlier_pursuit(np.ones((2, 2)), 0.0)
 
     def test_results_are_frozen(self):
-        sol = outlier_pursuit(rank1(7), 0.4)
+        sol = outlier_pursuit(gaussian_product((30, 200), 1, seed=7), 0.4)
         with pytest.raises(dataclasses.FrozenInstanceError):
             sol.converged = False
         basis = subspace_basis(sol.low_rank)
@@ -128,13 +128,13 @@ class TestRmcSolve:
         )
         assert not masked.degenerate
 
-    def test_rank_one_seventy_percent_observed(self, helpers):
-        Y = rank1(3, (40, 120))
+    def test_rank_one_seventy_percent_observed(self):
+        Y = gaussian_product((40, 120), 1, seed=3)
         rng = np.random.Generator(np.random.Philox(key=9))
         mask = rng.random(Y.shape) < 0.7
         sol = rmc_solve(np.where(mask, Y, np.nan), mask, 3.0 / 7.0)
         assert sol.converged
-        assert helpers.principal_angle(sol.low_rank, Y) < 1e-3
+        assert principal_angle(sol.low_rank, Y) < 1e-3
 
     def test_single_observed_entry_degenerate(self):
         mask = np.zeros((6, 8), bool)
@@ -165,7 +165,7 @@ class TestRmcSolve:
             rmc_solve(np.ones((3, 3)), np.ones((3, 4), bool), 0.3)
 
     def test_unobserved_entries_ignored(self):
-        Y = rank1(4, (20, 50))
+        Y = gaussian_product((20, 50), 1, seed=4)
         rng = np.random.Generator(np.random.Philox(key=10))
         mask = rng.random(Y.shape) < 0.8
         junk = np.where(mask, Y, 1e6)
@@ -201,14 +201,6 @@ class TestConvergedFlag:
         assert sol.converged
 
 
-def outlier_free_acos_input(i):
-    """Separation subproblem of acos on the outlier-free corpus cell (5, 0)
-    of scripts/check_corpus.py, extended past its five inputs."""
-    inst = generate_instance(100, 1000, 5, 0, seed=5000 + i)
-    cfg = AcosConfig(gamma=0.2, m=30, p=300, lam=0.4, seed=500 + i)
-    return separation_input("acos", inst, None, cfg)
-
-
 class TestAcceleration:
     """Anderson acceleration of the separation loop, pinned by iteration
     counts."""
@@ -219,7 +211,7 @@ class TestAcceleration:
         iterations = [rmc_solve(*corpus_c06_input(i)).iterations for i in range(16)]
         assert np.mean(iterations) <= 57
 
-    def test_singular_gram_falls_back_to_the_plain_step(self, helpers, monkeypatch):
+    def test_singular_gram_falls_back_to_the_plain_step(self, monkeypatch):
         # the first mixing solve raises: that step stays plain, the memory
         # restarts, and the solve ends at the same subspace
         inst = generate_instance(30, 150, 2, 4, seed=21)
@@ -236,13 +228,14 @@ class TestAcceleration:
         monkeypatch.setattr(np.linalg, "solve", fail_once)
         sol = rmc_solve(inst.M, mask, 0.4)
         assert len(calls) > 1 and sol.converged
-        assert helpers.principal_angle(sol.low_rank, ref.low_rank) < 1e-6
+        assert principal_angle(sol.low_rank, ref.low_rank) < 1e-6
 
     def test_outlier_free_solves_stay_short(self):
+        # acos on the outlier-free corpus cell (5, 0), past its five inputs:
         # these settle at once (3 or 4 plain iterations); extrapolating
         # before the memory holds a useful step must not cost much more
         for i in range(10):
-            sol = rmc_solve(*outlier_free_acos_input(i))
+            sol = rmc_solve(*separation_input("acos", *entry("acos", 5, 0, i)))
             assert sol.converged and sol.iterations <= 10
 
 
@@ -289,15 +282,6 @@ class TestSubspaceBasis:
         assert np.max(np.abs(eye - np.eye(basis.dim))) < 1e-10
 
 
-def with_spectrum(sigma, shape, seed):
-    """A shape[0] x shape[1] matrix with singular values sigma and random
-    singular vectors."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    Q, _ = np.linalg.qr(rng.standard_normal((shape[0], len(sigma))))
-    P, _ = np.linalg.qr(rng.standard_normal((shape[1], len(sigma))))
-    return Q @ np.diag(sigma) @ P.T
-
-
 class TestRankRule:
     """subspace_basis keeps the numerical rank, and cuts at the largest
     singular-value gap only when the input has full numerical rank."""
@@ -305,16 +289,16 @@ class TestRankRule:
     def test_rank_deficient_spread_spectrum_keeps_numerical_rank(self):
         # a ratio of 1000 between the two values, but the gap to numerical
         # zero decides: nothing is cut
-        assert subspace_basis(with_spectrum([10.0, 0.01], (6, 7), seed=11)).dim == 2
+        assert subspace_basis(with_spectrum((6, 7), [10.0, 0.01], seed=11)).dim == 2
 
     def test_full_rank_cut_at_largest_gap(self):
-        X = with_spectrum([10.0, 8.0, 5.0, 1e-3, 9e-4, 5e-4], (6, 9), seed=12)
+        X = with_spectrum((6, 9), [10.0, 8.0, 5.0, 1e-3, 9e-4, 5e-4], seed=12)
         basis = subspace_basis(X)
         assert basis.dim == 3
         assert basis.energy_kept == pytest.approx(23.0 / (23.0 + 2.4e-3), rel=1e-10)
 
     def test_full_rank_without_gap_keeps_all(self):
-        X = with_spectrum([10.0, 8.0, 5.0, 1.0, 0.9, 0.5], (6, 9), seed=12)
+        X = with_spectrum((6, 9), [10.0, 8.0, 5.0, 1.0, 0.9, 0.5], seed=12)
         assert subspace_basis(X).dim == 6
 
     @settings(max_examples=40, deadline=None)

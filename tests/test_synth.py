@@ -253,6 +253,20 @@ class TestPhaseGrid:
         with pytest.raises(ValueError, match="nonempty grid axes"):
             phase_grid(**kw)
 
+    @pytest.mark.parametrize(
+        "field, values", [("r_values", [1, 1]), ("k_values", [2, 2]), ("lambda_set", [0.4, 0.4])],
+        ids=["r_values", "k_values", "lambda_set"],
+    )
+    def test_repeated_value_rejected(self, field, values, monkeypatch):
+        # a repeated cell would run again, and a repeated weight would draw
+        # fresh trials and inflate the maximum over weights
+        kw = dict(mode="sacos", n1=20, n2=60, gamma=0.5, m=8, r_values=[1], k_values=[2],
+                  lambda_set=[0.4], trials=1)
+        kw[field] = values
+        monkeypatch.setattr(synth, "detect", None)  # no trial may run
+        with pytest.raises(ValueError, match="%s repeats a value" % field):
+            phase_grid(**kw)
+
     def test_reproducible(self):
         kw = dict(mode="sacos", n1=16, n2=40, gamma=0.5, m=8, r_values=[1, 2], k_values=[2, 4],
                   lambda_set=[0.4, 0.5], trials=2, seed=8)
