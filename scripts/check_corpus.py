@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
-"""Run all three modes over a fixed 136-entry corpus and report what they declare.
+"""Run all three modes over a fixed 196-entry corpus and report what they declare.
 
 Every input is a 100 x 1000 planted instance run with gamma 0.2, m 30, p 300
 (read by acos only) and lam 0.4; input i of cell (r, k) uses instance seed
 1000 r + 10 k + i and config seed 500 + i (``entry``).  acos and sacos each
-run on the same 60 inputs, of the cells (5, 10) x 30, (40, 100) x 15,
-(10, 30) x 10 and (5, 0) x 5.  sacos_missing runs on the 16 inputs of cell
-(5, 50), with entries observed at rate 0.7 under mask seed 900 + i.  For
-every entry the script prints the mode, the declared count, the
-true-positive count, ``converged``, the sampling rate and (acos only) the
-winning decoder weight ``mu_used``, then the oracle success count of each
-cell and mode.  ``--json PATH`` writes the same data plus each declared
-set, one entry per line, so the output of two commits can be diffed.
-``--expect PATH`` compares every field of every entry and cell (except
-``mu_used``, which drifts at solver precision) with a snapshot written by
-``--json``, such as ``scripts/corpus_expected.json``, names each entry that
-differs and the fields that do, and exits 1 if any does.  The full corpus
-takes about 10 s with one BLAS thread.
+run on the same 90 inputs, of the cells (5, 10) x 30, (40, 100) x 15,
+(10, 30) x 10, (5, 0) x 5, (15, 30) x 10, (10, 50) x 10 and (20, 60) x 10.
+sacos_missing runs on the 16 inputs of cell (5, 50), with entries observed
+at rate 0.7 under mask seed 900 + i.  For every entry the script prints the
+mode, the declared count, the true-positive count, ``converged``, the
+sampling rate and (acos only) the winning decoder weight ``mu_used``, then
+the oracle success count of each cell and mode.  ``--json PATH`` writes the
+same data plus each declared set, one entry per line, so the output of two
+commits can be diffed.  ``--expect PATH`` compares every field of every
+entry and cell (except ``mu_used``, which drifts at solver precision) with a
+snapshot written by ``--json``, such as ``scripts/corpus_expected.json``,
+names each entry that differs and the fields that do, and exits 1 if any
+does.  The full corpus takes about 10 s with one BLAS thread.
 """
 
 import argparse
@@ -27,7 +27,8 @@ import sys
 from sketchout import AcosConfig, bernoulli_mask, detect, generate_instance
 from sketchout.synth import oracle_success
 
-CELLS = [((5, 10), 30), ((40, 100), 15), ((10, 30), 10), ((5, 0), 5)]
+CELLS = [((5, 10), 30), ((40, 100), 15), ((10, 30), 10), ((5, 0), 5),
+         ((15, 30), 10), ((10, 50), 10), ((20, 60), 10)]
 MODE_CELLS = {"acos": CELLS, "sacos": CELLS, "sacos_missing": [((5, 50), 16)]}
 
 
