@@ -19,20 +19,30 @@ best single-coordinate step.  The working set starts from the previous
 point's support and takes in the best-rated outside columns, at most
 doubling per round; a point is done once no rating exceeds the tolerance,
 which certifies it against the whole design.  A point's iteration count
-sums the FISTA iterations of its rounds.
+sums the FISTA iterations of its rounds.  Thresholds and weights are
+validated at the public entries (``soft_threshold``, ``lasso_path_solve``);
+the solver loops call the unchecked shrink ``_shrink``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def _shrink(v: np.ndarray, tau) -> np.ndarray:
+    """sign(v) * max(|v| - tau, 0) for a nonnegative ``tau``, unchecked."""
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
 def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
     """sign(v) * max(|v| - tau, 0), elementwise; ``tau`` is a scalar or an
-    array that broadcasts against v."""
+    array that broadcasts against v.  A negative threshold raises
+    ValueError; the LASSO loops skip that check and call ``_shrink``."""
     if np.any(tau < 0):
         raise ValueError("threshold must be nonnegative")
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return _shrink(v, tau)
 
 
 def svt(X: np.ndarray, tau: float) -> np.ndarray:
@@ -101,19 +111,20 @@ def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: flo
     converge.  Returns the coefficients and the iteration count."""
     gram = D @ D.T if D.shape[0] <= D.shape[1] else D.T @ D
     step = 1.0 / float(np.max(np.linalg.eigvalsh(gram)))
+    tau = mu * step
     r = D @ c - y
     obj_prev = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c)))
     z, t, it = c, 1.0, 0
     for it in range(1, max_iters + 1):
-        c_new = soft_threshold(z - step * (D.T @ (D @ z) - Dty), mu * step)
+        c_new = _shrink(z - step * (D.T @ (D @ z) - Dty), tau)
         r = D @ c_new - y
         obj = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c_new)))
-        if not np.isfinite(obj):
+        if not math.isfinite(obj):
             raise FloatingPointError("non-finite objective in LASSO iteration")
         if obj > obj_prev:  # function-value restart
             t_new, mom = 1.0, 0.0
         else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             mom = (t - 1.0) / t_new
         z = c_new + mom * (c_new - c)
         done = abs(obj - obj_prev) <= TOL_OBJECTIVE * max(1.0, abs(obj_prev))
@@ -168,13 +179,16 @@ def lasso_path_solve(
     total = float(np.sum(col_sq))
     if not (np.isfinite(total) and total > 0):
         raise ValueError("step-size estimation failed: zero design")
-    live = col_sq > 0  # a zero column can lower no objective: its gain stays 0
-    sq = col_sq[live]
+    # a zero column has g = 0, so its rating below is exactly 0: dividing
+    # by 1 there keeps it finite
+    sq = np.where(col_sq > 0, col_sq, 1.0)
+    half_sq = 0.5 * sq
     coeffs = np.zeros((D.shape[1], regs.size))
     c = np.zeros(D.shape[1])
     worst = 0
     for j in np.argsort(regs)[::-1]:
         mu = regs[j]
+        tau = mu / sq
         W = np.flatnonzero(c)
         used = 0
         while True:
@@ -186,15 +200,13 @@ def lasso_path_solve(
                     break
             r = y - DW @ c[W]
             obj = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c)))
-            if not np.isfinite(obj):
+            if not math.isfinite(obj):
                 raise FloatingPointError("non-finite objective in LASSO iteration")
             g = D.T @ r
-            # objective decrease of each live column's best single-coordinate step
-            u = c[live] + g[live] / sq
-            t = soft_threshold(u, mu / sq)
-            d = t - c[live]
-            gain = np.zeros_like(c)
-            gain[live] = g[live] * d - 0.5 * sq * d * d - mu * (np.abs(t) - np.abs(c[live]))
+            # objective decrease of each column's best single-coordinate step
+            t = _shrink(c + g / sq, tau)
+            d = t - c
+            gain = g * d - half_sq * d * d - mu * (np.abs(t) - np.abs(c))
             over = gain > TOL_OBJECTIVE * max(1.0, abs(obj))
             if not over.any():
                 break

@@ -45,8 +45,8 @@ def make_gaussian_sketch(rows: int, cols: int, seed: int) -> SketchOperator:
     """Dense sketch with i.i.d. N(0, 1/rows) entries."""
     if rows < 1 or cols < 1:
         raise ValueError("sketch dimensions must be positive")
-    scale = 1.0 / math.sqrt(rows)
-    mat = generator(seed).standard_normal((rows, cols)) * scale
+    mat = generator(seed).standard_normal((rows, cols))
+    mat *= 1.0 / math.sqrt(rows)
     return SketchOperator(mat)
 
 

@@ -41,7 +41,9 @@ observation rate of 0.7 take about 210 plain steps and 54 accelerated ones.
 
 Each result also reports, without acting on it, the relative duality gap
 of its final iterate: (L, C + R) is exactly feasible, and Lam / max(1,
-||Lam||_2, max_j ||Lam_j|| / lambda) is dual feasible.  A solve that passes
+||Lam||_2, max_j ||Lam_j|| / lambda) is dual feasible.  The gap is computed
+when ``OpSolution.gap`` is first read, from arrays the solve kept, so a
+caller that never reads it pays nothing for it.  A solve that passes
 the residual test can carry a gap up to about 8e-5 at an observation rate
 of 0.7, and up to about 1.3e-3 at 0.5 with its objective within 3e-6 of
 the optimum (``scripts/separation_study.py`` measures these): once the
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +125,8 @@ class OpSolution:
     ||Y - L - C||_F / ||Y||_F on the observed entries.  ``gap`` is the
     relative duality gap of the final iterate (see the module docstring):
     a report only, which neither stops the loop nor decides ``converged``.
+    It is computed from ``_gap_terms``, the arguments of ``_duality_gap``,
+    when first read, and is 0 when there are none (an all-zero input).
     """
 
     low_rank: np.ndarray = field(repr=False)
@@ -130,7 +135,11 @@ class OpSolution:
     iterations: int
     converged: bool
     degenerate: bool
-    gap: float
+    _gap_terms: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def gap(self) -> float:
+        return _duality_gap(*self._gap_terms) if self._gap_terms else 0.0
 
 
 def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
@@ -160,7 +169,7 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     Y = np.where(mask, Y_obs, 0.0)
     degenerate = int(mask.sum()) < sum(Y.shape) - 1
     if not Y.any():
-        return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, not degenerate, degenerate, 0.0)
+        return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, not degenerate, degenerate)
     # Solve at unit scale: dividing by a power of two is exact, and it keeps
     # the squared norms of the stopping rule from overflowing or underflowing.
     e = np.frexp(np.max(np.abs(Y)))[1]
@@ -225,8 +234,8 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
                 Z = G - (gamma @ dG[:held]).reshape(G.shape)
     Lam = rho * np.where(mask, G - Y, 0.0)
     converged = bool(res <= TOL_RESIDUAL) and not degenerate
-    gap = _duality_gap(Y, L, C + R, Lam, lam)
-    return OpSolution(np.ldexp(L, e), np.ldexp(C, e), res, it, converged, degenerate, gap)
+    return OpSolution(np.ldexp(L, e), np.ldexp(C, e), res, it, converged, degenerate,
+                      (Y, L, C + R, Lam, lam))
 
 
 def _duality_gap(Y: np.ndarray, L: np.ndarray, C: np.ndarray, Lam: np.ndarray, lam: float) -> float:

@@ -8,10 +8,9 @@ with correspondingly widened tolerances; every threshold is pinned here.
 import math
 
 import numpy as np
-import pytest
 
 from sketchout.imaging import read_pgm, saliency_map, write_pgm
-from sketchout.pipeline import AcosConfig, acos, measurement_count, sacos, sacos_missing
+from sketchout.pipeline import AcosConfig, measurement_count
 from sketchout.sketching import f_jl, make_gaussian_sketch
 from sketchout.solver import outlier_pursuit, rmc_solve
 from sketchout.synth import generate_instance, column_incoherence, phase_grid

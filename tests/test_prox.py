@@ -362,6 +362,16 @@ class TestLasso:
         obj_o = _objective(D, y, _coordinate_descent(D, y, mu), mu)
         assert _objective(D, y, c, mu) <= obj_o + 1e-6 * (1 + abs(obj_o))
 
+    def test_inserted_zero_column_changes_nothing(self):
+        # a zero column rates exactly 0, so it never joins the working set,
+        # and every other column goes through the same rounds bit for bit
+        D, y, mus = _wide_sparse_problem()
+        ref, ref_iters = lasso_path_solve(D, y, mus)
+        path, iters = lasso_path_solve(np.insert(D, 123, 0.0, axis=1), y, mus)
+        assert np.all(path[123] == 0.0)
+        assert np.array_equal(np.delete(path, 123, axis=0), ref)
+        assert iters == ref_iters
+
     def test_nonfinite_design_rejected(self):
         D, y, mu = _sparse_recovery_problem()
         D[4, 9] = np.nan

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchout.rng import generator
 from sketchout.sketching import (
     F_QUARTER,
     SampleBudget,
@@ -30,6 +31,11 @@ class TestGaussianSketch:
         a = make_gaussian_sketch(33, 17, seed=123)
         b = make_gaussian_sketch(33, 17, seed=123)
         assert np.array_equal(a.matrix, b.matrix)
+
+    def test_matrix_is_the_scaled_seeded_draw(self):
+        for rows, cols, seed in ((33, 17, 123), (300, 1000, 5)):
+            want = generator(seed).standard_normal((rows, cols)) * (1 / math.sqrt(rows))
+            assert np.array_equal(make_gaussian_sketch(rows, cols, seed).matrix, want)
 
     def test_norm_preserving_in_expectation(self):
         op = make_gaussian_sketch(200, 50, seed=1)

@@ -94,6 +94,21 @@ class TestOutlierPursuit:
         with pytest.raises(ValueError):
             outlier_pursuit(np.ones((2, 2)), 0.0)
 
+    def test_gap_computed_only_when_first_read(self, monkeypatch):
+        real, seen = solver._duality_gap, []
+
+        def counted(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(solver, "_duality_gap", counted)
+        inst = generate_instance(20, 80, 2, 4, seed=0)
+        mask = bernoulli_mask(20, 80, 0.7, seed=1)
+        sols = [outlier_pursuit(inst.M, 0.35), rmc_solve(inst.M, mask, 0.35)]
+        assert seen == []
+        gaps = [sol.gap for sol in sols + sols]
+        assert seen == gaps[:2] == gaps[2:]
+
     def test_results_are_frozen(self):
         sol = outlier_pursuit(gaussian_product((30, 200), 1, seed=7), 0.4)
         with pytest.raises(dataclasses.FrozenInstanceError):
