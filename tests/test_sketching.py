@@ -28,11 +28,7 @@ class TestGaussianSketch:
         assert np.array_equal(op.matrix @ np.zeros(4), np.zeros(4))
 
     def test_seeded_determinism(self):
-        a = make_gaussian_sketch(33, 17, seed=123)
-        b = make_gaussian_sketch(33, 17, seed=123)
-        assert np.array_equal(a.matrix, b.matrix)
-
-    def test_matrix_is_the_scaled_seeded_draw(self):
+        # exactly the seeded draw, scaled; (300, 1000) is the acos right sketch
         for rows, cols, seed in ((33, 17, 123), (300, 1000, 5)):
             want = generator(seed).standard_normal((rows, cols)) * (1 / math.sqrt(rows))
             assert np.array_equal(make_gaussian_sketch(rows, cols, seed).matrix, want)
