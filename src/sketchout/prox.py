@@ -18,10 +18,13 @@ the whole design then rates every column by the objective decrease of its
 best single-coordinate step.  The working set starts from the previous
 point's support and takes in the best-rated outside columns, at most
 doubling per round; a point is done once no rating exceeds the tolerance,
-which certifies it against the whole design.  A point's iteration count
-sums the FISTA iterations of its rounds.  Thresholds and weights are
-validated at the public entries (``soft_threshold``, ``lasso_path_solve``);
-the solver loops call the unchecked shrink ``_shrink``.
+which certifies it against the whole design.  The gathered block D_W and
+its step are computed once per working set: rounds and path points that
+keep the same set reuse them.  A point's iteration count sums the FISTA
+iterations of its rounds.  Thresholds and weights are validated at the
+public entries (``soft_threshold``, ``svt``, ``group_shrink``,
+``lasso_path_solve``); the solver loops call the unchecked ``_shrink``,
+``_svt`` and ``_group_shrink``.
 """
 
 from __future__ import annotations
@@ -38,11 +41,32 @@ def _shrink(v: np.ndarray, tau) -> np.ndarray:
 
 def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
     """sign(v) * max(|v| - tau, 0), elementwise; ``tau`` is a scalar or an
-    array that broadcasts against v.  A negative threshold raises
+    array that broadcasts against v.  A negative or NaN threshold raises
     ValueError; the LASSO loops skip that check and call ``_shrink``."""
-    if np.any(tau < 0):
+    if not np.all(np.greater_equal(tau, 0)):
         raise ValueError("threshold must be nonnegative")
     return _shrink(v, tau)
+
+
+def _svt(X: np.ndarray, tau: float) -> np.ndarray:
+    """``svt`` for a float array X and a nonnegative tau, unchecked but for
+    the finiteness of X."""
+    c = float(np.abs(X).max(initial=0.0))
+    if not math.isfinite(c):
+        raise ValueError("matrix entries must be finite")
+    if c == 0.0:
+        return np.zeros_like(X)
+    Xs = X / c
+    wide = X.shape[0] <= X.shape[1]
+    w, U = np.linalg.eigh(Xs @ Xs.T if wide else Xs.T @ Xs)
+    s = np.sqrt(np.maximum(w, 0.0))
+    t = float(tau) / c
+    keep = s > t
+    U = U[:, keep]
+    factor = c * (1.0 - t / s[keep])
+    if wide:
+        return (U * factor) @ (U.T @ Xs)
+    return ((Xs @ U) * factor) @ U.T
 
 
 def svt(X: np.ndarray, tau: float) -> np.ndarray:
@@ -60,38 +84,29 @@ def svt(X: np.ndarray, tau: float) -> np.ndarray:
     agrees with an SVD-based threshold to rounding when the singular values
     near tau lie well above sqrt(eps) * sigma_1, and is exactly zero when tau
     is at least the largest computed singular value.  Non-finite entries
-    raise ValueError.
+    and a negative or NaN threshold raise ValueError.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("threshold must be nonnegative")
-    X = np.asarray(X, dtype=float)
-    c = float(np.max(np.abs(X), initial=0.0))
-    if not np.isfinite(c):
-        raise ValueError("matrix entries must be finite")
-    if c == 0.0:
-        return np.zeros_like(X)
-    Xs = X / c
-    wide = X.shape[0] <= X.shape[1]
-    w, U = np.linalg.eigh(Xs @ Xs.T if wide else Xs.T @ Xs)
-    s = np.sqrt(np.maximum(w, 0.0))
-    t = float(tau) / c
-    keep = s > t
-    U = U[:, keep]
-    factor = c * (1.0 - t / s[keep])
-    if wide:
-        return (U * factor) @ (U.T @ Xs)
-    return ((Xs @ U) * factor) @ U.T
+    return _svt(np.asarray(X, dtype=float), tau)
+
+
+def _group_shrink(X: np.ndarray, tau: float) -> np.ndarray:
+    """``group_shrink`` for a nonnegative tau, unchecked."""
+    norms = np.sqrt((X * X).sum(axis=0))
+    # a zero column divides to inf and so takes the factor 0
+    factor = np.divide(tau, norms, out=np.full_like(norms, np.inf), where=norms > 0)
+    np.subtract(1.0, factor, out=factor)
+    return X * np.maximum(factor, 0.0, out=factor)
 
 
 def group_shrink(X: np.ndarray, tau: float) -> np.ndarray:
     """Shrink each column toward zero by tau in l2 norm (prox of tau * sum
-    of column norms).  Columns with norm at most tau map to exactly zero."""
-    if tau < 0:
+    of column norms).  Columns with norm at most tau map to exactly zero.
+    A negative or NaN threshold raises ValueError."""
+    if not tau >= 0:
         raise ValueError("threshold must be nonnegative")
-    norms = np.linalg.norm(X, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(norms > 0, np.maximum(1.0 - tau / norms, 0.0), 0.0)
-    return X * factor
+    return _group_shrink(np.asarray(X, dtype=float), tau)
 
 
 #: Each FISTA solve stops once its relative objective change is below this,
@@ -103,22 +118,27 @@ TOL_OBJECTIVE = 1e-8
 MAX_ITERS = 2000
 
 
-def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: float,
-           max_iters: int) -> tuple[np.ndarray, int]:
-    """FISTA from c, momentum reset, on min 1/2 ||y - D c||^2 + mu ||c||_1,
-    with the restart, step and stop described in ``lasso_path_solve``; the
-    step 1/sigma_max(D)^2 is the largest for which FISTA is guaranteed to
-    converge.  Returns the coefficients and the iteration count."""
+def _step(D: np.ndarray) -> float:
+    """1 / sigma_max(D)^2, the largest step for which FISTA on D is
+    guaranteed to converge, from the smaller Gram matrix of D."""
     gram = D @ D.T if D.shape[0] <= D.shape[1] else D.T @ D
-    step = 1.0 / float(np.max(np.linalg.eigvalsh(gram)))
+    return 1.0 / float(np.max(np.linalg.eigvalsh(gram)))
+
+
+def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: float,
+           step: float, max_iters: int) -> tuple[np.ndarray, int]:
+    """FISTA from c, momentum reset, on min 1/2 ||y - D c||^2 + mu ||c||_1,
+    with step ``_step(D)`` and the restart and stop described in
+    ``lasso_path_solve``.  Returns the coefficients and the iteration
+    count."""
     tau = mu * step
     r = D @ c - y
-    obj_prev = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c)))
+    obj_prev = 0.5 * float(r @ r) + mu * float(np.abs(c).sum())
     z, t, it = c, 1.0, 0
     for it in range(1, max_iters + 1):
         c_new = _shrink(z - step * (D.T @ (D @ z) - Dty), tau)
         r = D @ c_new - y
-        obj = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c_new)))
+        obj = 0.5 * float(r @ r) + mu * float(np.abs(c_new).sum())
         if not math.isfinite(obj):
             raise FloatingPointError("non-finite objective in LASSO iteration")
         if obj > obj_prev:  # function-value restart
@@ -151,8 +171,9 @@ def lasso_path_solve(
     coefficients held at zero.  W starts as the support of the previous
     point's coefficients (empty for the first point).  Each round first
     runs FISTA on D_W from the current coefficients (skipped while W is
-    empty): function-value restart, step 1 / sigma_max(D_W)^2 exact, stop
-    once the relative objective change is below TOL_OBJECTIVE.  It then
+    empty): function-value restart, step 1 / sigma_max(D_W)^2 exact and
+    computed only when W differs from the last W solved on, stop once the
+    relative objective change is below TOL_OBJECTIVE.  It then
     computes the full gradient g = D^T (y - D_W c_W), one pass over D, and
     rates every column j by the objective decrease of its best
     single-coordinate step from the current coefficients; for j outside W
@@ -167,11 +188,12 @@ def lasso_path_solve(
     A point's count is its FISTA iterations summed over its rounds, capped
     at ``max_iters``; a returned count equal to ``max_iters`` means some
     point hit that cap, and that point's coefficients are uncertified.  A
-    zero or non-finite design raises ValueError.
+    zero or non-finite design, and a weight that is not positive and
+    finite, raise ValueError.
     """
     regs = np.asarray(regs, dtype=float)
-    if np.any(regs <= 0):
-        raise ValueError("regularization weights must be positive")
+    if not np.all((regs > 0) & (regs < np.inf)):
+        raise ValueError("regularization weights must be positive and finite")
     D = np.asarray(design, dtype=float)
     y = np.asarray(observation, dtype=float).ravel()
     Dty = D.T @ y
@@ -186,23 +208,29 @@ def lasso_path_solve(
     coeffs = np.zeros((D.shape[1], regs.size))
     c = np.zeros(D.shape[1])
     worst = 0
+    # the working set whose block D[:, W] and step are held
+    held = np.empty(0, dtype=np.intp)
     for j in np.argsort(regs)[::-1]:
         mu = regs[j]
         tau = mu / sq
         W = np.flatnonzero(c)
         used = 0
         while True:
-            DW = D[:, W]
             if W.size:
-                c[W], it = _fista(DW, Dty[W], y, c[W], mu, max_iters - used)
+                if not np.array_equal(W, held):
+                    held, DW = W, D[:, W]
+                    step = _step(DW)
+                c[W], it = _fista(DW, Dty[W], y, c[W], mu, step, max_iters - used)
                 used += it
                 if used >= max_iters:
                     break
-            r = y - DW @ c[W]
-            obj = 0.5 * float(r @ r) + mu * float(np.sum(np.abs(c)))
+                r = y - DW @ c[W]
+                g = D.T @ r
+            else:
+                r, g = y, Dty
+            obj = 0.5 * float(r @ r) + mu * float(np.abs(c).sum())
             if not math.isfinite(obj):
                 raise FloatingPointError("non-finite objective in LASSO iteration")
-            g = D.T @ r
             # objective decrease of each column's best single-coordinate step
             t = _shrink(c + g / sq, tau)
             d = t - c

@@ -25,7 +25,12 @@ iterations ends before the inlier columns are annihilated to the precision
 the pipelines read.  The loop runs on Y divided by the smallest power of
 two above its largest absolute entry, so the iterates and the stop do not
 depend on the input's scale.  ``outlier_pursuit`` is the same solve with
-every entry observed.
+every entry observed.  The solve holds the unobserved entries as flat
+indices, taken once from the mask: the passes that zero the residual or
+fill in the estimate there write those entries only and never read the
+data at them, so a full mask costs no pass at all.  The loop calls the
+unchecked ``prox._svt`` and ``prox._group_shrink``, whose thresholds are
+positive by construction.
 
 Once the rank and the support settle, the map is locally linear (Poon &
 Liang 2019), and the loop extrapolates Z over it by type-II Anderson
@@ -57,13 +62,14 @@ into L).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .prox import group_shrink, svt
+from .prox import _group_shrink, _svt
 
 
 class SolverDivergenceError(RuntimeError):
@@ -167,6 +173,7 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     if not 0 < lam < np.inf:
         raise ValueError("lambda must be positive and finite, got %r" % (lam,))
     Y = np.where(mask, Y_obs, 0.0)
+    hidden = np.flatnonzero(~mask)
     degenerate = int(mask.sum()) < sum(Y.shape) - 1
     if not Y.any():
         return OpSolution(np.zeros_like(Y), np.zeros_like(Y), 0.0, 0, not degenerate, degenerate)
@@ -188,12 +195,15 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     res_prev = np.inf
     bad = 0
     for it in range(1, MAX_ITERS + 1):
-        L = svt(Z - C, 1.0 / rho)
-        C = group_shrink(Z - L, lam / rho)
+        L = _svt(Z - C, 1.0 / rho)
+        C = _group_shrink(Z - L, lam / rho)
         LC = L + C
-        R = np.where(mask, Y - LC, 0.0)
-        res = np.linalg.norm(R, "fro") / normY
-        G = np.where(mask, Z + R, LC)
+        R = Y - LC
+        np.put(R, hidden, 0.0)
+        r = R.ravel()
+        res = math.sqrt(r @ r) / normY
+        G = Z + R
+        np.put(G, hidden, LC.take(hidden))
         bad = bad + 1 if res > res_prev else 0
         if bad >= DIVERGE_PATIENCE:
             raise SolverDivergenceError(
@@ -205,8 +215,9 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
             # Z holds Lam / rho where observed: rescale it to the new
             # penalty, and forget the steps taken under the old one
             rho_old, rho = rho, rho * RHO_GROWTH
-            G = np.where(mask, Y + (G - Y) * (rho_old / rho), G)
-            Z, F_prev, held, slot = G, None, 0, 0
+            Z = Y + (G - Y) * (rho_old / rho)
+            np.put(Z, hidden, G.take(hidden))
+            G, F_prev, held, slot = Z, None, 0, 0
             res_prev = res
             continue
         res_prev = res
@@ -232,7 +243,8 @@ def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
                 F_prev, held, slot = None, 0, 0
             else:
                 Z = G - (gamma @ dG[:held]).reshape(G.shape)
-    Lam = rho * np.where(mask, G - Y, 0.0)
+    Lam = rho * (G - Y)
+    np.put(Lam, hidden, 0.0)
     converged = bool(res <= TOL_RESIDUAL) and not degenerate
     return OpSolution(np.ldexp(L, e), np.ldexp(C, e), res, it, converged, degenerate,
                       (Y, L, C + R, Lam, lam))

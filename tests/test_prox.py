@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sketchout import prox
 from sketchout.prox import TOL_OBJECTIVE, group_shrink, lasso_path_solve, soft_threshold, svt
 
 from conftest import gaussian_product, with_spectrum
@@ -175,6 +176,24 @@ class TestGroupShrink:
         assert lhs <= np.linalg.norm(X - Y, "fro") + 1e-8
 
 
+@pytest.mark.parametrize("tau", [-0.1, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "op", [soft_threshold, svt, group_shrink], ids=["soft_threshold", "svt", "group_shrink"]
+)
+def test_bad_threshold_rejected(op, tau):
+    with pytest.raises(ValueError, match="nonnegative"):
+        op(np.ones((3, 4)), tau)
+
+
+@pytest.mark.parametrize("op", [svt, group_shrink], ids=["svt", "group_shrink"])
+def test_input_left_unchanged(op):
+    X = gaussian_product((6, 9), 2, seed=51)
+    X[:, 4] = 0.0
+    before = X.copy()
+    op(X, 0.5)
+    assert np.array_equal(X, before)
+
+
 def _coordinate_descent(D, y, mu, passes=20000, tol=1e-13):
     """Independent LASSO oracle: cyclic coordinate descent to convergence."""
     n = D.shape[1]
@@ -321,6 +340,38 @@ class TestLasso:
             lasso_path_solve(np.zeros((2, 2)), np.ones(2), [1.0])
         with pytest.raises(ValueError):
             lasso_path_solve(np.eye(2), np.ones(2), [0.5, -1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lasso_path_solve(np.eye(2), np.ones(2), [0.5, bad])
+
+    def test_step_computed_once_per_working_set(self, monkeypatch):
+        # the step is the largest Gram eigenvalue of the working block D[:, W]:
+        # one eigvalsh each time W changes between FISTA runs, none for rounds
+        # and path points that keep W
+        D, y, mus = _wide_sparse_problem()
+        ref, ref_iters = lasso_path_solve(D, y, mus)
+        blocks, eig_calls = [], []
+        fista, eigvalsh = prox._fista, np.linalg.eigvalsh
+
+        def recording(DW, *args):
+            blocks.append(DW)
+            return fista(DW, *args)
+
+        def counting(a, *args, **kwargs):
+            eig_calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(prox, "_fista", recording)
+        monkeypatch.setattr(prox.np.linalg, "eigvalsh", counting)
+        path, iters = lasso_path_solve(D, y, mus)
+        changes = sum(
+            i == 0 or not np.array_equal(b, blocks[i - 1]) for i, b in enumerate(blocks)
+        )
+        assert changes < len(blocks)  # some runs keep the previous working set
+        assert len(eig_calls) == changes
+        assert np.array_equal(path, ref) and iters == ref_iters
 
     def test_wide_sparse_path_matches_oracle(self):
         D, y, mus = _wide_sparse_problem()

@@ -179,14 +179,17 @@ class TestRmcSolve:
         with pytest.raises(ValueError):
             rmc_solve(np.ones((3, 3)), np.ones((3, 4), bool), 0.3)
 
-    def test_unobserved_entries_ignored(self):
+    @pytest.mark.parametrize("junk", [1e6, np.nan, np.inf], ids=["1e6", "nan", "inf"])
+    def test_unobserved_entries_ignored(self, junk):
+        # bit for bit: no pass of the solve reads an unobserved entry
         Y = gaussian_product((20, 50), 1, seed=4)
         rng = np.random.Generator(np.random.Philox(key=10))
         mask = rng.random(Y.shape) < 0.8
-        junk = np.where(mask, Y, 1e6)
-        a = rmc_solve(junk, mask, 0.4)
+        a = rmc_solve(np.where(mask, Y, junk), mask, 0.4)
         b = rmc_solve(np.where(mask, Y, 0.0), mask, 0.4)
-        assert np.allclose(a.low_rank, b.low_rank)
+        assert np.array_equal(a.low_rank, b.low_rank)
+        assert np.array_equal(a.column_sparse, b.column_sparse)
+        assert a.iterations == b.iterations and a.residual == b.residual
 
 
 class TestConvergedFlag:
