@@ -96,12 +96,7 @@ def _cmd_budget(args) -> int:
 
 def _cmd_detect(args) -> int:
     M = io.read_matrix_csv(args.matrix)
-    mask = None
-    if args.mask is not None:
-        mask = io.read_matrix_csv(args.mask)
-        if not ((mask == 0) | (mask == 1)).all():
-            raise ValueError("mask entries must be exactly 0 or 1")
-        mask = mask == 1
+    mask = None if args.mask is None else io.read_matrix_csv(args.mask)
     est, rate = detect(args.mode, M, _config(args), mask)
     print("declared: %s" % ",".join(str(i) for i in est.declared))
     print("sampling_rate: %.6f" % rate)

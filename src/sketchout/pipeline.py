@@ -4,6 +4,10 @@
 column space from a random column subsample, then recover outlier
 locations by l1 decoding of a doubly compressed residual (one probe row
 against the subspace complement, one dense compression across columns).
+Only the probe row depends on step 1: the compression across columns is
+non-adaptive, so when the process has a CPU that none of its threads
+claims (``_spare_cpu``), acos draws it on a worker thread while step 1
+runs on the calling thread.
 ``sacos`` skips the second compression and scores every sketched column by
 its residual norm orthogonal to the learned subspace.  ``sacos_missing``
 is the missing-data variant: the sketch becomes a row subsample, the
@@ -21,13 +25,18 @@ non-finite measurements, so the adaptivity boundary is auditable.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import prox
+from . import prox, sketching
 from .rng import derive_seed
-# bench/tracing.py rebinds these layer names in this module to time them
+# bench/tracing.py rebinds these layer names in this module to time them,
+# with one span stack for the calling thread; acos's drawing worker calls
+# sketching.make_gaussian_sketch instead, so it opens no span
 from .sketching import (
     make_column_sampler,
     make_gaussian_sketch,
@@ -35,7 +44,7 @@ from .sketching import (
     make_row_subsampler,
 )
 from .prox import lasso_path_solve
-from .solver import GAP_RATIO, _gap_cut, outlier_pursuit, rmc_solve, subspace_basis
+from .solver import GAP_RATIO, _gap_cut, as_mask, outlier_pursuit, rmc_solve, subspace_basis
 
 MODES = ("acos", "sacos", "sacos_missing")
 
@@ -106,13 +115,13 @@ class MatrixSource:
     """Column-access provider around the data matrix.
 
     The pipelines read the data only through these methods; ``measurements``
-    counts every scalar collected.  Each returned block must be finite, with
-    a finite sum of squares, or the read raises ValueError: downstream
-    least-squares steps cannot use it.
+    counts every scalar collected.  The data must be real (``prox.as_real``).
+    Each returned block must be finite, with a finite sum of squares, or the
+    read raises ValueError: downstream least-squares steps cannot use it.
     """
 
     def __init__(self, M: np.ndarray):
-        self._M = np.asarray(M, dtype=float)
+        self._M = prox.as_real(M, "data")
         if self._M.ndim != 2 or self._M.shape[1] < 1:
             raise ValueError("data must be a matrix with at least one column")
         self.measurements = 0
@@ -159,6 +168,16 @@ def check_mode(mode: str, cfg: AcosConfig, masked: bool) -> None:
         raise ValueError("mode acos needs p >= 1 for its decoding step, got p=%r" % (cfg.p,))
 
 
+def _spare_cpu() -> bool:
+    """True when this process may run on more CPUs than it has threads
+    (BLAS pools included), so a worker thread contends with none of them;
+    false where the counts cannot be read (non-Linux hosts)."""
+    try:
+        return len(os.sched_getaffinity(0)) > len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return False
+
+
 def _resolve_lambda(cfg: AcosConfig, n2: int) -> float:
     """``cfg.lam``, or the Outlier Pursuit weight 3 / (7 sqrt(k)) for the
     outlier bound k = ceil(n2 / 10); n2 >= 1 makes k >= 1."""
@@ -202,19 +221,28 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     LASSO weights; the returned scores belong to the path point with the
     best multiplicative separation.  Also returns the exact number of
     scalar measurements collected (|S| m + p).
+
+    The p x n2 compression of step 2 is non-adaptive.  When a CPU is
+    spare (``_spare_cpu``) a one-thread pool, created and shut down inside
+    this call, draws it during step 1; otherwise it is drawn after step 1.
+    Both draw it from the same seed, so the result is the same.
     """
     check_mode("acos", cfg, False)
     src = MatrixSource(M)
     n1, n2 = src.shape
-    cols = _sample_columns(n2, cfg)
-    sketch = make_gaussian_sketch(cfg.m, n1, derive_seed(cfg.seed, 2))
-    Y1 = src.sketch(sketch.matrix, cols)
+    right_seed = derive_seed(cfg.seed, 3)
+    spare = _spare_cpu()
+    with ThreadPoolExecutor(1) if spare else nullcontext() as pool:
+        drawn = pool.submit(sketching.make_gaussian_sketch, cfg.p, n2, right_seed) if spare else None
+        cols = _sample_columns(n2, cfg)
+        sketch = make_gaussian_sketch(cfg.m, n1, derive_seed(cfg.seed, 2))
+        Y1 = src.sketch(sketch.matrix, cols)
 
-    lam = _resolve_lambda(cfg, n2)
-    sol = outlier_pursuit(Y1, lam)
-    basis = subspace_basis(sol.low_rank)
+        lam = _resolve_lambda(cfg, n2)
+        sol = outlier_pursuit(Y1, lam)
+        basis = subspace_basis(sol.low_rank)
 
-    right = make_gaussian_sketch(cfg.p, n2, derive_seed(cfg.seed, 3))
+        right = drawn.result() if spare else make_gaussian_sketch(cfg.p, n2, right_seed)
     phi = make_probe_vector(cfg.m, derive_seed(cfg.seed, 4)).matrix.ravel()
     w = basis.project_out(phi) @ sketch.matrix  # phi P Phi, 1 x n1
     y2 = src.row_sketch(w, right.matrix)
@@ -271,11 +299,12 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     to its observed rows (fit by its normal equations, all columns in one
     batched solve).  Columns with no observations, or with no more
     observations than the basis dimension, score zero, are flagged, and
-    take no part in the declaration.  Returns the fraction of matrix
-    entries read.
+    take no part in the declaration.  The mask is boolean or holds exactly
+    0 and 1 (``solver.as_mask``).  Returns the fraction of matrix entries
+    read.
     """
+    mask = as_mask(mask)
     src = MatrixSource(M_obs)
-    mask = np.asarray(mask, dtype=bool)
     if mask.shape != src.shape:
         raise ValueError("mask shape must match the data")
     n1, n2 = src.shape

@@ -24,7 +24,9 @@ keep the same set reuse them.  A point's iteration count sums the FISTA
 iterations of its rounds.  Thresholds and weights are validated at the
 public entries (``soft_threshold``, ``svt``, ``group_shrink``,
 ``lasso_path_solve``); the solver loops call the unchecked ``_shrink``,
-``_svt`` and ``_group_shrink``.
+``_svt`` and ``_group_shrink``.  ``as_real`` casts the inputs of
+``lasso_path_solve``, ``solver.rmc_solve`` and the pipelines' data: it
+refuses complex input instead of dropping its imaginary part.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def as_real(x, name: str) -> np.ndarray:
+    """``x`` as a float array; complex input raises ValueError ("<name> must
+    be real") rather than lose its imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError("%s must be real" % name)
+    return np.asarray(x, dtype=float)
 
 
 def _shrink(v: np.ndarray, tau) -> np.ndarray:
@@ -191,11 +202,11 @@ def lasso_path_solve(
     zero or non-finite design, and a weight that is not positive and
     finite, raise ValueError.
     """
-    regs = np.asarray(regs, dtype=float)
+    regs = as_real(regs, "regularization weights")
     if not np.all((regs > 0) & (regs < np.inf)):
         raise ValueError("regularization weights must be positive and finite")
-    D = np.asarray(design, dtype=float)
-    y = np.asarray(observation, dtype=float).ravel()
+    D = as_real(design, "design")
+    y = as_real(observation, "observation").ravel()
     Dty = D.T @ y
     col_sq = np.einsum("ij,ij->j", D, D)
     total = float(np.sum(col_sq))

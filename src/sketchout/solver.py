@@ -69,7 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .prox import _group_shrink, _svt
+from .prox import _group_shrink, _svt, as_real
 
 
 class SolverDivergenceError(RuntimeError):
@@ -148,6 +148,18 @@ class OpSolution:
         return _duality_gap(*self._gap_terms) if self._gap_terms else 0.0
 
 
+def as_mask(mask) -> np.ndarray:
+    """An observation mask as a boolean array (true = observed).  A boolean
+    array passes as is; any other must hold exactly 0 or 1, or ValueError
+    is raised: 0.5, NaN or -1 observe nothing and hide nothing."""
+    mask = np.asarray(mask)
+    if mask.dtype == bool:
+        return mask
+    if not ((mask == 0) | (mask == 1)).all():
+        raise ValueError("mask entries must be exactly 0 or 1")
+    return mask == 1
+
+
 def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
     """Separate Y into low-rank and column-sparse parts under an exact
     decomposition constraint: ``rmc_solve`` with every entry observed."""
@@ -156,14 +168,14 @@ def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
 
 def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
     """Separate Y into low-rank and column-sparse parts, enforcing Y = L + C
-    only on entries where mask is true; unobserved entries of Y_obs are
-    never read (||Y|| counts them as zeros).  ``converged`` means the
+    only on entries where mask is true (``as_mask``); unobserved entries of
+    Y_obs are never read (||Y|| counts them as zeros).  ``converged`` means the
     residual test passed within MAX_ITERS iterations.  With fewer observed
     entries than n1 + n2 - 1 the solution is not unique and the result is
     flagged degenerate (converged stays false; the residual certificate is
     still reported)."""
-    mask = np.asarray(mask, dtype=bool)
-    Y_obs = np.asarray(Y_obs, dtype=float)
+    mask = as_mask(mask)
+    Y_obs = as_real(Y_obs, "data")
     if mask.shape != Y_obs.shape:
         raise ValueError("mask shape must match the data")
     if not mask.any():

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sketchout import pipeline, prox, solver
+from sketchout import pipeline, prox, sketching, solver
 from sketchout.pipeline import (
     MODES,
     AcosConfig,
@@ -22,6 +24,9 @@ from sketchout.pipeline import (
 from sketchout.rng import derive_seed
 from sketchout.sketching import make_column_sampler, make_gaussian_sketch, make_row_subsampler
 from sketchout.synth import bernoulli_mask, generate_instance, oracle_success
+
+from check_corpus import entry
+from declaration_study import planted
 
 
 class TestConfig:
@@ -191,6 +196,94 @@ class TestAcos:
             assert list(acos(inst.M * scale, cfg)[0].declared) == ref
 
 
+class TestRightSketchWorker:
+    """acos draws its right sketch on a worker thread when ``_spare_cpu``
+    says a CPU is free, and after step 1 otherwise; both paths must give
+    the same result bit for bit."""
+
+    # each maker returns the instance first and the config last
+    INPUTS = {
+        "(5, 10) 0": lambda: entry("acos", 5, 10, 0),
+        "(5, 10) 1": lambda: entry("acos", 5, 10, 1),
+        "(10, 30) 0": lambda: entry("acos", 10, 30, 0),
+        "(40, 100) 0": lambda: entry("acos", 40, 100, 0),
+        "(5, 10) sigma 1e-4": lambda: planted(5, 10, 1e-4)(0),
+    }
+
+    @staticmethod
+    def run_with(monkeypatch, spare, M, cfg):
+        monkeypatch.setattr(pipeline, "_spare_cpu", lambda: spare)
+        return acos(M, cfg)
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_both_paths_bit_identical(self, monkeypatch, name):
+        inst, *_, cfg = self.INPUTS[name]()
+        (a, count_a), (b, count_b) = (self.run_with(monkeypatch, spare, inst.M, cfg) for spare in (True, False))
+        assert count_a == count_b
+        for attr in ("scores", "score_path", "declared"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+        assert (a.converged, a.mu_used) == (b.converged, b.mu_used)
+
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_right_sketch_drawn_off_the_calling_thread_only_when_spare(self, monkeypatch, spare):
+        inst = generate_instance(30, 150, 2, 4, seed=21)
+        cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
+        draws = []
+        draw = sketching.make_gaussian_sketch
+
+        def recording(rows, cols, seed):
+            draws.append((rows, cols, threading.current_thread() is threading.main_thread()))
+            return draw(rows, cols, seed)
+
+        monkeypatch.setattr(sketching, "make_gaussian_sketch", recording)
+        monkeypatch.setattr(pipeline, "make_gaussian_sketch", recording)
+        self.run_with(monkeypatch, spare, inst.M, cfg)
+        assert sorted(draws) == sorted([(cfg.m, 30, True), (cfg.p, 150, not spare)])
+
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_step1_failure_propagates_and_leaves_no_thread(self, monkeypatch, spare):
+        inst = generate_instance(30, 150, 2, 4, seed=21)
+        cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
+        sampled = make_column_sampler(150, cfg.gamma, derive_seed(cfg.seed, 1)).indices
+        M = inst.M.copy()
+        M[3, sampled[0]] = np.nan
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="measurements must be finite"):
+            self.run_with(monkeypatch, spare, M, cfg)
+        assert threading.active_count() == before
+
+    def test_worker_failure_propagates(self, monkeypatch):
+        def failing(rows, cols, seed):
+            raise MemoryError("no room for the right sketch")
+
+        monkeypatch.setattr(sketching, "make_gaussian_sketch", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no room for the right sketch"):
+            self.run_with(monkeypatch, True, generate_instance(30, 150, 2, 4, seed=21).M,
+                          AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77))
+        assert threading.active_count() == before
+
+    def test_no_spare_cpu_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert pipeline._spare_cpu() is False
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs a per-thread /proc listing")
+    def test_spare_cpu_when_cpus_outnumber_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 << 14)), raising=False)
+        assert pipeline._spare_cpu() is True
+
+    def test_no_spare_cpu_where_counts_are_unreadable(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert pipeline._spare_cpu() is False
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 << 14)), raising=False)
+
+        def unreadable(path):
+            raise OSError("no such listing")
+
+        monkeypatch.setattr(os, "listdir", unreadable)
+        assert pipeline._spare_cpu() is False
+
+
 class TestSacos:
     def test_no_outliers_all_scores_tiny(self):
         inst = generate_instance(30, 200, 2, 0, seed=11)
@@ -287,6 +380,26 @@ class TestSacosMissing:
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError):
             sacos_missing(np.ones((4, 5)), np.ones((4, 4), bool), AcosConfig(gamma=0.5, m=2))
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, -1.0, 2.0], ids=["half", "nan", "negative", "two"])
+    def test_mask_entry_other_than_0_or_1_rejected(self, bad):
+        # such an entry used to read as observed: with every hidden entry at
+        # 0.5 the pipeline read whole rows and declared none of the outliers
+        inst = generate_instance(40, 200, 2, 5, seed=1)
+        mask = bernoulli_mask(40, 200, 0.7, seed=2).astype(float)
+        mask[mask == 0] = bad
+        with pytest.raises(ValueError, match="mask entries must be exactly 0 or 1"):
+            detect("sacos_missing", inst.M, AcosConfig(gamma=0.4, m=30, lam=0.4, seed=1), mask)
+
+    def test_zero_one_mask_matches_boolean_mask(self):
+        inst = generate_instance(40, 200, 2, 5, seed=1)
+        mask = bernoulli_mask(40, 200, 0.7, seed=2)
+        cfg = AcosConfig(gamma=0.4, m=30, lam=0.4, seed=1)
+        est, rate = sacos_missing(inst.M, mask, cfg)
+        for numeric in (mask.astype(float), mask.astype(np.int8)):
+            got, got_rate = sacos_missing(inst.M, numeric, cfg)
+            assert np.array_equal(got.scores, est.scores) and got_rate == rate
+            assert np.array_equal(got.declared, est.declared)
 
     def test_batched_scores_match_per_column_loop(self, monkeypatch):
         inst = generate_instance(30, 150, 3, 6, seed=41)
@@ -444,6 +557,15 @@ class TestDetect:
         for mode in ("acos", "sacos"):
             with pytest.raises(ValueError, match="no other mode reads one"):
                 detect(mode, inst.M, cfg, np.ones(inst.M.shape, bool))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_complex_data_rejected(self, mode):
+        # a float cast used to warn and then detect on the real part alone
+        inst = generate_instance(30, 150, 2, 4, seed=21)
+        mask = bernoulli_mask(30, 150, 0.7, seed=3) if mode == "sacos_missing" else None
+        cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
+        with pytest.raises(ValueError, match="data must be real"):
+            detect(mode, inst.M + 1j * inst.M, cfg, mask)
 
     @pytest.mark.parametrize("shape", [(30,), (30, 0)], ids=["vector", "no-columns"])
     @pytest.mark.parametrize("mode", ["acos", "sacos"])

@@ -341,6 +341,15 @@ class TestLasso:
         with pytest.raises(ValueError):
             lasso_path_solve(np.eye(2), np.ones(2), [0.5, -1.0])
 
+    @pytest.mark.parametrize("arg", [0, 1, 2], ids=["design", "observation", "weights"])
+    def test_complex_input_rejected(self, arg):
+        # a float cast used to warn and then solve the real part alone
+        args = [np.eye(2), np.ones(2), [1.0]]
+        args[arg] = np.asarray(args[arg]) * (1 + 1j)
+        name = ["design", "observation", "regularization weights"][arg]
+        with pytest.raises(ValueError, match=name + " must be real"):
+            lasso_path_solve(*args)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_nonfinite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -179,6 +179,20 @@ class TestRmcSolve:
         with pytest.raises(ValueError):
             rmc_solve(np.ones((3, 3)), np.ones((3, 4), bool), 0.3)
 
+    @pytest.mark.parametrize("bad", [0.5, np.nan, -1.0], ids=["half", "nan", "negative"])
+    def test_mask_entry_other_than_0_or_1_rejected(self, bad):
+        # such an entry used to read as observed
+        mask = np.ones((20, 60))
+        mask[4, 7] = bad
+        with pytest.raises(ValueError, match="mask entries must be exactly 0 or 1"):
+            rmc_solve(generate_instance(20, 60, 2, 3, seed=5).M, mask, 0.4)
+
+    def test_complex_data_rejected(self):
+        # a float cast used to warn and then solve the real part alone
+        M = generate_instance(20, 60, 2, 3, seed=5).M
+        with pytest.raises(ValueError, match="data must be real"):
+            rmc_solve(M + 1j * M, np.ones(M.shape, bool), 0.4)
+
     @pytest.mark.parametrize("junk", [1e6, np.nan, np.inf], ids=["1e6", "nan", "inf"])
     def test_unobserved_entries_ignored(self, junk):
         # bit for bit: no pass of the solve reads an unobserved entry
