@@ -1,7 +1,7 @@
 """Outlier-column identification from a few adaptive linear sketches.
 
-The top level holds the documented entry points; every other name is
-importable from its own module (``sketchout.solver``, ``sketchout.prox``,
+The top level holds the documented entry points; the machinery behind
+them is each module's ``__all__`` (``sketchout.solver``, ``sketchout.prox``,
 ``sketchout.sketching``, ...).
 """
 
@@ -12,3 +12,7 @@ from .pipeline import (
 )
 from .solver import SolverDivergenceError
 from .synth import bernoulli_mask, generate_instance, phase_grid
+
+__all__ = ["MODES", "AcosConfig", "PipelineError", "SolverDivergenceError", "SupportEstimate",
+           "acos", "bernoulli_mask", "detect", "extract_support", "generate_instance",
+           "phase_grid", "sacos", "sacos_missing", "saliency_map"]

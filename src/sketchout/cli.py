@@ -30,6 +30,8 @@ from .sketching import SampleBudget, max_outliers, min_col_budget, min_gamma, mi
 from .solver import SolverDivergenceError
 from .synth import phase_grid
 
+__all__ = ["main"]
+
 
 def _add_config_flags(parser) -> None:
     """The AcosConfig flags shared by ``detect`` and ``saliency``."""

@@ -19,6 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .pipeline import AcosConfig, detect
+from .prox import as_real
+
+__all__ = ["PATCH", "patch_matrix", "read_pgm", "saliency_map", "write_pgm"]
 
 #: Side of a square patch, in pixels.
 PATCH = 10
@@ -27,17 +30,12 @@ PATCH = 10
 def patch_matrix(image: np.ndarray) -> np.ndarray:
     """The PATCH^2 x patch-count matrix of a grayscale image: one column
     per patch (column-stacked pixels in [0, 1]), patches row-major over
-    the patch grid."""
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise ValueError("expected a 2-D grayscale image")
+    the patch grid; integer pixels are divided by 255."""
+    scale = 255.0 if np.asarray(image).dtype.kind in "ui" else 1.0
+    image = as_real(image, "image", ndim=2) / scale
     h, w = image.shape
     if h < PATCH or w < PATCH:
         raise ValueError("image smaller than one patch")
-    if image.dtype.kind in "ui":
-        image = image.astype(float) / 255.0
-    else:
-        image = image.astype(float)
     gr, gc = h // PATCH, w // PATCH
     blocks = image[: gr * PATCH, : gc * PATCH].reshape(gr, PATCH, gc, PATCH)
     # column j = (i_patch * gc + j_patch); each patch column-stacked
@@ -92,10 +90,9 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write a uint8 array as binary PGM (P5, maxval 255)."""
+    """Write a 2-D array of pixels, cast to uint8, as binary PGM (P5, maxval 255)."""
+    as_real(image, "image", ndim=2)
     image = np.ascontiguousarray(image, dtype=np.uint8)
-    if image.ndim != 2:
-        raise ValueError("expected a 2-D image")
     h, w = image.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (w, h))

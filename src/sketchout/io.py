@@ -15,10 +15,14 @@ import json
 import numpy as np
 
 from . import imaging
+from .prox import as_real
+
+__all__ = ["load_config", "read_matrix_csv", "write_matrix_csv", "write_phase_csv",
+           "write_phase_pgm"]
 
 
 def write_matrix_csv(path, X: np.ndarray) -> None:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = as_real(np.atleast_2d(X), "X", ndim=2)
     with open(path, "w", newline="\n") as fh:
         fh.write("%d,%d\n" % X.shape)
         for row in X:

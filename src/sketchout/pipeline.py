@@ -25,6 +25,7 @@ non-finite measurements, so the adaptivity boundary is auditable.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -46,6 +47,10 @@ from .sketching import (
 from .prox import lasso_path_solve
 from .solver import GAP_RATIO, _gap_cut, as_mask, outlier_pursuit, rmc_solve, subspace_basis
 
+__all__ = ["MODES", "MU_PATH_LO", "PATH_POINTS", "AcosConfig", "MatrixSource", "PipelineError",
+           "SupportEstimate", "acos", "check_mode", "detect", "extract_support",
+           "measurement_count", "sacos", "sacos_missing"]
+
 MODES = ("acos", "sacos", "sacos_missing")
 
 #: Lower end of the regularization path, as a fraction of the null
@@ -61,6 +66,14 @@ class PipelineError(RuntimeError):
     """Degenerate sampling or other unrecoverable pipeline failure."""
 
 
+def _check_kind(kind, what, **values) -> None:
+    """Raise ValueError naming the first value that is not a ``kind``; a
+    bool passes only where ``kind`` is bool."""
+    for key, value in values.items():
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError("%s must be %s, got %r" % (key, what, value))
+
+
 @dataclass(frozen=True)
 class AcosConfig:
     """Sampling and decoding parameters for one pipeline run.
@@ -71,7 +84,8 @@ class AcosConfig:
     the sacos variants do not read it.  ``lam`` is the separation weight,
     positive and finite; None leaves it to the pipeline, which sizes it
     from the column count (``_resolve_lambda``).  ``seed`` derives the
-    seed of every operator the run draws.
+    seed of every operator the run draws; ``m``, ``p`` and ``seed`` are
+    integers.
     """
 
     gamma: float
@@ -81,6 +95,7 @@ class AcosConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_kind(numbers.Integral, "an integer", m=self.m, p=self.p, seed=self.seed)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if self.m < 1:
@@ -121,7 +136,7 @@ class MatrixSource:
     """
 
     def __init__(self, M: np.ndarray):
-        self._M = prox.as_real(M, "data")
+        self._M = prox.as_real(M, "data", finite=False)
         if self._M.ndim != 2 or self._M.shape[1] < 1:
             raise ValueError("data must be a matrix with at least one column")
         self.measurements = 0
@@ -136,7 +151,7 @@ class MatrixSource:
             out = measure()
             finite = np.isfinite(np.vdot(out, out))
         if not finite:
-            raise ValueError("measurements must be finite")
+            raise ValueError("data measurements must be finite")
         self.measurements += out.size if count is None else count
         return out
 
@@ -202,16 +217,14 @@ def extract_support(scores: np.ndarray) -> np.ndarray:
     sequence, provided that gap exceeds GAP_RATIO (exactly zero scores
     below any positive ones always qualify); otherwise declares nothing.
     """
-    scores = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
+    scores = prox.as_real(scores, "scores", ndim=1)
     ratio, count = _gap_cut(scores)
     if ratio > GAP_RATIO and count < scores.size:
         return np.sort(np.argsort(scores)[::-1][:count])
     return np.array([], dtype=int)
 
 
-def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
+def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     """Two-step adaptive identification of outlier columns.
 
     Step 1 sketches a Bernoulli column subsample, separates it into
@@ -271,7 +284,7 @@ def acos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     return est, src.measurements
 
 
-def sacos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
+def sacos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     """Single-compression variant: sketch every column once (m n2
     measurements), learn the subspace from a column subsample, and score
     each sketched column by its residual norm outside the subspace."""
@@ -289,7 +302,9 @@ def sacos(M, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     return est, src.measurements
 
 
-def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, float]:
+def sacos_missing(
+    M_obs: np.ndarray, mask: np.ndarray, cfg: AcosConfig
+) -> tuple[SupportEstimate, float]:
     """Missing-data variant over entry-sampled data.
 
     The sketch is a row subsample, so only observed entries in the selected
@@ -303,10 +318,8 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     0 and 1 (``solver.as_mask``).  Returns the fraction of matrix entries
     read.
     """
-    mask = as_mask(mask)
     src = MatrixSource(M_obs)
-    if mask.shape != src.shape:
-        raise ValueError("mask shape must match the data")
+    mask = as_mask(mask, src.shape)
     n1, n2 = src.shape
     rows = make_row_subsampler(n1, cfg.m, derive_seed(cfg.seed, 2)).indices
     cols = _sample_columns(n2, cfg)
@@ -339,7 +352,9 @@ def sacos_missing(M_obs, mask: np.ndarray, cfg: AcosConfig) -> tuple[SupportEsti
     return est, src.measurements / (n1 * n2)
 
 
-def detect(mode: str, M, cfg: AcosConfig, mask=None) -> tuple[SupportEstimate, float]:
+def detect(
+    mode: str, M: np.ndarray, cfg: AcosConfig, mask: np.ndarray | None = None
+) -> tuple[SupportEstimate, float]:
     """Run the pipeline named by ``mode`` (one of MODES) on M.
 
     Returns the estimate and the sampling rate, the fraction of the

@@ -1,32 +1,20 @@
 """Proximal operators and the accelerated LASSO solver.
 
-The three proximal maps (elementwise soft threshold for the l1 norm,
-singular value thresholding for the nuclear norm, columnwise group
-shrinkage for the sum of column l2 norms) are the building blocks of the
-splitting solvers.  ``svt`` thresholds through the eigendecomposition of
-the smaller Gram matrix rather than a full SVD, with the matrix divided by
-its largest absolute entry first so that squaring it cannot overflow or
-underflow; its docstring gives the accuracy.  ``lasso_path_solve`` is the
-one LASSO entry point, run along a path of regularization weights sharing
-one design matrix (a single weight is a path of length 1).  The path is
-solved by continuation: largest weight first, each point warm-started from
-the previous point's solution.  Each point is solved on a working set of
-columns: FISTA with function-value restart and step size 1/L, L =
-sigma_max(D_W)^2 computed exactly as the largest eigenvalue of the working
-columns' smaller Gram matrix, solves on the working set, and one pass over
-the whole design then rates every column by the objective decrease of its
-best single-coordinate step.  The working set starts from the previous
-point's support and takes in the best-rated outside columns, at most
-doubling per round; a point is done once no rating exceeds the tolerance,
-which certifies it against the whole design.  The gathered block D_W and
-its step are computed once per working set: rounds and path points that
-keep the same set reuse them.  A point's iteration count sums the FISTA
-iterations of its rounds.  Thresholds and weights are validated at the
-public entries (``soft_threshold``, ``svt``, ``group_shrink``,
-``lasso_path_solve``); the solver loops call the unchecked ``_shrink``,
-``_svt`` and ``_group_shrink``.  ``as_real`` casts the inputs of
-``lasso_path_solve``, ``solver.rmc_solve`` and the pipelines' data: it
-refuses complex input instead of dropping its imaginary part.
+The three proximal maps (``_shrink``, the elementwise soft threshold for
+the l1 norm; ``_svt``, singular value thresholding for the nuclear norm;
+``_group_shrink``, columnwise shrinkage for the sum of column l2 norms)
+are the building blocks of the solver loops, which make their thresholds
+nonnegative and so call them unchecked.  ``_svt`` thresholds through the
+eigendecomposition of the smaller Gram matrix rather than a full SVD, with
+the matrix divided by its largest absolute entry first so that squaring it
+cannot overflow or underflow; its docstring gives the accuracy.
+``lasso_path_solve`` is the one LASSO entry point, run along a path of
+regularization weights sharing one design matrix (a single weight is a
+path of length 1) by continuation, each point solved by FISTA on a working
+set of columns; its docstring gives the algorithm.  ``as_real`` is the
+package's rule for an input array: it refuses complex input instead of
+dropping its imaginary part, a wrong dimension count, and NaN or infinite
+entries where the caller does not check those itself as it reads them.
 """
 
 from __future__ import annotations
@@ -35,33 +23,48 @@ import math
 
 import numpy as np
 
+__all__ = ["MAX_ITERS", "TOL_OBJECTIVE", "as_real", "lasso_path_solve"]
 
-def as_real(x, name: str) -> np.ndarray:
-    """``x`` as a float array; complex input raises ValueError ("<name> must
-    be real") rather than lose its imaginary part."""
+
+def as_real(x: np.ndarray, name: str, ndim: int | None = None, finite: bool = True) -> np.ndarray:
+    """``x`` as a float array; ValueError naming ``name`` if x is complex
+    (rather than drop its imaginary part), has not ``ndim`` dimensions when
+    that is given, or holds a NaN or an infinity when ``finite`` is set."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
         raise ValueError("%s must be real" % name)
-    return np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if ndim is not None and x.ndim != ndim:
+        raise ValueError("%s must be %d-D, got shape %s" % (name, ndim, x.shape))
+    if finite and not np.isfinite(x).all():
+        raise ValueError("%s must be finite" % name)
+    return x
 
 
 def _shrink(v: np.ndarray, tau) -> np.ndarray:
-    """sign(v) * max(|v| - tau, 0) for a nonnegative ``tau``, unchecked."""
+    """sign(v) * max(|v| - tau, 0), elementwise, for a nonnegative ``tau``
+    (a scalar or an array that broadcasts against v), unchecked."""
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
-    """sign(v) * max(|v| - tau, 0), elementwise; ``tau`` is a scalar or an
-    array that broadcasts against v.  A negative or NaN threshold raises
-    ValueError; the LASSO loops skip that check and call ``_shrink``."""
-    if not np.all(np.greater_equal(tau, 0)):
-        raise ValueError("threshold must be nonnegative")
-    return _shrink(v, tau)
-
-
 def _svt(X: np.ndarray, tau: float) -> np.ndarray:
-    """``svt`` for a float array X and a nonnegative tau, unchecked but for
-    the finiteness of X."""
+    """Shrink the singular values of the float array X by a nonnegative tau
+    (prox of tau * nuclear norm), unchecked but for the finiteness of X,
+    which raises ValueError.
+
+    Computed from the smaller Gram matrix G (X X^T when X has no more rows
+    than columns, else X^T X): with G = U diag(w) U^T and s = sqrt(max(w, 0)),
+    the result is U_k diag(1 - tau / s_k) U_k^T X over the s_k > tau (mirrored
+    for tall X).  This is a spectral function of G, so repeated singular
+    values need no right singular vectors.  X is divided by its largest
+    absolute entry c before G is formed and s is multiplied back by c, so the
+    result is equally accurate at every finite scale of X and tau.  The
+    eigenvalues of G carry an absolute error of order eps * sigma_1^2, so a
+    singular value s is resolved to about eps * sigma_1^2 / s: the result
+    agrees with an SVD-based threshold to rounding when the singular values
+    near tau lie well above sqrt(eps) * sigma_1, and is exactly zero when tau
+    is at least the largest computed singular value.
+    """
     c = float(np.abs(X).max(initial=0.0))
     if not math.isfinite(c):
         raise ValueError("matrix entries must be finite")
@@ -80,44 +83,15 @@ def _svt(X: np.ndarray, tau: float) -> np.ndarray:
     return ((Xs @ U) * factor) @ U.T
 
 
-def svt(X: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink the singular values of X by tau (prox of tau * nuclear norm).
-
-    Computed from the smaller Gram matrix G (X X^T when X has no more rows
-    than columns, else X^T X): with G = U diag(w) U^T and s = sqrt(max(w, 0)),
-    the result is U_k diag(1 - tau / s_k) U_k^T X over the s_k > tau (mirrored
-    for tall X).  This is a spectral function of G, so repeated singular
-    values need no right singular vectors.  X is divided by its largest
-    absolute entry c before G is formed and s is multiplied back by c, so the
-    result is equally accurate at every finite scale of X and tau.  The
-    eigenvalues of G carry an absolute error of order eps * sigma_1^2, so a
-    singular value s is resolved to about eps * sigma_1^2 / s: the result
-    agrees with an SVD-based threshold to rounding when the singular values
-    near tau lie well above sqrt(eps) * sigma_1, and is exactly zero when tau
-    is at least the largest computed singular value.  Non-finite entries
-    and a negative or NaN threshold raise ValueError.
-    """
-    if not tau >= 0:
-        raise ValueError("threshold must be nonnegative")
-    return _svt(np.asarray(X, dtype=float), tau)
-
-
 def _group_shrink(X: np.ndarray, tau: float) -> np.ndarray:
-    """``group_shrink`` for a nonnegative tau, unchecked."""
+    """Shrink each column of the float array X toward zero by a nonnegative
+    tau in l2 norm (prox of tau * sum of column norms), unchecked.  Columns
+    with norm at most tau map to exactly zero."""
     norms = np.sqrt((X * X).sum(axis=0))
     # a zero column divides to inf and so takes the factor 0
     factor = np.divide(tau, norms, out=np.full_like(norms, np.inf), where=norms > 0)
     np.subtract(1.0, factor, out=factor)
     return X * np.maximum(factor, 0.0, out=factor)
-
-
-def group_shrink(X: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink each column toward zero by tau in l2 norm (prox of tau * sum
-    of column norms).  Columns with norm at most tau map to exactly zero.
-    A negative or NaN threshold raises ValueError."""
-    if not tau >= 0:
-        raise ValueError("threshold must be nonnegative")
-    return _group_shrink(np.asarray(X, dtype=float), tau)
 
 
 #: Each FISTA solve stops once its relative objective change is below this,
@@ -168,7 +142,7 @@ def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: flo
 def lasso_path_solve(
     design: np.ndarray,
     observation: np.ndarray,
-    regs,
+    regs: np.ndarray,
     max_iters: int = MAX_ITERS,
 ) -> tuple[np.ndarray, int]:
     """Solve the LASSO min_c 1/2 ||y - D c||^2 + mu ||c||_1 for every weight
@@ -198,19 +172,25 @@ def lasso_path_solve(
 
     A point's count is its FISTA iterations summed over its rounds, capped
     at ``max_iters``; a returned count equal to ``max_iters`` means some
-    point hit that cap, and that point's coefficients are uncertified.  A
-    zero or non-finite design, and a weight that is not positive and
-    finite, raise ValueError.
+    point hit that cap, and that point's coefficients are uncertified.
+    ``regs`` is 1-D and ``observation`` holds one entry per design row.  A
+    zero design, one whose sum of squares is not finite, a non-finite
+    observation and a weight that is not positive and finite raise
+    ValueError.
     """
-    regs = as_real(regs, "regularization weights")
+    regs = as_real(regs, "regularization weights", ndim=1, finite=False)
     if not np.all((regs > 0) & (regs < np.inf)):
         raise ValueError("regularization weights must be positive and finite")
-    D = as_real(design, "design")
+    D = as_real(design, "design", ndim=2, finite=False)
     y = as_real(observation, "observation").ravel()
+    if y.size != D.shape[0]:
+        raise ValueError("observation must hold one entry per design row")
     Dty = D.T @ y
     col_sq = np.einsum("ij,ij->j", D, D)
     total = float(np.sum(col_sq))
-    if not (np.isfinite(total) and total > 0):
+    if not np.isfinite(total):
+        raise ValueError("design must be finite, with a finite sum of squares")
+    if total == 0:
         raise ValueError("step-size estimation failed: zero design")
     # a zero column has g = 0, so its rating below is exactly 0: dividing
     # by 1 there keeps it finite

@@ -27,6 +27,10 @@ import numpy as np
 
 from .rng import generator
 
+__all__ = ["F_QUARTER", "SampleBudget", "SketchOperator", "f_jl", "make_column_sampler",
+           "make_gaussian_sketch", "make_probe_vector", "make_row_subsampler", "max_outliers",
+           "min_col_budget", "min_gamma", "min_row_budget"]
+
 
 @dataclass
 class SketchOperator:

@@ -28,9 +28,9 @@ depend on the input's scale.  ``outlier_pursuit`` is the same solve with
 every entry observed.  The solve holds the unobserved entries as flat
 indices, taken once from the mask: the passes that zero the residual or
 fill in the estimate there write those entries only and never read the
-data at them, so a full mask costs no pass at all.  The loop calls the
-unchecked ``prox._svt`` and ``prox._group_shrink``, whose thresholds are
-positive by construction.
+data at them, so a full mask costs no pass at all.  The loop calls
+``prox._svt`` and ``prox._group_shrink``, whose thresholds are positive by
+construction.  ``as_mask`` is the package's rule for an observation mask.
 
 Once the rank and the support settle, the map is locally linear (Poon &
 Liang 2019), and the loop extrapolates Z over it by type-II Anderson
@@ -70,6 +70,10 @@ from functools import cached_property
 import numpy as np
 
 from .prox import _group_shrink, _svt, as_real
+
+__all__ = ["AA_MEMORY", "DIVERGE_PATIENCE", "GAP_RATIO", "MAX_ITERS", "RHO_GROWTH", "RHO_SCALE",
+           "STALL_GATE", "TOL_RESIDUAL", "OpSolution", "SolverDivergenceError", "SubspaceBasis",
+           "as_mask", "outlier_pursuit", "rmc_solve", "subspace_basis"]
 
 
 class SolverDivergenceError(RuntimeError):
@@ -148,16 +152,19 @@ class OpSolution:
         return _duality_gap(*self._gap_terms) if self._gap_terms else 0.0
 
 
-def as_mask(mask) -> np.ndarray:
-    """An observation mask as a boolean array (true = observed).  A boolean
-    array passes as is; any other must hold exactly 0 or 1, or ValueError
-    is raised: 0.5, NaN or -1 observe nothing and hide nothing."""
+def as_mask(mask: np.ndarray, shape: tuple) -> np.ndarray:
+    """An observation mask of the data's ``shape`` as a boolean array (true
+    = observed).  A boolean array passes as is; any other must be real and
+    hold exactly 0 or 1, or ValueError is raised: 0.5, NaN or -1 observe
+    nothing and hide nothing.  Another shape raises ValueError too."""
     mask = np.asarray(mask)
-    if mask.dtype == bool:
-        return mask
-    if not ((mask == 0) | (mask == 1)).all():
-        raise ValueError("mask entries must be exactly 0 or 1")
-    return mask == 1
+    if mask.dtype != bool:
+        if np.iscomplexobj(mask) or not ((mask == 0) | (mask == 1)).all():
+            raise ValueError("mask entries must be exactly 0 or 1, and real")
+        mask = mask == 1
+    if mask.shape != shape:
+        raise ValueError("mask shape %s must match the data's %s" % (mask.shape, shape))
+    return mask
 
 
 def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
@@ -167,21 +174,19 @@ def outlier_pursuit(Y: np.ndarray, lam: float) -> OpSolution:
 
 
 def rmc_solve(Y_obs: np.ndarray, mask: np.ndarray, lam: float) -> OpSolution:
-    """Separate Y into low-rank and column-sparse parts, enforcing Y = L + C
-    only on entries where mask is true (``as_mask``); unobserved entries of
-    Y_obs are never read (||Y|| counts them as zeros).  ``converged`` means the
-    residual test passed within MAX_ITERS iterations.  With fewer observed
-    entries than n1 + n2 - 1 the solution is not unique and the result is
-    flagged degenerate (converged stays false; the residual certificate is
-    still reported)."""
-    mask = as_mask(mask)
-    Y_obs = as_real(Y_obs, "data")
-    if mask.shape != Y_obs.shape:
-        raise ValueError("mask shape must match the data")
+    """Separate the matrix Y into low-rank and column-sparse parts, enforcing
+    Y = L + C only on entries where mask is true (``as_mask``); unobserved
+    entries of Y_obs are never read or checked (||Y|| counts them as
+    zeros).  ``converged`` means the residual test passed within MAX_ITERS
+    iterations.  With fewer observed entries than n1 + n2 - 1 the solution
+    is not unique and the result is flagged degenerate (converged stays
+    false; the residual certificate is still reported)."""
+    Y_obs = as_real(Y_obs, "data", ndim=2, finite=False)
+    mask = as_mask(mask, Y_obs.shape)
     if not mask.any():
         raise ValueError("mask must observe at least one entry")
     if not np.all(np.isfinite(Y_obs[mask])):
-        raise ValueError("observed entries must be finite")
+        raise ValueError("observed entries of the data must be finite")
     if not 0 < lam < np.inf:
         raise ValueError("lambda must be positive and finite, got %r" % (lam,))
     Y = np.where(mask, Y_obs, 0.0)
@@ -293,8 +298,8 @@ def subspace_basis(X: np.ndarray) -> SubspaceBasis:
     sigma_d at the largest ratio sigma_d / sigma_(d+1), provided that ratio
     exceeds GAP_RATIO.
     """
-    X = np.asarray(X, dtype=float)
-    # A full SVD, not svt's Gram eigendecomposition: the rank cutoff below
+    X = as_real(X, "X", ndim=2)
+    # A full SVD, not _svt's Gram eigendecomposition: the rank cutoff below
     # lies far under the sqrt(eps) * sigma_1 that Gram eigenvalues resolve.
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     total = float(s.sum())

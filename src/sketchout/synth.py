@@ -24,8 +24,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pipeline import AcosConfig, check_mode, detect
+from .pipeline import AcosConfig, _check_kind, check_mode, detect
+from .prox import as_real
 from .rng import derive_seed, generator
+
+__all__ = ["PhaseGridResult", "ProblemInstance", "add_noise", "bernoulli_mask",
+           "column_incoherence", "generate_instance", "hypergeometric_tail_bound",
+           "oracle_success", "phase_grid"]
 
 
 @dataclass
@@ -84,7 +89,7 @@ def column_incoherence(L: np.ndarray) -> float:
     where n_L counts the nonzero columns.  Lies in [1, n_L / r]; small
     values mean the row space is spread across many columns.
     """
-    L = np.asarray(L, dtype=float)
+    L = as_real(L, "L", ndim=2)
     _, s, Vt = np.linalg.svd(L, full_matrices=False)
     if s.size == 0 or s[0] == 0:
         raise ValueError("zero matrix has no incoherence")
@@ -94,18 +99,18 @@ def column_incoherence(L: np.ndarray) -> float:
     return float(np.max(leverage) * n_low / r)
 
 
-def oracle_success(score_path, true_support) -> bool:
+def oracle_success(score_path: np.ndarray, true_support: np.ndarray) -> bool:
     """Threshold-separation success test over a path of score vectors.
 
-    ``score_path`` is 2-D, one score vector per row.  True iff some vector
-    has every true-outlier score strictly above every other score.  With an
-    empty support, success means some vector is identically zero (no
-    spurious response at all).
+    ``score_path`` is 2-D, one score vector per row, and ``true_support``
+    1-D.  True iff some vector has every true-outlier score strictly above
+    every other score.  With an empty support, success means some vector
+    is identically zero (no spurious response at all).
     """
-    score_path = np.asarray(score_path, dtype=float)
-    if score_path.ndim != 2 or len(score_path) == 0:
+    score_path = as_real(score_path, "score_path", ndim=2)
+    if len(score_path) == 0:
         raise ValueError("need a 2-D path of at least one score vector")
-    support = np.asarray(sorted(true_support), dtype=int)
+    support = np.sort(as_real(true_support, "true_support", ndim=1)).astype(int)
     for s in score_path:
         if support.size == 0:
             if not s.any():
@@ -127,8 +132,8 @@ def hypergeometric_tail_bound(N: int, M: int, n: int, eps: float) -> float:
     """
     if not 0 <= M <= N or not 0 <= n <= N:
         raise ValueError("need 0 <= M <= N and 0 <= n <= N")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0:
+        raise ValueError("eps must be nonnegative, got %r" % (eps,))
     if N == 0:
         return 1.0
     np_mean = n * (M / N)
@@ -155,14 +160,6 @@ class PhaseGridResult:
     cell_rate: dict
 
 
-def _check_kind(kind, what, **values) -> None:
-    """Raise ValueError naming the first value that is not a ``kind``; a
-    bool passes only where ``kind`` is bool."""
-    for key, value in values.items():
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ValueError("%s must be %s, got %r" % (key, what, value))
-
-
 def phase_grid(
     *, n1: int, n2: int, m: int, r_values: list, k_values: list, lambda_set: list,
     mode: str = "acos", gamma: float = 0.2, p: int = 0, trials: int = 20, seed: int = 0,
@@ -179,12 +176,12 @@ def phase_grid(
     applies to no other mode.  Before any trial, each value's type is
     checked, a repeated grid value or weight is rejected (a repeated weight
     would draw fresh trials and inflate the maximum over weights), one
-    ``AcosConfig`` is built per weight (so each weight is positive and
-    finite), ``check_mode`` runs with a mask exactly when ``p_omega`` is
-    set, and a grid without a feasible cell is rejected; each raises
-    ValueError.
+    ``AcosConfig`` is built per weight (so ``m`` and ``p`` are integers
+    and each weight is positive and finite), ``check_mode`` runs with a
+    mask exactly when ``p_omega`` is set, and a grid without a feasible
+    cell is rejected; each raises ValueError.
     """
-    _check_kind(numbers.Integral, "an integer", n1=n1, n2=n2, m=m, p=p, trials=trials, seed=seed)
+    _check_kind(numbers.Integral, "an integer", n1=n1, n2=n2, trials=trials, seed=seed)
     _check_kind(numbers.Real, "a number", gamma=gamma, noise_sigma=noise_sigma)
     if p_omega is not None:
         _check_kind(numbers.Real, "a number", p_omega=p_omega)

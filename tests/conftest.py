@@ -131,3 +131,11 @@ def leading_sin_theta(A, B, d):
     U = np.linalg.svd(A, full_matrices=False)[0][:, :d]
     V = np.linalg.svd(B, full_matrices=False)[0][:, :d]
     return float(np.linalg.norm(U - V @ (V.T @ U), 2))
+
+
+def write_csv(path, X):
+    """A matrix file in the format of ``io.write_matrix_csv``, also for the
+    entries that it refuses to write: NaN, infinite or complex (written as
+    Python writes a complex number)."""
+    rows = [",".join("%.6f" % v.real if np.isreal(v) else str(v) for v in row) for row in X]
+    pathlib.Path(path).write_text("%d,%d\n" % np.shape(X) + "".join(r + "\n" for r in rows))

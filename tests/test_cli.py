@@ -9,6 +9,7 @@ from sketchout.cli import main
 from sketchout.imaging import read_pgm, write_pgm
 from sketchout.synth import bernoulli_mask, generate_instance
 
+from conftest import write_csv
 from saliency_demo import planted_image
 
 
@@ -119,7 +120,7 @@ class TestDetectCommand:
         io.write_matrix_csv(mpath, np.where(mask, generate_instance(30, 150, 2, 4, seed=1).M, 0.0))
         mask = mask.astype(float)
         mask[7, 40] = bad
-        io.write_matrix_csv(kpath, mask)
+        write_csv(kpath, mask)
         code, out, err = run(
             capsys, "detect", str(mpath), "--mode", "sacos_missing", "--mask", str(kpath),
             "--m", "20", "--gamma", "0.4", "--lam", "0.4", "--seed", "3",
@@ -131,7 +132,7 @@ class TestDetectCommand:
         M = generate_instance(20, 50, 2, 3, seed=1).M
         M[4, 11] = np.nan
         path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, M)
+        write_csv(path, M)
         code, out, err = run(
             capsys, "detect", str(path), "--mode", "acos", "--gamma", "0.5",
             "--m", "10", "--p", "25", "--lam", "0.4",

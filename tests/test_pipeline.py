@@ -41,6 +41,13 @@ class TestConfig:
             with pytest.raises(ValueError, match="separation weights"):
                 AcosConfig(gamma=0.2, m=10, lam=lam)
 
+    @pytest.mark.parametrize("bad", [2.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("field", ["m", "p", "seed"])
+    def test_integer_fields_rejected_when_not_integers(self, field, bad):
+        # both used to pass here and fail later inside numpy with a TypeError
+        with pytest.raises(ValueError, match="^%s must be an integer" % field):
+            AcosConfig(**dict(dict(gamma=0.2, m=10, p=5, seed=1), **{field: bad}))
+
     def test_acos_needs_p(self):
         inst = generate_instance(10, 40, 1, 2, seed=0)
         with pytest.raises(ValueError):

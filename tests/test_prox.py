@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sketchout import prox
-from sketchout.prox import TOL_OBJECTIVE, group_shrink, lasso_path_solve, soft_threshold, svt
+from sketchout.prox import TOL_OBJECTIVE, _group_shrink, _shrink, _svt, lasso_path_solve
 
 from conftest import gaussian_product, with_spectrum
 
@@ -20,25 +20,19 @@ def matrices(max_side=8):
 
 class TestSoftThreshold:
     def test_closed_form_example(self):
-        out = soft_threshold(np.array([3.0, -0.5, 0.0]), 1.0)
+        out = _shrink(np.array([3.0, -0.5, 0.0]), 1.0)
         assert np.array_equal(out, [2.0, 0.0, 0.0])
-        out = soft_threshold(np.array([3.0, -3.0, 0.5]), np.array([1.0, 2.0, 1.0]))
+        out = _shrink(np.array([3.0, -3.0, 0.5]), np.array([1.0, 2.0, 1.0]))
         assert np.array_equal(out, [2.0, -1.0, 0.0])
 
     def test_zero_threshold_is_identity(self):
         v = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(soft_threshold(v, 0.0), v)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold(np.ones(2), -0.1)
-        with pytest.raises(ValueError):
-            soft_threshold(np.ones(2), np.array([0.1, -0.1]))
+        assert np.array_equal(_shrink(v, 0.0), v)
 
     @settings(max_examples=100)
     @given(v=arrays(np.float64, 6, elements=finite), tau=st.floats(0, 10))
     def test_l1_shrinkage(self, v, tau):
-        assert np.abs(soft_threshold(v, tau)).sum() <= np.abs(v).sum() + 1e-12
+        assert np.abs(_shrink(v, tau)).sum() <= np.abs(v).sum() + 1e-12
 
     @settings(max_examples=100)
     @given(
@@ -47,7 +41,7 @@ class TestSoftThreshold:
         tau=st.floats(0, 10),
     )
     def test_nonexpansive(self, v, w, tau):
-        lhs = np.linalg.norm(soft_threshold(v, tau) - soft_threshold(w, tau))
+        lhs = np.linalg.norm(_shrink(v, tau) - _shrink(w, tau))
         assert lhs <= np.linalg.norm(v - w) + 1e-10
 
 
@@ -63,24 +57,24 @@ _SVT_IDS = ["wide", "tall", "square", "wide_rank_deficient", "tall_rank_deficien
 
 class TestSvt:
     def test_diagonal_example(self):
-        out = svt(np.diag([3.0, 1.0]), 1.0)
+        out = _svt(np.diag([3.0, 1.0]), 1.0)
         assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_zero_threshold_reconstructs(self):
         rng = np.random.Generator(np.random.Philox(key=1))
         X = rng.standard_normal((5, 7))
-        assert np.allclose(svt(X, 0.0), X, atol=1e-12)
+        assert np.allclose(_svt(X, 0.0), X, atol=1e-12)
 
     def test_large_threshold_annihilates(self):
         rng = np.random.Generator(np.random.Philox(key=2))
         X = rng.standard_normal((4, 6))
-        assert np.array_equal(svt(X, np.linalg.norm(X, 2) + 1e-9), np.zeros((4, 6)))
+        assert np.array_equal(_svt(X, np.linalg.norm(X, 2) + 1e-9), np.zeros((4, 6)))
 
     def test_prox_optimality_certificate(self):
         rng = np.random.Generator(np.random.Philox(key=3))
         for tau in (0.3, 1.0, 2.5):
             X = rng.standard_normal((6, 9))
-            Z = svt(X, tau)
+            Z = _svt(X, tau)
             nuc = np.linalg.svd(Z, compute_uv=False).sum()
             assert np.linalg.norm(X - Z, 2) <= tau + 1e-8
             assert np.vdot(X - Z, Z) == pytest.approx(tau * nuc, abs=1e-6 * (1 + nuc))
@@ -90,7 +84,7 @@ class TestSvt:
     def test_nonexpansive(self, X, tau):
         rng = np.random.Generator(np.random.Philox(key=4))
         Y = X + rng.standard_normal(X.shape)
-        lhs = np.linalg.norm(svt(X, tau) - svt(Y, tau), "fro")
+        lhs = np.linalg.norm(_svt(X, tau) - _svt(Y, tau), "fro")
         assert lhs <= np.linalg.norm(X - Y, "fro") + 1e-8
 
 
@@ -105,63 +99,63 @@ class TestSvt:
         for i in (1, rank // 2, rank - 2):  # interior singular values
             taus += [s[i] * (1 - 1e-9), s[i], s[i] * (1 + 1e-9)]
         for tau in taus:
-            assert np.max(np.abs(svt(X, tau) - _svd_svt(X, tau))) <= 1e-10 * s[0]
+            assert np.max(np.abs(_svt(X, tau) - _svd_svt(X, tau))) <= 1e-10 * s[0]
 
     @pytest.mark.parametrize("shape", [(6, 15), (15, 6)], ids=["wide", "tall"])
     def test_repeated_singular_values(self, shape):
         values = np.array([3.0, 3.0, 3.0, 1.0, 1.0, 0.5])
         X = with_spectrum(shape, values, seed=30)
         for tau in (0.0, 0.2, 0.5, 0.7, 1.0, 2.0, 3.0 * (1 - 1e-9)):
-            assert np.max(np.abs(svt(X, tau) - _svd_svt(X, tau))) <= 1e-10 * 3.0
+            assert np.max(np.abs(_svt(X, tau) - _svd_svt(X, tau))) <= 1e-10 * 3.0
 
     @pytest.mark.parametrize("shape, rank", _SVT_CASES, ids=_SVT_IDS)
     def test_threshold_above_top_value_gives_exact_zero(self, shape, rank):
         X = gaussian_product(shape, rank, seed=40 + rank)
         top = np.linalg.norm(X, 2)
         for tau in (top * (1 + 1e-12), 2.0 * top, 1e6 * top):
-            assert np.array_equal(svt(X, tau), np.zeros(shape))
+            assert np.array_equal(_svt(X, tau), np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_nonfinite_entry_rejected(self, bad):
         X = np.ones((4, 6))
         X[2, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            svt(X, 0.5)
+            _svt(X, 0.5)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
     @pytest.mark.parametrize("shape", [(8, 20), (20, 8)], ids=["wide", "tall"])
     def test_positively_homogeneous_over_float_range(self, shape, scale):
         X = gaussian_product(shape, 5, seed=50)
         tau = 0.5 * np.linalg.norm(X, 2)
-        ref = scale * svt(X, tau)
-        out = svt(scale * X, scale * tau)
+        ref = scale * _svt(X, tau)
+        out = _svt(scale * X, scale * tau)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestGroupShrink:
     def test_single_column_example(self):
-        out = group_shrink(np.array([[3.0], [4.0]]), 2.0)
+        out = _group_shrink(np.array([[3.0], [4.0]]), 2.0)
         assert np.allclose(out, [[1.8], [2.4]], atol=1e-12)
 
     def test_zero_threshold_is_identity(self):
         X = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(group_shrink(X, 0.0), X)
+        assert np.array_equal(_group_shrink(X, 0.0), X)
 
     def test_small_columns_clip_to_exact_zero(self):
         X = np.array([[0.5, 3.0], [0.0, 4.0]])
-        out = group_shrink(X, 1.0)
+        out = _group_shrink(X, 1.0)
         assert np.array_equal(out[:, 0], [0.0, 0.0])
         assert np.all(out[:, 1] != 0)
 
     def test_zero_columns_stay_zero(self):
         X = np.zeros((3, 2))
-        assert np.array_equal(group_shrink(X, 1.0), X)
+        assert np.array_equal(_group_shrink(X, 1.0), X)
 
     def test_columnwise_prox_certificate(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         X = rng.standard_normal((5, 8)) * 2
         tau = 1.2
-        Z = group_shrink(X, tau)
+        Z = _group_shrink(X, tau)
         for x, z in zip(X.T, Z.T):
             assert np.linalg.norm(x - z) <= tau + 1e-8
             nz = np.linalg.norm(z)
@@ -172,20 +166,11 @@ class TestGroupShrink:
     def test_nonexpansive(self, X, tau):
         rng = np.random.Generator(np.random.Philox(key=6))
         Y = X + rng.standard_normal(X.shape)
-        lhs = np.linalg.norm(group_shrink(X, tau) - group_shrink(Y, tau), "fro")
+        lhs = np.linalg.norm(_group_shrink(X, tau) - _group_shrink(Y, tau), "fro")
         assert lhs <= np.linalg.norm(X - Y, "fro") + 1e-8
 
 
-@pytest.mark.parametrize("tau", [-0.1, np.nan], ids=["negative", "nan"])
-@pytest.mark.parametrize(
-    "op", [soft_threshold, svt, group_shrink], ids=["soft_threshold", "svt", "group_shrink"]
-)
-def test_bad_threshold_rejected(op, tau):
-    with pytest.raises(ValueError, match="nonnegative"):
-        op(np.ones((3, 4)), tau)
-
-
-@pytest.mark.parametrize("op", [svt, group_shrink], ids=["svt", "group_shrink"])
+@pytest.mark.parametrize("op", [_svt, _group_shrink], ids=["svt", "group_shrink"])
 def test_input_left_unchanged(op):
     X = gaussian_product((6, 9), 2, seed=51)
     X[:, 4] = 0.0
@@ -435,5 +420,5 @@ class TestLasso:
     def test_nonfinite_design_rejected(self):
         D, y, mu = _sparse_recovery_problem()
         D[4, 9] = np.nan
-        with pytest.raises(ValueError, match="zero design"):
+        with pytest.raises(ValueError, match="design must be finite"):
             _lasso(D, y, mu)

@@ -1,8 +1,10 @@
 """The README's examples and commands, and the experiment drivers, work as written."""
 
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import sketchout
 from sketchout import cli
 from sketchout.synth import phase_grid
 
@@ -82,3 +85,19 @@ def test_script_help(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+def test_top_level_names_are_the_documented_ones():
+    paragraph = README.split("The top level of `sketchout` holds")[1].split("\n\n")[0]
+    assert sorted(set(re.findall(r"`(\w+)`", paragraph))) == sorted(sketchout.__all__)
+
+
+MODULES = ["sketchout"] + ["sketchout." + m.name for m in pkgutil.iter_modules(sketchout.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import(module):
+    # a name in __all__ that the module lacks fails the import
+    namespace = {}
+    exec("from %s import *" % module, namespace)
+    assert set(importlib.import_module(module).__all__) <= set(namespace)

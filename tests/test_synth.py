@@ -210,6 +210,11 @@ class TestHypergeometricBound:
         with pytest.raises(ValueError):
             hypergeometric_tail_bound(10, 5, 5, -0.5)
 
+    def test_nan_eps_rejected(self):
+        # eps < 0 is false for NaN, so the bound used to come back as NaN
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            hypergeometric_tail_bound(10, 5, 3, math.nan)
+
 
 class TestPhaseGrid:
     def test_easy_cell_is_certain(self):
