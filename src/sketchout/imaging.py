@@ -90,10 +90,12 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write a 2-D array of pixels, cast to uint8, as binary PGM (P5, maxval 255)."""
-    as_real(image, "image", ndim=2)
-    image = np.ascontiguousarray(image, dtype=np.uint8)
+    """Write a 2-D array of integer pixels in [0, 255] as binary PGM (P5,
+    maxval 255); any other pixel raises ValueError rather than wrap."""
+    image = as_real(image, "image", ndim=2)
+    if not np.all((image >= 0) & (image <= 255) & (image == np.floor(image))):
+        raise ValueError("image pixels must be integers in [0, 255]")
     h, w = image.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (w, h))
-        fh.write(image.tobytes())
+        fh.write(image.astype(np.uint8).tobytes())

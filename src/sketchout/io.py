@@ -1,7 +1,7 @@
 """File formats for the command-line tools.
 
-* Matrices: CSV, row-major, first line the header ``rows,cols``, values at
-  fixed precision 6 so outputs are byte-stable across platforms.
+* Matrices: CSV, row-major, first line the header ``rows,cols``; the
+  command-line tools read them and write none.
 * Phase grids: one CSV row per feasible cell, plus an 8-bit grayscale PGM
   heat map (white = success) with rank varying along columns and outlier
   count along rows.
@@ -15,18 +15,8 @@ import json
 import numpy as np
 
 from . import imaging
-from .prox import as_real
 
-__all__ = ["load_config", "read_matrix_csv", "write_matrix_csv", "write_phase_csv",
-           "write_phase_pgm"]
-
-
-def write_matrix_csv(path, X: np.ndarray) -> None:
-    X = as_real(np.atleast_2d(X), "X", ndim=2)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("%d,%d\n" % X.shape)
-        for row in X:
-            fh.write(",".join("%.6f" % v for v in row) + "\n")
+__all__ = ["load_config", "read_matrix_csv", "write_phase_csv", "write_phase_pgm"]
 
 
 def read_matrix_csv(path) -> np.ndarray:

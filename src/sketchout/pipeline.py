@@ -126,13 +126,26 @@ class SupportEstimate:
     column_flags: dict[str, np.ndarray] | None = None
 
 
+def _operand(x, name: str, ndim: int, axis: int, size: int) -> np.ndarray:
+    """``x`` read by ``prox.as_real`` with ``size`` entries along ``axis``;
+    its finiteness is left to ``MatrixSource._collect``, which checks every
+    block formed from it."""
+    x = prox.as_real(x, name, ndim=ndim, finite=False)
+    if x.shape[axis] != size:
+        raise ValueError("%s must have %d entries along axis %d, got shape %s"
+                         % (name, size, axis, x.shape))
+    return x
+
+
 class MatrixSource:
     """Column-access provider around the data matrix.
 
     The pipelines read the data only through these methods; ``measurements``
-    counts every scalar collected.  The data must be real (``prox.as_real``).
-    Each returned block must be finite, with a finite sum of squares, or the
-    read raises ValueError: downstream least-squares steps cannot use it.
+    counts every scalar collected.  The data, and every array a method is
+    given, must be real (``prox.as_real``) and match the data's shape, or
+    ValueError names the array.  Each returned block must be finite, with a
+    finite sum of squares, or the read raises ValueError: downstream
+    least-squares steps cannot use it.
     """
 
     def __init__(self, M: np.ndarray):
@@ -158,15 +171,24 @@ class MatrixSource:
     def sketch(self, op: np.ndarray, idx=slice(None)) -> np.ndarray:
         """Phi M[:, idx], every column by default; counts rows(Phi) * |idx|
         scalars."""
+        op = _operand(op, "op", 2, 1, self._M.shape[0])
         return self._collect(lambda: op @ self._M[:, idx])
 
     def row_sketch(self, w: np.ndarray, right: np.ndarray) -> np.ndarray:
         """(w M) right^T for a single row vector w; counts rows(right)."""
+        w = _operand(w, "w", 1, 0, self._M.shape[0])
+        right = _operand(right, "right", 2, 1, self._M.shape[1])
         return self._collect(lambda: (w @ self._M) @ right.T)
 
     def masked_rows(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """M[rows] where ``mask`` (|rows| x n2) is true, zero elsewhere;
-        counts the observed entries only."""
+        """M[rows] where ``mask`` (|rows| x n2, ``solver.as_mask``) is true,
+        zero elsewhere; counts the observed entries only.  ``rows`` holds
+        integer row indices."""
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or not np.all(
+                (rows >= 0) & (rows < self._M.shape[0])):
+            raise ValueError("rows must be 1-D integer row indices below %d" % self._M.shape[0])
+        mask = as_mask(mask, (rows.size, self._M.shape[1]))
         return self._collect(lambda: np.where(mask, self._M[rows], 0.0), int(mask.sum()))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .rng import generator
 
-__all__ = ["F_QUARTER", "SampleBudget", "SketchOperator", "f_jl", "make_column_sampler",
+__all__ = ["F_QUARTER", "SampleBudget", "SketchOperator", "make_column_sampler",
            "make_gaussian_sketch", "make_probe_vector", "make_row_subsampler", "max_outliers",
            "min_col_budget", "min_gamma", "min_row_budget"]
 
@@ -89,13 +89,9 @@ def make_probe_vector(m: int, seed: int) -> SketchOperator:
     return SketchOperator(mat)
 
 
-def f_jl(eps: float) -> float:
-    """JL tail exponent f(eps) = eps^2/4 - eps^3/6 for Gaussian sketches."""
-    return eps * eps / 4.0 - eps ** 3 / 6.0
-
-
-#: f(1/4), the value at which all budget constants are stated (= 5/384).
-F_QUARTER = f_jl(0.25)
+#: f(1/4) for the JL tail exponent f(eps) = eps^2/4 - eps^3/6 of Gaussian
+#: sketches, the distortion at which all budget constants are stated.
+F_QUARTER = 5.0 / 384.0
 
 
 @dataclass

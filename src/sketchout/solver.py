@@ -285,7 +285,13 @@ class SubspaceBasis:
     energy_kept: float
 
     def project_out(self, X: np.ndarray) -> np.ndarray:
-        """Residual after removing the component inside the subspace (a new array)."""
+        """Residual after removing the component inside the subspace (a new
+        array), for a real, finite vector or matrix X with a row per basis
+        row; ValueError otherwise."""
+        X = as_real(X, "X")
+        if X.ndim not in (1, 2) or X.shape[0] != self.basis.shape[0]:
+            raise ValueError("X must be a vector or matrix of %d rows, got shape %s"
+                             % (self.basis.shape[0], X.shape))
         return X - self.basis @ (self.basis.T @ X)
 
 

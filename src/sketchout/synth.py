@@ -29,8 +29,7 @@ from .prox import as_real
 from .rng import derive_seed, generator
 
 __all__ = ["PhaseGridResult", "ProblemInstance", "add_noise", "bernoulli_mask",
-           "column_incoherence", "generate_instance", "hypergeometric_tail_bound",
-           "oracle_success", "phase_grid"]
+           "generate_instance", "oracle_success", "phase_grid"]
 
 
 @dataclass
@@ -82,23 +81,6 @@ def bernoulli_mask(n1: int, n2: int, p_omega: float, seed: int) -> np.ndarray:
     return generator(seed).random((n1, n2)) < p_omega
 
 
-def column_incoherence(L: np.ndarray) -> float:
-    """Measured column incoherence of a low-rank matrix.
-
-    max_i ||V^T e_i||^2 * n_L / r for the right singular vectors V of L,
-    where n_L counts the nonzero columns.  Lies in [1, n_L / r]; small
-    values mean the row space is spread across many columns.
-    """
-    L = as_real(L, "L", ndim=2)
-    _, s, Vt = np.linalg.svd(L, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        raise ValueError("zero matrix has no incoherence")
-    r = int(np.sum(s > max(L.shape) * np.finfo(float).eps * s[0]))
-    n_low = int(np.sum(np.linalg.norm(L, axis=0) > 0))
-    leverage = np.sum(Vt[:r] ** 2, axis=0)
-    return float(np.max(leverage) * n_low / r)
-
-
 def oracle_success(score_path: np.ndarray, true_support: np.ndarray) -> bool:
     """Threshold-separation success test over a path of score vectors.
 
@@ -122,22 +104,6 @@ def oracle_success(score_path: np.ndarray, true_support: np.ndarray) -> bool:
         if lowest > (inliers.max() if inliers.size else 0.0):
             return True
     return False
-
-
-def hypergeometric_tail_bound(N: int, M: int, n: int, eps: float) -> float:
-    """Upper-tail bound for draws without replacement.
-
-    For H ~ hyp(N, M, n) and p = M/N:
-    Pr(H >= (1 + eps) n p) <= exp(-eps^2 n p / (2 (1 + eps/3))).
-    """
-    if not 0 <= M <= N or not 0 <= n <= N:
-        raise ValueError("need 0 <= M <= N and 0 <= n <= N")
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative, got %r" % (eps,))
-    if N == 0:
-        return 1.0
-    np_mean = n * (M / N)
-    return math.exp(-eps * eps * np_mean / (2.0 * (1.0 + eps / 3.0)))
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import math
 import pathlib
 import sys
 from unittest import mock
@@ -133,9 +134,42 @@ def leading_sin_theta(A, B, d):
     return float(np.linalg.norm(U - V @ (V.T @ U), 2))
 
 
+def f_jl(eps):
+    """JL tail exponent f(eps) = eps^2/4 - eps^3/6 for Gaussian sketches:
+    Pr(| ||S v||^2 - 1 | >= eps) <= 2 exp(-m f(eps)) for a unit v and an
+    m-row sketch S."""
+    return eps * eps / 4.0 - eps ** 3 / 6.0
+
+
+def column_incoherence(L):
+    """Measured column incoherence of a nonzero low-rank matrix.
+
+    max_i ||V^T e_i||^2 * n_L / r for the right singular vectors V of L,
+    where n_L counts the nonzero columns.  Lies in [1, n_L / r]; small
+    values mean the row space is spread across many columns.
+    """
+    _, s, Vt = np.linalg.svd(L, full_matrices=False)
+    r = int(np.sum(s > max(L.shape) * np.finfo(float).eps * s[0]))
+    n_low = int(np.sum(np.linalg.norm(L, axis=0) > 0))
+    leverage = np.sum(Vt[:r] ** 2, axis=0)
+    return float(np.max(leverage) * n_low / r)
+
+
+def hypergeometric_tail_bound(N, M, n, eps):
+    """Upper-tail bound for draws without replacement, for 0 <= M, n <= N
+    and eps >= 0.
+
+    For H ~ hyp(N, M, n) and p = M/N:
+    Pr(H >= (1 + eps) n p) <= exp(-eps^2 n p / (2 (1 + eps/3))).
+    """
+    np_mean = n * (M / N)
+    return math.exp(-eps * eps * np_mean / (2.0 * (1.0 + eps / 3.0)))
+
+
 def write_csv(path, X):
-    """A matrix file in the format of ``io.write_matrix_csv``, also for the
-    entries that it refuses to write: NaN, infinite or complex (written as
-    Python writes a complex number)."""
+    """A matrix file in the format ``io.read_matrix_csv`` reads (header
+    ``rows,cols``, values at fixed precision 6), also for entries the
+    library refuses: NaN, infinite or complex (written as Python writes a
+    complex number)."""
     rows = [",".join("%.6f" % v.real if np.isreal(v) else str(v) for v in row) for row in X]
     pathlib.Path(path).write_text("%d,%d\n" % np.shape(X) + "".join(r + "\n" for r in rows))

@@ -11,11 +11,14 @@ import numpy as np
 
 from sketchout.imaging import read_pgm, saliency_map, write_pgm
 from sketchout.pipeline import AcosConfig, measurement_count
-from sketchout.sketching import f_jl, make_gaussian_sketch
+from sketchout.sketching import make_gaussian_sketch
 from sketchout.solver import outlier_pursuit, rmc_solve
-from sketchout.synth import generate_instance, column_incoherence, phase_grid
+from sketchout.synth import generate_instance, phase_grid
 
-from conftest import fixed_rho_reference, nonzero_columns, principal_angle, separation_objective
+from conftest import (
+    column_incoherence, f_jl, fixed_rho_reference, hypergeometric_tail_bound, nonzero_columns,
+    principal_angle, separation_objective,
+)
 from saliency_demo import planted_image
 
 SEED = 20260811
@@ -158,8 +161,6 @@ def test_c09_jl_distortion_suite():
 
 
 def test_c10_hypergeometric_bound_suite():
-    from sketchout.synth import hypergeometric_tail_bound
-
     rng = np.random.Generator(np.random.Philox(key=SEED + 400))
     grid = [
         (N, M, n, eps)

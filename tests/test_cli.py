@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sketchout import io, solver
+from sketchout import solver
 from sketchout.cli import main
 from sketchout.imaging import read_pgm, write_pgm
 from sketchout.synth import bernoulli_mask, generate_instance
@@ -66,7 +66,7 @@ class TestDetectCommand:
         # stored instance at the reference white-region configuration
         inst = generate_instance(100, 1000, 5, 10, seed=20260811)
         path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, inst.M)
+        write_csv(path, inst.M)
         code, out, _ = run(
             capsys, "detect", str(path), "--mode", "acos", "--gamma", "0.2",
             "--m", "30", "--p", "300", "--lam", "0.4", "--seed", "7",
@@ -80,8 +80,8 @@ class TestDetectCommand:
         inst = generate_instance(60, 250, 3, 12, seed=700)
         mask = bernoulli_mask(60, 250, 0.7, seed=800)
         mpath, kpath = tmp_path / "m.csv", tmp_path / "mask.csv"
-        io.write_matrix_csv(mpath, np.where(mask, inst.M, 0.0))
-        io.write_matrix_csv(kpath, mask.astype(float))
+        write_csv(mpath, np.where(mask, inst.M, 0.0))
+        write_csv(kpath, mask.astype(float))
         code, out, _ = run(
             capsys, "detect", str(mpath), "--mode", "sacos_missing",
             "--mask", str(kpath), "--gamma", "0.3", "--m", "25",
@@ -94,7 +94,7 @@ class TestDetectCommand:
     def test_missing_mask_is_invalid_input(self, tmp_path, capsys):
         inst = generate_instance(20, 50, 2, 3, seed=1)
         path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, inst.M)
+        write_csv(path, inst.M)
         code, _, err = run(
             capsys, "detect", str(path), "--mode", "sacos_missing", "--m", "10"
         )
@@ -104,8 +104,8 @@ class TestDetectCommand:
     @pytest.mark.parametrize("mode", ["acos", "sacos"])
     def test_mask_outside_missing_mode_is_invalid_input(self, tmp_path, capsys, mode):
         mpath, kpath = tmp_path / "m.csv", tmp_path / "mask.csv"
-        io.write_matrix_csv(mpath, generate_instance(30, 150, 2, 4, seed=1).M)
-        io.write_matrix_csv(kpath, np.ones((2, 2)))
+        write_csv(mpath, generate_instance(30, 150, 2, 4, seed=1).M)
+        write_csv(kpath, np.ones((2, 2)))
         code, out, err = run(
             capsys, "detect", str(mpath), "--mode", mode, "--mask", str(kpath),
             "--m", "10", "--p", "40", "--lam", "0.4",
@@ -117,7 +117,7 @@ class TestDetectCommand:
     def test_mask_entry_other_than_0_or_1_is_invalid_input(self, tmp_path, capsys, bad):
         mask = bernoulli_mask(30, 150, 0.7, seed=2)
         mpath, kpath = tmp_path / "m.csv", tmp_path / "mask.csv"
-        io.write_matrix_csv(mpath, np.where(mask, generate_instance(30, 150, 2, 4, seed=1).M, 0.0))
+        write_csv(mpath, np.where(mask, generate_instance(30, 150, 2, 4, seed=1).M, 0.0))
         mask = mask.astype(float)
         mask[7, 40] = bad
         write_csv(kpath, mask)
@@ -143,7 +143,7 @@ class TestDetectCommand:
     @pytest.mark.parametrize("lam", ["inf", "nan"])
     def test_nonfinite_weight_is_invalid_input(self, tmp_path, capsys, lam):
         path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, generate_instance(20, 60, 2, 4, seed=1).M)
+        write_csv(path, generate_instance(20, 60, 2, 4, seed=1).M)
         code, out, err = run(
             capsys, "detect", str(path), "--mode", "sacos", "--m", "10", "--gamma", "0.5",
             "--lam", lam,
@@ -174,7 +174,7 @@ class TestDetectCommand:
     def _sparse_sample(self, tmp_path, capsys, seed):
         # 8 columns at gamma 0.05: the column sample is often empty
         path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, generate_instance(20, 8, 1, 1, seed=0).M)
+        write_csv(path, generate_instance(20, 8, 1, 1, seed=0).M)
         return run(
             capsys, "detect", str(path), "--mode", "sacos", "--m", "5",
             "--gamma", "0.05", "--seed", str(seed),
@@ -189,7 +189,7 @@ class TestDetectCommand:
     def test_solver_divergence_is_solver_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "RHO_GROWTH", 0.5)
         path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, generate_instance(20, 60, 2, 4, seed=1).M)
+        write_csv(path, generate_instance(20, 60, 2, 4, seed=1).M)
         code, out, err = run(
             capsys, "detect", str(path), "--mode", "sacos", "--m", "10",
             "--gamma", "1.0", "--lam", "0.4",

@@ -118,6 +118,14 @@ class TestPgm:
         path = tmp_path / "img.pgm"
         write_pgm(path, img)
         assert np.array_equal(read_pgm(path), img)
+        write_pgm(path, img.astype(float))
+        assert np.array_equal(read_pgm(path), img)
+
+    @pytest.mark.parametrize("pixel", [300.0, -1.0, 2.7, 254.5])
+    def test_rejects_pixel_a_byte_cannot_hold(self, tmp_path, pixel):
+        # a uint8 cast would write 300 as 44, -1 as 255 and 2.7 as 2
+        with pytest.raises(ValueError, match="image"):
+            write_pgm(tmp_path / "img.pgm", np.array([[pixel, 0.0], [1.0, 255.0]]))
 
     def test_header_comments_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"

@@ -5,20 +5,26 @@ from sketchout import io
 from sketchout.imaging import read_pgm
 from sketchout.synth import phase_grid
 
+from conftest import write_csv
+
 
 class TestMatrixCsv:
     def test_round_trip_at_fixed_precision(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(key=3))
         X = rng.standard_normal((7, 11)) * 30
         path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, X)
+        write_csv(path, X)
         back = io.read_matrix_csv(path)
         assert back.shape == X.shape
         assert np.max(np.abs(back - X)) < 5e-7
+        # the bytes of finite real input: header, then "%.6f" values
+        write_csv(path, np.array([[1.5, -0.0, 2e-7], [-3.25, 1e6, -4.0000004]]))
+        assert path.read_bytes() == (b"2,3\n1.500000,-0.000000,0.000000\n"
+                                     b"-3.250000,1000000.000000,-4.000000\n")
 
     def test_header_present(self, tmp_path):
         path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, np.zeros((2, 3)))
+        write_csv(path, np.zeros((2, 3)))
         assert path.read_text().splitlines()[0] == "2,3"
 
     def test_missing_header_rejected(self, tmp_path):
@@ -37,8 +43,8 @@ class TestMatrixCsv:
         rng = np.random.Generator(np.random.Philox(key=4))
         X = rng.standard_normal((4, 6))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        io.write_matrix_csv(a, X)
-        io.write_matrix_csv(b, X.copy())
+        write_csv(a, X)
+        write_csv(b, X.copy())
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -166,6 +166,15 @@ class TestAcos:
         sampled = make_column_sampler(60, cfg.gamma, derive_seed(cfg.seed, 1)).indices
         assert count == sampled.size * cfg.m + cfg.p == 160
 
+    def test_leakage_guard_overrides_a_declaration(self):
+        # on this corpus input the best path point has a gap that declares
+        # over 300 columns, but its largest score is within the leak the
+        # learned subspace lets through, so acos declares nothing
+        inst, _, cfg = entry("acos", 40, 100, 6)
+        est, _ = acos(inst.M, cfg)
+        assert est.declared.size == 0
+        assert extract_support(est.scores).size >= 300
+
     def test_score_path_shape_and_mu(self):
         inst = generate_instance(20, 80, 1, 2, seed=4)
         cfg = AcosConfig(gamma=0.5, m=8, p=40, lam=0.43, seed=9)

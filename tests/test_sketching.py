@@ -10,7 +10,6 @@ from sketchout.rng import generator
 from sketchout.sketching import (
     F_QUARTER,
     SampleBudget,
-    f_jl,
     make_column_sampler,
     make_gaussian_sketch,
     make_probe_vector,
@@ -20,6 +19,8 @@ from sketchout.sketching import (
     min_gamma,
     min_row_budget,
 )
+
+from conftest import f_jl
 
 
 class TestGaussianSketch:
@@ -144,7 +145,8 @@ def _mp_budget_col(k, n2, delta):
 
 class TestBudgets:
     def test_f_quarter_is_five_384ths(self):
-        assert math.isclose(F_QUARTER, 5.0 / 384.0, rel_tol=1e-15)
+        # the literal is f(1/4) bit for bit, so every budget figure is too
+        assert F_QUARTER == f_jl(0.25) == 5.0 / 384.0
         assert f_jl(0.5) > 0 and f_jl(0.99) > 0
 
     def test_quarter_constant_arithmetic(self):

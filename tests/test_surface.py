@@ -1,12 +1,15 @@
 """The public surface and its input contract.
 
-Each module's ``__all__`` is its surface.  Every array argument of a
-function in a surface, and of the constructor of ``MatrixSource``, the one
-class there that takes input, is read as a real, finite array of the right
-shape or refused: a complex value, a NaN, an infinity or a wrong shape
-raises ValueError naming the argument.  The other classes are results and
-configs (dataclasses) or errors, and take no input array.  On the command
-line the same inputs exit 2.
+Each module's ``__all__`` is its surface, and every function in it has a
+caller outside the tests.  Every array argument of a function in a surface,
+of the constructor of ``MatrixSource``, the one class there that takes
+input, and of a public method of a class there, is read as a real, finite
+array of the right shape or refused: a complex value, a NaN, an infinity
+or a wrong shape raises ValueError naming the argument.  The exceptions
+are the operands of ``MatrixSource``'s reads, whose NaN or infinity is
+refused as a non-finite measurement of the data.  The other classes are
+results and configs (dataclasses) or errors, and take no input array.  On
+the command line the same inputs exit 2.
 """
 
 import dataclasses
@@ -14,6 +17,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import tempfile
 from pathlib import Path
 
@@ -23,13 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchout
-from sketchout import MODES, AcosConfig, bernoulli_mask, detect, generate_instance, io
+from sketchout import MODES, AcosConfig, bernoulli_mask, detect, generate_instance
 from sketchout.cli import main
 from sketchout.imaging import patch_matrix, saliency_map, write_pgm
 from sketchout.pipeline import MatrixSource, acos, extract_support, sacos, sacos_missing
 from sketchout.prox import as_real, lasso_path_solve
 from sketchout.solver import as_mask, outlier_pursuit, rmc_solve, subspace_basis
-from sketchout.synth import column_incoherence, oracle_success
+from sketchout.synth import oracle_success
 
 from conftest import write_csv
 
@@ -41,17 +45,21 @@ MODULES = [sketchout] + [
 
 def _entries():
     """module.name -> object, for every function in a surface and every
-    class there that is neither a dataclass nor an exception."""
+    class there that is neither a dataclass nor an exception, and
+    module.class.method for every public method of a class there."""
     found = {}
     for module in MODULES:
         for name in module.__all__:
             obj = getattr(module, name)
-            if inspect.isfunction(obj) or (
-                inspect.isclass(obj)
-                and not dataclasses.is_dataclass(obj)
-                and not issubclass(obj, Exception)
-            ):
+            if inspect.isfunction(obj):
                 found["%s.%s" % (obj.__module__.rsplit(".", 1)[1], name)] = obj
+            elif inspect.isclass(obj) and not issubclass(obj, Exception):
+                key = "%s.%s" % (obj.__module__.rsplit(".", 1)[1], name)
+                if not dataclasses.is_dataclass(obj):
+                    found[key] = obj
+                for attr, method in vars(obj).items():
+                    if inspect.isfunction(method) and not attr.startswith("_"):
+                        found["%s.%s" % (key, attr)] = method
     return found
 
 
@@ -79,8 +87,18 @@ CASES = {
         dict(image=IMAGE),
     ),
     "imaging.write_pgm": (lambda image: write_pgm(os.devnull, image), dict(image=IMAGE)),
-    "io.write_matrix_csv": (lambda X: io.write_matrix_csv(os.devnull, X), dict(X=INST.M)),
     "pipeline.MatrixSource": (lambda M: MatrixSource(M).sketch(np.eye(N1)), dict(M=INST.M)),
+    "pipeline.MatrixSource.sketch": (
+        lambda op: MatrixSource(INST.M).sketch(op), dict(op=np.eye(N1)),
+    ),
+    "pipeline.MatrixSource.row_sketch": (
+        lambda w, right: MatrixSource(INST.M).row_sketch(w, right),
+        dict(w=np.ones(N1), right=np.eye(N2)[:5]),
+    ),
+    "pipeline.MatrixSource.masked_rows": (
+        lambda rows, mask: MatrixSource(INST.M).masked_rows(rows, mask),
+        dict(rows=np.arange(3), mask=FULL[:3]),
+    ),
     "pipeline.acos": (lambda M: acos(M, CFG), dict(M=INST.M)),
     "pipeline.sacos": (lambda M: sacos(M, CFG), dict(M=INST.M)),
     "pipeline.sacos_missing": (
@@ -100,7 +118,7 @@ CASES = {
         lambda Y_obs, mask: rmc_solve(Y_obs, mask, 0.4), dict(Y_obs=INST.M, mask=FULL),
     ),
     "solver.subspace_basis": (subspace_basis, dict(X=INST.L)),
-    "synth.column_incoherence": (column_incoherence, dict(L=INST.L)),
+    "solver.SubspaceBasis.project_out": (subspace_basis(INST.L).project_out, dict(X=INST.M)),
     "synth.oracle_success": (
         oracle_success, dict(score_path=np.abs(INST.M[:2]), true_support=INST.true_support),
     ),
@@ -110,15 +128,23 @@ CASES = {
 LABELS = {"M": "data", "M_obs": "data", "Y": "data", "Y_obs": "data",
           "regs": "regularization weights"}
 
+#: Operands of MatrixSource's reads, which skip a pass of their own for
+#: finiteness: a NaN or an infinity in them reaches the measured block,
+#: which is refused as non-finite.
+MEASURED = {"op", "w", "right"}
+
+#: Where each method argument meets the data (or the basis): the axis whose
+#: length must match it.  ``rows`` has none; its length sets the mask's.
+INNER_AXIS = {"op": 1, "w": 0, "right": 1, "mask": 1, "X": 0}
+
 NO_ARRAYS = {
     "cli.main", "io.load_config", "io.read_matrix_csv", "io.write_phase_csv",
     "io.write_phase_pgm", "imaging.read_pgm", "pipeline.check_mode",
-    "pipeline.measurement_count", "rng.derive_seed", "rng.generator", "sketching.f_jl",
+    "pipeline.measurement_count", "rng.derive_seed", "rng.generator",
     "sketching.make_column_sampler", "sketching.make_gaussian_sketch",
     "sketching.make_probe_vector", "sketching.make_row_subsampler", "sketching.max_outliers",
     "sketching.min_col_budget", "sketching.min_gamma", "sketching.min_row_budget",
-    "synth.add_noise", "synth.bernoulli_mask", "synth.generate_instance",
-    "synth.hypergeometric_tail_bound", "synth.phase_grid",
+    "synth.add_noise", "synth.bernoulli_mask", "synth.generate_instance", "synth.phase_grid",
 }
 
 
@@ -153,8 +179,38 @@ def _bad(value, kind):
 )
 def test_bad_array_raises_value_error(name, arg, kind):
     call, good = CASES[name]
-    with pytest.raises(ValueError, match=LABELS.get(arg, arg)):
+    label = "finite" if arg in MEASURED and kind in ("nan", "inf") else LABELS.get(arg, arg)
+    with pytest.raises(ValueError, match=label):
         call(**dict(good, **{arg: _bad(good[arg], kind)}))
+
+
+@pytest.mark.parametrize(
+    "name, arg", [(name, arg) for name in sorted(CASES) if name.count(".") == 2
+                  for arg in sorted(CASES[name][1]) if arg in INNER_AXIS]
+)
+def test_method_array_of_wrong_length_raises_value_error(name, arg):
+    call, good = CASES[name]
+    value = np.asarray(good[arg])
+    longer = np.concatenate([value, value.take([0], axis=INNER_AXIS[arg])], axis=INNER_AXIS[arg])
+    with pytest.raises(ValueError, match=arg):
+        call(**dict(good, **{arg: longer}))
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a function that only the tests call belongs in the tests
+    root = Path(__file__).resolve().parent.parent
+    paths = [*(root / "src").rglob("*.py"), *(root / "scripts").glob("*.py"),
+             *(root / "bench").glob("*.py"), root / "README.md"]
+    texts = {path.resolve(): path.read_text() for path in paths}
+    uncalled = [
+        "%s.%s" % (module.__name__, name)
+        for module in MODULES for name in module.__all__
+        if inspect.isfunction(getattr(module, name)) and not any(
+            re.search(r"\b%s\b" % name, text)
+            for path, text in texts.items() if path != Path(module.__file__).resolve()
+        )
+    ]
+    assert uncalled == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -181,7 +237,7 @@ def test_bad_entry_in_any_column(mode, row, col, bad, observed):
         data, flags = Path(tmp) / "m.csv", []
         write_csv(data, M)
         if mask is not None:
-            io.write_matrix_csv(Path(tmp) / "mask.csv", mask.astype(float))
+            write_csv(Path(tmp) / "mask.csv", mask.astype(float))
             flags = ["--mask", str(Path(tmp) / "mask.csv")]
         code = main(["detect", str(data), "--mode", mode, "--gamma", "0.5", "--m", str(N1),
                      "--p", "10", "--lam", "0.4", "--seed", "1", *flags])
