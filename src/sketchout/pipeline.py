@@ -5,9 +5,10 @@ column space from a random column subsample, then recover outlier
 locations by l1 decoding of a doubly compressed residual (one probe row
 against the subspace complement, one dense compression across columns).
 Only the probe row depends on step 1: the compression across columns is
-non-adaptive, so when the process has a CPU that none of its threads
-claims (``_spare_cpu``), acos draws it on a worker thread while step 1
-runs on the calling thread.
+non-adaptive, so when the process has a CPU that none of its busy threads
+claims (``_spare_cpu``), acos draws it on the process's resident drawing
+worker (``_drawing_worker``) while step 1, and the part of step 2 that
+needs only step 1, run on the calling thread.
 ``sacos`` skips the second compression and scores every sketched column by
 its residual norm orthogonal to the learned subspace.  ``sacos_missing``
 is the missing-data variant: the sketch becomes a row subsample, the
@@ -27,8 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +85,7 @@ class AcosConfig:
     positive and finite; None leaves it to the pipeline, which sizes it
     from the column count (``_resolve_lambda``).  ``seed`` derives the
     seed of every operator the run draws; ``m``, ``p`` and ``seed`` are
-    integers.
+    integers, ``gamma`` and ``lam`` real numbers (a bool is neither).
     """
 
     gamma: float
@@ -96,6 +96,9 @@ class AcosConfig:
 
     def __post_init__(self) -> None:
         _check_kind(numbers.Integral, "an integer", m=self.m, p=self.p, seed=self.seed)
+        _check_kind(numbers.Real, "a number", gamma=self.gamma)
+        if self.lam is not None:
+            _check_kind(numbers.Real, "a number", lam=self.lam)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if self.m < 1:
@@ -205,12 +208,36 @@ def check_mode(mode: str, cfg: AcosConfig, masked: bool) -> None:
         raise ValueError("mode acos needs p >= 1 for its decoding step, got p=%r" % (cfg.p,))
 
 
+#: (process id, pool) of acos's drawing worker; a forked child inherits the
+#: pool but not its thread, and makes its own (``_drawing_worker``)
+_drawing: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _drawing_worker() -> ThreadPoolExecutor:
+    """This process's resident one-thread pool for acos's right sketch.
+
+    Created on first use, and again in a forked child, where ``os.getpid()``
+    has changed.  acos waits for its draw before it returns or raises, so
+    the thread is idle between detections; calls from several threads
+    queue their draws on it.  Two threads whose first calls race may each
+    make a pool: the one not kept starts its thread only for a draw
+    submitted to it, and that thread exits once the pool is unreferenced.
+    """
+    global _drawing
+    pid = os.getpid()
+    if _drawing is None or _drawing[0] != pid:
+        _drawing = (pid, ThreadPoolExecutor(1, thread_name_prefix="sketchout-draw"))
+    return _drawing[1]
+
+
 def _spare_cpu() -> bool:
-    """True when this process may run on more CPUs than it has threads
-    (BLAS pools included), so a worker thread contends with none of them;
-    false where the counts cannot be read (non-Linux hosts)."""
+    """True when this process may run on more CPUs than it has busy threads
+    (BLAS pools included), so the drawing worker contends with none of them;
+    false where the counts cannot be read (non-Linux hosts).  The drawing
+    worker itself, idle between detections, is not counted as busy."""
+    idle = _drawing is not None and _drawing[0] == os.getpid()
     try:
-        return len(os.sched_getaffinity(0)) > len(os.listdir("/proc/self/task"))
+        return len(os.sched_getaffinity(0)) > len(os.listdir("/proc/self/task")) - idle
     except (AttributeError, OSError):
         return False
 
@@ -258,17 +285,20 @@ def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     scalar measurements collected (|S| m + p).
 
     The p x n2 compression of step 2 is non-adaptive.  When a CPU is
-    spare (``_spare_cpu``) a one-thread pool, created and shut down inside
-    this call, draws it during step 1; otherwise it is drawn after step 1.
-    Both draw it from the same seed, so the result is the same.
+    spare (``_spare_cpu``) the resident drawing worker (``_drawing_worker``)
+    draws it during step 1 and the step-2 set-up that needs only step 1;
+    otherwise it is drawn after them.  Either way the draw has finished
+    when this call returns or raises.  Both draw it from the same seed, so
+    the result is the same.
     """
     check_mode("acos", cfg, False)
     src = MatrixSource(M)
     n1, n2 = src.shape
     right_seed = derive_seed(cfg.seed, 3)
-    spare = _spare_cpu()
-    with ThreadPoolExecutor(1) if spare else nullcontext() as pool:
-        drawn = pool.submit(sketching.make_gaussian_sketch, cfg.p, n2, right_seed) if spare else None
+    drawn = None
+    if _spare_cpu():
+        drawn = _drawing_worker().submit(sketching.make_gaussian_sketch, cfg.p, n2, right_seed)
+    try:
         cols = _sample_columns(n2, cfg)
         sketch = make_gaussian_sketch(cfg.m, n1, derive_seed(cfg.seed, 2))
         Y1 = src.sketch(sketch.matrix, cols)
@@ -277,9 +307,18 @@ def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
         sol = outlier_pursuit(Y1, lam)
         basis = subspace_basis(sol.low_rank)
 
-        right = drawn.result() if spare else make_gaussian_sketch(cfg.p, n2, right_seed)
-    phi = make_probe_vector(cfg.m, derive_seed(cfg.seed, 4)).matrix.ravel()
-    w = basis.project_out(phi) @ sketch.matrix  # phi P Phi, 1 x n1
+        phi = make_probe_vector(cfg.m, derive_seed(cfg.seed, 4)).matrix.ravel()
+        w = basis.project_out(phi) @ sketch.matrix  # phi P Phi, 1 x n1
+        # declaration guard: with no outliers the decoded coefficients are
+        # pure solver leakage, whose scale is measurable from the
+        # already-collected sketch; genuine outlier responses sit orders of
+        # magnitude above.
+        leak = np.median(np.linalg.norm(basis.project_out(Y1), axis=0))
+    finally:
+        # the worker is idle again whether step 1 returned or raised
+        if drawn is not None:
+            wait((drawn,))
+    right = drawn.result() if drawn is not None else make_gaussian_sketch(cfg.p, n2, right_seed)
     y2 = src.row_sketch(w, right.matrix)
 
     null_thresh = float(np.max(np.abs(right.matrix.T @ y2)))
@@ -294,10 +333,6 @@ def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
         # favor the cleanest separation; among equals the one declaring more
         best = max(range(len(path)), key=lambda i: (quality[i][0], quality[i][1], -i))
     scores = path[best]
-    # declaration guard: with no outliers the decoded coefficients are pure
-    # solver leakage, whose scale is measurable from the already-collected
-    # sketch; genuine outlier responses sit orders of magnitude above.
-    leak = np.median(np.linalg.norm(basis.project_out(Y1), axis=0))
     guarded = np.max(scores) <= 10.0 * np.linalg.norm(phi) * leak
     # bench/tracing.py counts an all-zero extract_support call as a guard firing
     declared = extract_support(np.zeros(n2) if guarded else scores)

@@ -20,6 +20,7 @@ entries where the caller does not check those itself as it reads them.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -41,10 +42,17 @@ def as_real(x: np.ndarray, name: str, ndim: int | None = None, finite: bool = Tr
     return x
 
 
-def _shrink(v: np.ndarray, tau) -> np.ndarray:
-    """sign(v) * max(|v| - tau, 0), elementwise, for a nonnegative ``tau``
-    (a scalar or an array that broadcasts against v), unchecked."""
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+def _shrink(v: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
+    """The soft threshold sign(v) * max(|v| - tau, 0), elementwise, for a
+    nonnegative ``tau`` (a scalar or an array of v's shape), unchecked,
+    with its magnitudes max(|v| - tau, 0), which are exactly its absolute
+    values."""
+    mag = np.abs(v)
+    mag -= tau
+    np.maximum(mag, 0.0, out=mag)
+    out = np.sign(v)
+    out *= mag
+    return out, mag
 
 
 def _svt(X: np.ndarray, tau: float) -> np.ndarray:
@@ -111,19 +119,19 @@ def _step(D: np.ndarray) -> float:
 
 
 def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: float,
-           step: float, max_iters: int) -> tuple[np.ndarray, int]:
+           step: float, max_iters: int) -> tuple[np.ndarray, np.ndarray, int]:
     """FISTA from c, momentum reset, on min 1/2 ||y - D c||^2 + mu ||c||_1,
     with step ``_step(D)`` and the restart and stop described in
-    ``lasso_path_solve``.  Returns the coefficients and the iteration
-    count."""
+    ``lasso_path_solve``.  Returns the coefficients, their residual
+    D c - y and the iteration count."""
     tau = mu * step
     r = D @ c - y
     obj_prev = 0.5 * float(r @ r) + mu * float(np.abs(c).sum())
     z, t, it = c, 1.0, 0
     for it in range(1, max_iters + 1):
-        c_new = _shrink(z - step * (D.T @ (D @ z) - Dty), tau)
+        c_new, mag = _shrink(z - step * (D.T @ (D @ z) - Dty), tau)
         r = D @ c_new - y
-        obj = 0.5 * float(r @ r) + mu * float(np.abs(c_new).sum())
+        obj = 0.5 * float(r @ r) + mu * float(mag.sum())
         if not math.isfinite(obj):
             raise FloatingPointError("non-finite objective in LASSO iteration")
         if obj > obj_prev:  # function-value restart
@@ -136,7 +144,7 @@ def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: flo
         c, t, obj_prev = c_new, t_new, obj
         if it > 1 and done:
             break
-    return c, it
+    return c, r, it
 
 
 def lasso_path_solve(
@@ -175,9 +183,12 @@ def lasso_path_solve(
     point hit that cap, and that point's coefficients are uncertified.
     ``regs`` is 1-D and ``observation`` holds one entry per design row.  A
     zero design, one whose sum of squares is not finite, a non-finite
-    observation and a weight that is not positive and finite raise
+    observation, a weight that is not positive and finite and a
+    ``max_iters`` that is not a positive integer (a bool is not) raise
     ValueError.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
+        raise ValueError("max_iters must be a positive integer, got %r" % (max_iters,))
     regs = as_real(regs, "regularization weights", ndim=1, finite=False)
     if not np.all((regs > 0) & (regs < np.inf)):
         raise ValueError("regularization weights must be positive and finite")
@@ -211,21 +222,23 @@ def lasso_path_solve(
                 if not np.array_equal(W, held):
                     held, DW = W, D[:, W]
                     step = _step(DW)
-                c[W], it = _fista(DW, Dty[W], y, c[W], mu, step, max_iters - used)
+                c[W], r, it = _fista(DW, Dty[W], y, c[W], mu, step, max_iters - used)
                 used += it
                 if used >= max_iters:
                     break
-                r = y - DW @ c[W]
+                # FISTA's residual is D_W c_W - y, so the gradient changes sign
                 g = D.T @ r
-            else:
+                np.negative(g, out=g)
+            else:  # c = 0: the residual -y has y's square, and g = D^T y
                 r, g = y, Dty
-            obj = 0.5 * float(r @ r) + mu * float(np.abs(c).sum())
+            abs_c = np.abs(c)
+            obj = 0.5 * float(r @ r) + mu * float(abs_c.sum())
             if not math.isfinite(obj):
                 raise FloatingPointError("non-finite objective in LASSO iteration")
             # objective decrease of each column's best single-coordinate step
-            t = _shrink(c + g / sq, tau)
+            t, mag = _shrink(c + g / sq, tau)
             d = t - c
-            gain = g * d - half_sq * d * d - mu * (np.abs(t) - np.abs(c))
+            gain = g * d - half_sq * d * d - mu * (mag - abs_c)
             over = gain > TOL_OBJECTIVE * max(1.0, abs(obj))
             if not over.any():
                 break

@@ -108,8 +108,7 @@ def _gap_cut(values: np.ndarray) -> tuple[float, int]:
     the cut and the ratio is infinite (a cleanly thresholded solution).
     Score vectors and full-rank spectra (``subspace_basis``) share it.
     """
-    s = np.sort(values)[::-1]
-    pos = s[s > 0]
+    pos = np.sort(values[values > 0])[::-1]
     if pos.size == 0:
         return 0.0, 0
     best, count = 0.0, 1
@@ -120,7 +119,7 @@ def _gap_cut(values: np.ndarray) -> tuple[float, int]:
             ratios = pos[:-1] / pos[1:]
         cut = int(np.argmax(ratios))
         best, count = float(ratios[cut]), cut + 1
-    if pos.size < s.size and best <= GAP_RATIO:
+    if pos.size < values.size and best <= GAP_RATIO:
         return np.inf, int(pos.size)
     return best, count
 

@@ -142,13 +142,13 @@ def phase_grid(
     applies to no other mode.  Before any trial, each value's type is
     checked, a repeated grid value or weight is rejected (a repeated weight
     would draw fresh trials and inflate the maximum over weights), one
-    ``AcosConfig`` is built per weight (so ``m`` and ``p`` are integers
-    and each weight is positive and finite), ``check_mode`` runs with a
-    mask exactly when ``p_omega`` is set, and a grid without a feasible
-    cell is rejected; each raises ValueError.
+    ``AcosConfig`` is built per weight (so ``m`` and ``p`` are integers,
+    ``gamma`` is a number and each weight is positive and finite),
+    ``check_mode`` runs with a mask exactly when ``p_omega`` is set, and a
+    grid without a feasible cell is rejected; each raises ValueError.
     """
     _check_kind(numbers.Integral, "an integer", n1=n1, n2=n2, trials=trials, seed=seed)
-    _check_kind(numbers.Real, "a number", gamma=gamma, noise_sigma=noise_sigma)
+    _check_kind(numbers.Real, "a number", noise_sigma=noise_sigma)
     if p_omega is not None:
         _check_kind(numbers.Real, "a number", p_omega=p_omega)
     _check_kind(bool, "true or false", normalize=normalize)

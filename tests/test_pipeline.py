@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import multiprocessing
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -47,6 +49,13 @@ class TestConfig:
         # both used to pass here and fail later inside numpy with a TypeError
         with pytest.raises(ValueError, match="^%s must be an integer" % field):
             AcosConfig(**dict(dict(gamma=0.2, m=10, p=5, seed=1), **{field: bad}))
+
+    @pytest.mark.parametrize("bad", ["0.5", True], ids=["text", "bool"])
+    @pytest.mark.parametrize("field", ["gamma", "lam"])
+    def test_real_fields_rejected_when_not_numbers(self, field, bad):
+        # text used to raise TypeError from a comparison, and True passed as 1
+        with pytest.raises(ValueError, match="^%s must be a number" % field):
+            AcosConfig(**dict(dict(gamma=0.2, m=10, lam=0.4), **{field: bad}))
 
     def test_acos_needs_p(self):
         inst = generate_instance(10, 40, 1, 2, seed=0)
@@ -256,28 +265,103 @@ class TestRightSketchWorker:
         self.run_with(monkeypatch, spare, inst.M, cfg)
         assert sorted(draws) == sorted([(cfg.m, 30, True), (cfg.p, 150, not spare)])
 
+    @staticmethod
+    def small_input():
+        return (generate_instance(30, 150, 2, 4, seed=21).M,
+                AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77))
+
+    @classmethod
+    def warm(cls, monkeypatch):
+        """Run one detection with the worker forced on, so the resident
+        worker exists; returns the thread count after it, which is at most
+        one above the count before it."""
+        before = threading.active_count()
+        cls.run_with(monkeypatch, True, *cls.small_input())
+        after = threading.active_count()
+        assert after <= before + 1
+        return after
+
+    def test_resident_worker_adds_no_thread_per_detection(self, monkeypatch):
+        warm = self.warm(monkeypatch)
+        M, cfg = self.small_input()
+        for seed in range(5):
+            self.run_with(monkeypatch, True, M, dataclasses.replace(cfg, seed=seed))
+            assert threading.active_count() == warm
+
     @pytest.mark.parametrize("spare", [True, False])
     def test_step1_failure_propagates_and_leaves_no_thread(self, monkeypatch, spare):
-        inst = generate_instance(30, 150, 2, 4, seed=21)
-        cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
+        warm = self.warm(monkeypatch)
+        M, cfg = self.small_input()
         sampled = make_column_sampler(150, cfg.gamma, derive_seed(cfg.seed, 1)).indices
-        M = inst.M.copy()
+        M = M.copy()
         M[3, sampled[0]] = np.nan
-        before = threading.active_count()
+        drawn = []
+        draw = sketching.make_gaussian_sketch
+
+        def slow(rows, cols, seed):
+            time.sleep(0.2)
+            drawn.append(rows)
+            return draw(rows, cols, seed)
+
+        monkeypatch.setattr(sketching, "make_gaussian_sketch", slow)
         with pytest.raises(ValueError, match="measurements must be finite"):
             self.run_with(monkeypatch, spare, M, cfg)
-        assert threading.active_count() == before
+        # the worker is idle again when acos raises: its draw has finished
+        assert drawn == ([cfg.p] if spare else [])
+        assert threading.active_count() == warm
 
     def test_worker_failure_propagates(self, monkeypatch):
+        warm = self.warm(monkeypatch)
+
         def failing(rows, cols, seed):
             raise MemoryError("no room for the right sketch")
 
         monkeypatch.setattr(sketching, "make_gaussian_sketch", failing)
-        before = threading.active_count()
         with pytest.raises(MemoryError, match="no room for the right sketch"):
-            self.run_with(monkeypatch, True, generate_instance(30, 150, 2, 4, seed=21).M,
-                          AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77))
-        assert threading.active_count() == before
+            self.run_with(monkeypatch, True, *self.small_input())
+        assert threading.active_count() == warm
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_draws_on_a_worker_of_its_own(self, monkeypatch):
+        # the child inherits the parent's pool but not its thread: a draw
+        # submitted to that pool would never run
+        self.warm(monkeypatch)
+        assert pipeline._drawing[0] == os.getpid()
+        M, cfg = self.small_input()
+        ref, _ = self.run_with(monkeypatch, True, M, cfg)
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+
+        def child():
+            est, _ = acos(M, cfg)
+            sender.send((est.declared, est.score_path, pipeline._drawing[0] == os.getpid()))
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            assert receiver.poll(60), "the forked child's detection did not finish"
+            declared, path, own_worker = receiver.recv()
+        finally:
+            proc.join(10)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+            receiver.close()
+            sender.close()
+        assert proc.exitcode == 0 and own_worker
+        assert np.array_equal(declared, ref.declared) and np.array_equal(path, ref.score_path)
+
+    def test_idle_worker_not_counted_as_busy(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"])
+        monkeypatch.setattr(pipeline, "_drawing", None)
+        assert pipeline._spare_cpu() is False
+        monkeypatch.setattr(pipeline, "_drawing", (os.getpid(), None))
+        assert pipeline._spare_cpu() is True
+        # a pool inherited across fork has no thread in this process
+        monkeypatch.setattr(pipeline, "_drawing", (os.getpid() + 1, None))
+        assert pipeline._spare_cpu() is False
 
     def test_no_spare_cpu_on_one_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -20,19 +20,27 @@ def matrices(max_side=8):
 
 class TestSoftThreshold:
     def test_closed_form_example(self):
-        out = _shrink(np.array([3.0, -0.5, 0.0]), 1.0)
-        assert np.array_equal(out, [2.0, 0.0, 0.0])
-        out = _shrink(np.array([3.0, -3.0, 0.5]), np.array([1.0, 2.0, 1.0]))
+        out, mag = _shrink(np.array([3.0, -0.5, 0.0]), 1.0)
+        assert np.array_equal(out, [2.0, 0.0, 0.0]) and np.array_equal(mag, [2.0, 0.0, 0.0])
+        out, mag = _shrink(np.array([3.0, -3.0, 0.5]), np.array([1.0, 2.0, 1.0]))
+        assert np.array_equal(mag, [2.0, 1.0, 0.0])
         assert np.array_equal(out, [2.0, -1.0, 0.0])
 
     def test_zero_threshold_is_identity(self):
         v = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(_shrink(v, 0.0), v)
+        assert np.array_equal(_shrink(v, 0.0)[0], v)
 
     @settings(max_examples=100)
     @given(v=arrays(np.float64, 6, elements=finite), tau=st.floats(0, 10))
     def test_l1_shrinkage(self, v, tau):
-        assert np.abs(_shrink(v, tau)).sum() <= np.abs(v).sum() + 1e-12
+        assert np.abs(_shrink(v, tau)[0]).sum() <= np.abs(v).sum() + 1e-12
+
+    @settings(max_examples=100)
+    @given(v=arrays(np.float64, 6, elements=finite), tau=st.floats(0, 10))
+    def test_magnitudes_are_exactly_the_absolute_values(self, v, tau):
+        # the decoder sums them as the l1 norm of the thresholded vector
+        out, mag = _shrink(v, tau)
+        assert np.array_equal(mag, np.abs(out))
 
     @settings(max_examples=100)
     @given(
@@ -41,7 +49,7 @@ class TestSoftThreshold:
         tau=st.floats(0, 10),
     )
     def test_nonexpansive(self, v, w, tau):
-        lhs = np.linalg.norm(_shrink(v, tau) - _shrink(w, tau))
+        lhs = np.linalg.norm(_shrink(v, tau)[0] - _shrink(w, tau)[0])
         assert lhs <= np.linalg.norm(v - w) + 1e-10
 
 
@@ -325,6 +333,18 @@ class TestLasso:
             lasso_path_solve(np.zeros((2, 2)), np.ones(2), [1.0])
         with pytest.raises(ValueError):
             lasso_path_solve(np.eye(2), np.ones(2), [0.5, -1.0])
+
+    @pytest.mark.parametrize("bad", [-1, 0, 2.5, True, 2000.0, "10", None],
+                             ids=["negative", "zero", "fraction", "bool", "whole_float", "text", "none"])
+    def test_max_iters_must_be_a_positive_integer(self, bad):
+        # -1 used to return zero coefficients with count 0, which the cap rule
+        # (count == max_iters means capped) read as certified
+        with pytest.raises(ValueError, match="^max_iters must be a positive integer"):
+            lasso_path_solve(np.eye(2), np.ones(2), [1.0], max_iters=bad)
+
+    def test_max_iters_takes_numpy_integers(self):
+        c, iters = lasso_path_solve(np.eye(2), np.array([3.0, 0.0]), [1.0], max_iters=np.int64(50))
+        assert np.allclose(c[:, 0], [2.0, 0.0], atol=1e-7) and 1 <= iters < 50
 
     @pytest.mark.parametrize("arg", [0, 1, 2], ids=["design", "observation", "weights"])
     def test_complex_input_rejected(self, arg):
