@@ -184,6 +184,18 @@ class TestAcos:
         assert est.declared.size == 0
         assert extract_support(est.scores).size >= 300
 
+    def test_refit_declares_where_the_gap_rule_does_not(self, monkeypatch):
+        # on this study input the support of a large path weight refits the
+        # compressed row exactly and holds just the outliers, while the
+        # point with the best gap declares false positives besides them
+        inst, cfg = planted(10, 30)(0)
+        est, _ = acos(inst.M, cfg)
+        assert np.array_equal(est.declared, inst.true_support)
+        monkeypatch.setattr(pipeline, "_refit", lambda *args: None)
+        gap, _ = acos(inst.M, cfg)
+        assert set(gap.declared) > set(inst.true_support)
+        assert np.array_equal(gap.score_path, est.score_path)
+
     def test_score_path_shape_and_mu(self):
         inst = generate_instance(20, 80, 1, 2, seed=4)
         cfg = AcosConfig(gamma=0.5, m=8, p=40, lam=0.43, seed=9)
