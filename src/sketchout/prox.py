@@ -46,13 +46,14 @@ def _shrink(v: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     """The soft threshold sign(v) * max(|v| - tau, 0), elementwise, for a
     nonnegative ``tau`` (a scalar or an array of v's shape), unchecked,
     with its magnitudes max(|v| - tau, 0), which are exactly its absolute
-    values."""
+    values.  The threshold is written over the float array ``v``, which
+    callers pass fresh."""
     mag = np.abs(v)
     mag -= tau
     np.maximum(mag, 0.0, out=mag)
-    out = np.sign(v)
-    out *= mag
-    return out, mag
+    np.sign(v, out=v)
+    v *= mag
+    return v, mag
 
 
 def _svt(X: np.ndarray, tau: float) -> np.ndarray:
@@ -125,12 +126,17 @@ def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: flo
     ``lasso_path_solve``.  Returns the coefficients, their residual
     D c - y and the iteration count."""
     tau = mu * step
-    r = D @ c - y
+    r = D @ c
+    r -= y
     obj_prev = 0.5 * float(r @ r) + mu * float(np.abs(c).sum())
     z, t, it = c, 1.0, 0
     for it in range(1, max_iters + 1):
-        c_new, mag = _shrink(z - step * (D.T @ (D @ z) - Dty), tau)
-        r = D @ c_new - y
+        v = D.T @ (D @ z)
+        v -= Dty
+        v *= step
+        c_new, mag = _shrink(np.subtract(z, v, out=v), tau)
+        r = D @ c_new
+        r -= y
         obj = 0.5 * float(r @ r) + mu * float(mag.sum())
         if not math.isfinite(obj):
             raise FloatingPointError("non-finite objective in LASSO iteration")
@@ -139,7 +145,9 @@ def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: flo
         else:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             mom = (t - 1.0) / t_new
-        z = c_new + mom * (c_new - c)
+        z = np.subtract(c_new, c)
+        z *= mom
+        z += c_new
         done = abs(obj - obj_prev) <= TOL_OBJECTIVE * max(1.0, abs(obj_prev))
         c, t, obj_prev = c_new, t_new, obj
         if it > 1 and done:
@@ -236,9 +244,17 @@ def lasso_path_solve(
             if not math.isfinite(obj):
                 raise FloatingPointError("non-finite objective in LASSO iteration")
             # objective decrease of each column's best single-coordinate step
-            t, mag = _shrink(c + g / sq, tau)
-            d = t - c
-            gain = g * d - half_sq * d * d - mu * (mag - abs_c)
+            v = g / sq
+            v += c
+            d, mag = _shrink(v, tau)
+            d -= c
+            gain = g * d
+            v = half_sq * d
+            v *= d
+            gain -= v
+            mag -= abs_c
+            mag *= mu
+            gain -= mag
             over = gain > TOL_OBJECTIVE * max(1.0, abs(obj))
             if not over.any():
                 break

@@ -28,12 +28,12 @@ class TestSoftThreshold:
 
     def test_zero_threshold_is_identity(self):
         v = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(_shrink(v, 0.0)[0], v)
+        assert np.array_equal(_shrink(v.copy(), 0.0)[0], v)
 
     @settings(max_examples=100)
     @given(v=arrays(np.float64, 6, elements=finite), tau=st.floats(0, 10))
     def test_l1_shrinkage(self, v, tau):
-        assert np.abs(_shrink(v, tau)[0]).sum() <= np.abs(v).sum() + 1e-12
+        assert np.abs(_shrink(v.copy(), tau)[0]).sum() <= np.abs(v).sum() + 1e-12
 
     @settings(max_examples=100)
     @given(v=arrays(np.float64, 6, elements=finite), tau=st.floats(0, 10))
@@ -49,7 +49,8 @@ class TestSoftThreshold:
         tau=st.floats(0, 10),
     )
     def test_nonexpansive(self, v, w, tau):
-        lhs = np.linalg.norm(_shrink(v, tau)[0] - _shrink(w, tau)[0])
+        # _shrink writes over its argument
+        lhs = np.linalg.norm(_shrink(v.copy(), tau)[0] - _shrink(w.copy(), tau)[0])
         assert lhs <= np.linalg.norm(v - w) + 1e-10
 
 
