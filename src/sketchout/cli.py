@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``budget``   -- print the sufficient-sample-size validators for a
-  problem size.
+* ``budget``   -- print the paper's sufficient sample sizes for a problem
+  size, whose formulas are stated for Gaussian sketches.
 * ``detect``   -- run one pipeline on a matrix file and print the declared
   outlier columns and the sampling rate.
 * ``saliency`` -- compute a per-patch saliency mask for a PGM image.
@@ -50,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="sketchout", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("budget", help="print sampling-budget validators")
+    b = sub.add_parser("budget", help="print the paper's sampling budgets (Gaussian sketches)",
+                       description="The paper's sufficient sample sizes m, p and gamma, from its "
+                       "formulas for Gaussian sketches; acos's step-2 compression is sparse instead.")
     b.add_argument("--n2", type=int, required=True)
     b.add_argument("--r", type=int, required=True)
     b.add_argument("--k", type=int, required=True)
@@ -128,12 +130,8 @@ def _cmd_phase(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "budget": _cmd_budget,
-    "detect": _cmd_detect,
-    "saliency": _cmd_saliency,
-    "phase": _cmd_phase,
-}
+_COMMANDS = {"budget": _cmd_budget, "detect": _cmd_detect, "saliency": _cmd_saliency,
+             "phase": _cmd_phase}
 
 
 def main(argv=None) -> int:

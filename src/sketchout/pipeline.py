@@ -3,12 +3,8 @@
 ``acos`` is the two-step adaptive procedure: learn the sketched low-rank
 column space from a random column subsample, then recover outlier
 locations by l1 decoding of a doubly compressed residual (one probe row
-against the subspace complement, one dense compression across columns).
-Only the probe row depends on step 1: the compression across columns is
-non-adaptive, so when the process has a CPU that none of its busy threads
-claims (``_spare_cpu``), acos draws it on the process's resident drawing
-worker (``_drawing_worker``) while step 1, and the part of step 2 that
-needs only step 1, run on the calling thread.
+against the subspace complement, one sparse sign compression across
+columns, where the paper draws a dense Gaussian one).
 ``sacos`` skips the second compression and scores every sketched column by
 its residual norm orthogonal to the learned subspace.  ``sacos_missing``
 is the missing-data variant: the sketch becomes a row subsample, the
@@ -27,22 +23,20 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import prox, sketching
+from . import prox
 from .rng import derive_seed
-# bench/tracing.py rebinds these layer names in this module to time them,
-# with one span stack for the calling thread; acos's drawing worker calls
-# sketching.make_gaussian_sketch instead, so it opens no span
+# bench/tracing.py rebinds these layer names in this module to time them;
+# acos's sparse compression is not one, so its draw counts as pipeline time
 from .sketching import (
     make_column_sampler,
     make_gaussian_sketch,
     make_probe_vector,
     make_row_subsampler,
+    make_sparse_sign_sketch,
 )
 from .prox import lasso_path_solve
 from .solver import GAP_RATIO, _gap_cut, as_mask, outlier_pursuit, rmc_solve, subspace_basis
@@ -213,40 +207,6 @@ def check_mode(mode: str, cfg: AcosConfig, masked: bool) -> None:
         raise ValueError("mode acos needs p >= 1 for its decoding step, got p=%r" % (cfg.p,))
 
 
-#: (process id, pool) of acos's drawing worker; a forked child inherits the
-#: pool but not its thread, and makes its own (``_drawing_worker``)
-_drawing: tuple[int, ThreadPoolExecutor] | None = None
-
-
-def _drawing_worker() -> ThreadPoolExecutor:
-    """This process's resident one-thread pool for acos's right sketch.
-
-    Created on first use, and again in a forked child, where ``os.getpid()``
-    has changed.  acos waits for its draw before it returns or raises, so
-    the thread is idle between detections; calls from several threads
-    queue their draws on it.  Two threads whose first calls race may each
-    make a pool: the one not kept starts its thread only for a draw
-    submitted to it, and that thread exits once the pool is unreferenced.
-    """
-    global _drawing
-    pid = os.getpid()
-    if _drawing is None or _drawing[0] != pid:
-        _drawing = (pid, ThreadPoolExecutor(1, thread_name_prefix="sketchout-draw"))
-    return _drawing[1]
-
-
-def _spare_cpu() -> bool:
-    """True when this process may run on more CPUs than it has busy threads
-    (BLAS pools included), so the drawing worker contends with none of them;
-    false where the counts cannot be read (non-Linux hosts).  The drawing
-    worker itself, idle between detections, is not counted as busy."""
-    idle = _drawing is not None and _drawing[0] == os.getpid()
-    try:
-        return len(os.sched_getaffinity(0)) > len(os.listdir("/proc/self/task")) - idle
-    except (AttributeError, OSError):
-        return False
-
-
 def _resolve_lambda(cfg: AcosConfig, n2: int) -> float:
     """``cfg.lam``, or the Outlier Pursuit weight 3 / (7 sqrt(k)) for the
     outlier bound k = ceil(n2 / 10); n2 >= 1 makes k >= 1."""
@@ -279,15 +239,11 @@ def extract_support(scores: np.ndarray) -> np.ndarray:
 
 
 def _refit(design: np.ndarray, y: np.ndarray, path: np.ndarray):
-    """The sparsest path point whose support explains ``y`` exactly, as
-    (point index, declared columns), or None (OLS post-Lasso).
-
-    From the largest weight down, each distinct support S of ``path``
-    (one row per point, weights increasing) with 0 < |S| < rows(D) is fit
-    by least squares, y ~ D[:, S] b; the first fit whose residual is at most
-    REFIT_TOL ||y|| wins, and declares the columns of S with |b_j| above
-    REFIT_TOL max |b|.
-    """
+    """OLS post-Lasso: from the largest weight down (the last row of
+    ``path``), fit y by least squares on the columns of each distinct
+    support S with 0 < |S| < rows(design).  The first fit b whose residual
+    is at most REFIT_TOL ||y|| wins: returns its point's row index and the
+    columns of S with |b_j| above REFIT_TOL max |b|.  None if no fit does."""
     tol = REFIT_TOL * np.linalg.norm(y)
     seen = set()
     for i in range(len(path) - 1, -1, -1):
@@ -317,65 +273,51 @@ def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     the declaration.  Also returns the exact number of scalar measurements
     collected (|S| m + p).
 
-    The p x n2 compression of step 2 is non-adaptive.  When a CPU is
-    spare (``_spare_cpu``) the resident drawing worker (``_drawing_worker``)
-    draws it during step 1 and the step-2 set-up that needs only step 1;
-    otherwise it is drawn after them.  Either way the draw has finished
-    when this call returns or raises.  Both draw it from the same seed, so
-    the result is the same.
+    The p x n2 compression of step 2 is a sparse sign sketch
+    (``sketching.make_sparse_sign_sketch``), not the paper's Gaussian one:
+    it supports the same l1 decoding and costs a small part of a detection
+    to draw.
     """
     check_mode("acos", cfg, False)
     src = MatrixSource(M)
     n1, n2 = src.shape
-    right_seed = derive_seed(cfg.seed, 3)
-    drawn = None
-    if _spare_cpu():
-        drawn = _drawing_worker().submit(sketching.make_gaussian_sketch, cfg.p, n2, right_seed)
-    try:
-        cols = _sample_columns(n2, cfg)
-        sketch = make_gaussian_sketch(cfg.m, n1, derive_seed(cfg.seed, 2))
-        Y1 = src.sketch(sketch.matrix, cols)
+    cols = _sample_columns(n2, cfg)
+    sketch = make_gaussian_sketch(cfg.m, n1, derive_seed(cfg.seed, 2))
+    Y1 = src.sketch(sketch.matrix, cols)
 
-        lam = _resolve_lambda(cfg, n2)
-        sol = outlier_pursuit(Y1, lam)
-        basis = subspace_basis(sol.low_rank)
+    lam = _resolve_lambda(cfg, n2)
+    sol = outlier_pursuit(Y1, lam)
+    basis = subspace_basis(sol.low_rank)
 
-        phi = make_probe_vector(cfg.m, derive_seed(cfg.seed, 4)).matrix.ravel()
-        w = basis.project_out(phi) @ sketch.matrix  # phi P Phi, 1 x n1
-        # declaration guard: with no outliers the decoded coefficients are
-        # pure solver leakage, whose scale is measurable from the
-        # already-collected sketch; genuine outlier responses sit orders of
-        # magnitude above.
-        leak = np.median(np.linalg.norm(basis.project_out(Y1), axis=0))
-    finally:
-        # the worker is idle again whether step 1 returned or raised
-        if drawn is not None:
-            wait((drawn,))
-    right = drawn.result() if drawn is not None else make_gaussian_sketch(cfg.p, n2, right_seed)
+    phi = make_probe_vector(cfg.m, derive_seed(cfg.seed, 4)).matrix.ravel()
+    w = basis.project_out(phi) @ sketch.matrix  # phi P Phi, 1 x n1
+    right = make_sparse_sign_sketch(cfg.p, n2, derive_seed(cfg.seed, 3))
     y2 = src.row_sketch(w, right.matrix)
 
     null_thresh = float(np.max(np.abs(right.matrix.T @ y2)))
-    iters, refit = 0, None
     if null_thresh == 0.0:
-        path, mus, best = np.zeros((PATH_POINTS, n2)), np.zeros(PATH_POINTS), 0
+        path, mus, iters = np.zeros((PATH_POINTS, n2)), np.zeros(PATH_POINTS), 0
     else:
         mus = np.geomspace(MU_PATH_LO, 1.0, PATH_POINTS) * null_thresh
         coeffs, iters = lasso_path_solve(right.matrix, y2, mus, max_iters=prox.MAX_ITERS)
         path = np.abs(coeffs.T)
-        refit = _refit(right.matrix, y2, path)
-        if refit is None:
-            quality = [_gap_cut(s) for s in path]
-            # favor the cleanest separation; among equals the one declaring more
-            best = max(range(len(path)), key=lambda i: (quality[i][0], quality[i][1], -i))
-        else:
-            best, refit_declared = refit
-    scores = path[best]
-    guarded = np.max(scores) <= 10.0 * np.linalg.norm(phi) * leak
-    if guarded or refit is None:
-        # bench/tracing.py counts an all-zero extract_support call as a guard firing
-        declared = extract_support(np.zeros(n2) if guarded else scores)
+    refit = _refit(right.matrix, y2, path)
+    if refit is None:
+        quality = [_gap_cut(s) for s in path]
+        # favor the cleanest separation; among equals the one declaring more
+        best = max(range(len(path)), key=lambda i: (quality[i][0], quality[i][1], -i))
     else:
-        declared = refit_declared
+        best, declared = refit
+    scores = path[best]
+    # declaration guard: with no outliers the decoded coefficients are pure
+    # solver leakage, whose scale is measurable from the already-collected
+    # sketch; genuine outlier responses sit orders of magnitude above.
+    leak = np.median(np.linalg.norm(basis.project_out(Y1), axis=0))
+    if np.max(scores) <= 10.0 * np.linalg.norm(phi) * leak:
+        # bench/tracing.py counts an all-zero extract_support call as a guard firing
+        declared = extract_support(np.zeros(n2))
+    elif refit is None:
+        declared = extract_support(scores)
     converged = sol.converged and iters < prox.MAX_ITERS
     est = SupportEstimate(scores, declared, path, converged, float(mus[best]))
     return est, src.measurements

@@ -244,17 +244,15 @@ def lasso_path_solve(
             if not math.isfinite(obj):
                 raise FloatingPointError("non-finite objective in LASSO iteration")
             # objective decrease of each column's best single-coordinate step
-            v = g / sq
-            v += c
-            d, mag = _shrink(v, tau)
+            t = g / sq
+            t += c
+            d, mag = _shrink(t, tau)
             d -= c
             gain = g * d
-            v = half_sq * d
-            v *= d
-            gain -= v
-            mag -= abs_c
-            mag *= mu
-            gain -= mag
+            quad = half_sq * d
+            quad *= d
+            gain -= quad
+            gain -= np.multiply(mu, np.subtract(mag, abs_c, out=mag), out=mag)
             over = gain > TOL_OBJECTIVE * max(1.0, abs(obj))
             if not over.any():
                 break

@@ -1,10 +1,14 @@
 """Random measurement operators and sampling-budget validators.
 
-Four seeded constructors build the operators the pipelines apply:
+Five seeded constructors build the operators the pipelines apply:
 
 * ``make_gaussian_sketch`` -- an m x n matrix with i.i.d. N(0, 1/m)
   entries, so squared vector lengths are preserved in expectation (a
   distributional Johnson-Lindenstrauss map with f(eps) = eps^2/4 - eps^3/6).
+  Step 1 of acos and sacos sketch their rows with it.
+* ``make_sparse_sign_sketch`` -- an m x n matrix whose every column sums
+  ``SPARSE_NONZEROS`` entries +-1/sqrt(s) at independently drawn rows;
+  acos compresses across columns with it (``pipeline.acos`` says why).
 * ``make_column_sampler`` -- a column selector I[:, S] where each index
   enters S independently with probability gamma.  The membership draw for
   index i depends only on (seed, i), so selections are prefix-stable in n.
@@ -12,10 +16,11 @@ Four seeded constructors build the operators the pipelines apply:
 * ``make_probe_vector`` -- a 1 x m probe with i.i.d. standard normal
   entries.
 
-The budget functions evaluate the closed-form sufficient sample sizes for
-the recovery guarantee at JL distortion eps = 1/4, using natural
-logarithms throughout.  They return ceilings; infeasibility (a required
-rate above 1) is signalled, never clamped.
+The budget functions evaluate the paper's closed-form sufficient sample
+sizes for the recovery guarantee, stated for Gaussian sketches at JL
+distortion eps = 1/4, using natural logarithms throughout.  They return
+ceilings; infeasibility (a required rate above 1) is signalled, never
+clamped.
 """
 
 from __future__ import annotations
@@ -27,9 +32,13 @@ import numpy as np
 
 from .rng import generator
 
-__all__ = ["F_QUARTER", "SampleBudget", "SketchOperator", "make_column_sampler",
-           "make_gaussian_sketch", "make_probe_vector", "make_row_subsampler", "max_outliers",
-           "min_col_budget", "min_gamma", "min_row_budget"]
+__all__ = ["F_QUARTER", "SPARSE_NONZEROS", "SampleBudget", "SketchOperator",
+           "make_column_sampler", "make_gaussian_sketch", "make_probe_vector",
+           "make_row_subsampler", "make_sparse_sign_sketch", "max_outliers", "min_col_budget",
+           "min_gamma", "min_row_budget"]
+
+#: Nonzeros drawn per column of a sparse sign sketch.
+SPARSE_NONZEROS = 8
 
 
 @dataclass
@@ -52,6 +61,21 @@ def make_gaussian_sketch(rows: int, cols: int, seed: int) -> SketchOperator:
     mat = generator(seed).standard_normal((rows, cols))
     mat *= 1.0 / math.sqrt(rows)
     return SketchOperator(mat)
+
+
+def make_sparse_sign_sketch(rows: int, cols: int, seed: int) -> SketchOperator:
+    """Sparse sketch: each column sums SPARSE_NONZEROS entries +-1/sqrt(s)
+    with independently drawn rows and signs, so it has at most s nonzeros
+    and unit squared norm in expectation."""
+    if rows < 1 or cols < 1:
+        raise ValueError("sketch dimensions must be positive")
+    # one draw in [0, 2 rows) per entry: its row, and its sign from the half
+    draw = generator(seed).integers(2 * rows, size=(SPARSE_NONZEROS, cols))
+    row = draw % rows
+    sign = np.where(draw < rows, 1.0, -1.0)
+    mat = np.bincount((row * cols + np.arange(cols)).ravel(), sign.ravel(), rows * cols)
+    mat *= 1.0 / math.sqrt(SPARSE_NONZEROS)
+    return SketchOperator(mat.reshape(rows, cols))
 
 
 def make_column_sampler(n2: int, gamma: float, seed: int) -> SketchOperator:

@@ -1,9 +1,5 @@
 import dataclasses
 import math
-import multiprocessing
-import os
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -12,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sketchout import pipeline, prox, sketching, solver
+from sketchout import pipeline, prox, solver
 from sketchout.pipeline import (
     MODES,
     AcosConfig,
@@ -188,7 +184,7 @@ class TestAcos:
         # on this study input the support of a large path weight refits the
         # compressed row exactly and holds just the outliers, while the
         # point with the best gap declares false positives besides them
-        inst, cfg = planted(10, 30)(0)
+        inst, cfg = planted(10, 30)(2)
         est, _ = acos(inst.M, cfg)
         assert np.array_equal(est.declared, inst.true_support)
         monkeypatch.setattr(pipeline, "_refit", lambda *args: None)
@@ -231,169 +227,6 @@ class TestAcos:
         ref = list(acos(inst.M, cfg)[0].declared)
         for scale in (1e-6, 1e2):
             assert list(acos(inst.M * scale, cfg)[0].declared) == ref
-
-
-class TestRightSketchWorker:
-    """acos draws its right sketch on a worker thread when ``_spare_cpu``
-    says a CPU is free, and after step 1 otherwise; both paths must give
-    the same result bit for bit."""
-
-    # each maker returns the instance first and the config last
-    INPUTS = {
-        "(5, 10) 0": lambda: entry("acos", 5, 10, 0),
-        "(5, 10) 1": lambda: entry("acos", 5, 10, 1),
-        "(10, 30) 0": lambda: entry("acos", 10, 30, 0),
-        "(40, 100) 0": lambda: entry("acos", 40, 100, 0),
-        "(5, 10) sigma 1e-4": lambda: planted(5, 10, 1e-4)(0),
-    }
-
-    @staticmethod
-    def run_with(monkeypatch, spare, M, cfg):
-        monkeypatch.setattr(pipeline, "_spare_cpu", lambda: spare)
-        return acos(M, cfg)
-
-    @pytest.mark.parametrize("name", INPUTS)
-    def test_both_paths_bit_identical(self, monkeypatch, name):
-        inst, *_, cfg = self.INPUTS[name]()
-        (a, count_a), (b, count_b) = (self.run_with(monkeypatch, spare, inst.M, cfg) for spare in (True, False))
-        assert count_a == count_b
-        for attr in ("scores", "score_path", "declared"):
-            assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
-        assert (a.converged, a.mu_used) == (b.converged, b.mu_used)
-
-    @pytest.mark.parametrize("spare", [True, False])
-    def test_right_sketch_drawn_off_the_calling_thread_only_when_spare(self, monkeypatch, spare):
-        inst = generate_instance(30, 150, 2, 4, seed=21)
-        cfg = AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77)
-        draws = []
-        draw = sketching.make_gaussian_sketch
-
-        def recording(rows, cols, seed):
-            draws.append((rows, cols, threading.current_thread() is threading.main_thread()))
-            return draw(rows, cols, seed)
-
-        monkeypatch.setattr(sketching, "make_gaussian_sketch", recording)
-        monkeypatch.setattr(pipeline, "make_gaussian_sketch", recording)
-        self.run_with(monkeypatch, spare, inst.M, cfg)
-        assert sorted(draws) == sorted([(cfg.m, 30, True), (cfg.p, 150, not spare)])
-
-    @staticmethod
-    def small_input():
-        return (generate_instance(30, 150, 2, 4, seed=21).M,
-                AcosConfig(gamma=0.4, m=12, p=50, lam=0.4, seed=77))
-
-    @classmethod
-    def warm(cls, monkeypatch):
-        """Run one detection with the worker forced on, so the resident
-        worker exists; returns the thread count after it, which is at most
-        one above the count before it."""
-        before = threading.active_count()
-        cls.run_with(monkeypatch, True, *cls.small_input())
-        after = threading.active_count()
-        assert after <= before + 1
-        return after
-
-    def test_resident_worker_adds_no_thread_per_detection(self, monkeypatch):
-        warm = self.warm(monkeypatch)
-        M, cfg = self.small_input()
-        for seed in range(5):
-            self.run_with(monkeypatch, True, M, dataclasses.replace(cfg, seed=seed))
-            assert threading.active_count() == warm
-
-    @pytest.mark.parametrize("spare", [True, False])
-    def test_step1_failure_propagates_and_leaves_no_thread(self, monkeypatch, spare):
-        warm = self.warm(monkeypatch)
-        M, cfg = self.small_input()
-        sampled = make_column_sampler(150, cfg.gamma, derive_seed(cfg.seed, 1)).indices
-        M = M.copy()
-        M[3, sampled[0]] = np.nan
-        drawn = []
-        draw = sketching.make_gaussian_sketch
-
-        def slow(rows, cols, seed):
-            time.sleep(0.2)
-            drawn.append(rows)
-            return draw(rows, cols, seed)
-
-        monkeypatch.setattr(sketching, "make_gaussian_sketch", slow)
-        with pytest.raises(ValueError, match="measurements must be finite"):
-            self.run_with(monkeypatch, spare, M, cfg)
-        # the worker is idle again when acos raises: its draw has finished
-        assert drawn == ([cfg.p] if spare else [])
-        assert threading.active_count() == warm
-
-    def test_worker_failure_propagates(self, monkeypatch):
-        warm = self.warm(monkeypatch)
-
-        def failing(rows, cols, seed):
-            raise MemoryError("no room for the right sketch")
-
-        monkeypatch.setattr(sketching, "make_gaussian_sketch", failing)
-        with pytest.raises(MemoryError, match="no room for the right sketch"):
-            self.run_with(monkeypatch, True, *self.small_input())
-        assert threading.active_count() == warm
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="needs the fork start method")
-    def test_forked_child_draws_on_a_worker_of_its_own(self, monkeypatch):
-        # the child inherits the parent's pool but not its thread: a draw
-        # submitted to that pool would never run
-        self.warm(monkeypatch)
-        assert pipeline._drawing[0] == os.getpid()
-        M, cfg = self.small_input()
-        ref, _ = self.run_with(monkeypatch, True, M, cfg)
-        ctx = multiprocessing.get_context("fork")
-        receiver, sender = ctx.Pipe(duplex=False)
-
-        def child():
-            est, _ = acos(M, cfg)
-            sender.send((est.declared, est.score_path, pipeline._drawing[0] == os.getpid()))
-
-        proc = ctx.Process(target=child)
-        proc.start()
-        try:
-            assert receiver.poll(60), "the forked child's detection did not finish"
-            declared, path, own_worker = receiver.recv()
-        finally:
-            proc.join(10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-            receiver.close()
-            sender.close()
-        assert proc.exitcode == 0 and own_worker
-        assert np.array_equal(declared, ref.declared) and np.array_equal(path, ref.score_path)
-
-    def test_idle_worker_not_counted_as_busy(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"])
-        monkeypatch.setattr(pipeline, "_drawing", None)
-        assert pipeline._spare_cpu() is False
-        monkeypatch.setattr(pipeline, "_drawing", (os.getpid(), None))
-        assert pipeline._spare_cpu() is True
-        # a pool inherited across fork has no thread in this process
-        monkeypatch.setattr(pipeline, "_drawing", (os.getpid() + 1, None))
-        assert pipeline._spare_cpu() is False
-
-    def test_no_spare_cpu_on_one_cpu(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert pipeline._spare_cpu() is False
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs a per-thread /proc listing")
-    def test_spare_cpu_when_cpus_outnumber_threads(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 << 14)), raising=False)
-        assert pipeline._spare_cpu() is True
-
-    def test_no_spare_cpu_where_counts_are_unreadable(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert pipeline._spare_cpu() is False
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 << 14)), raising=False)
-
-        def unreadable(path):
-            raise OSError("no such listing")
-
-        monkeypatch.setattr(os, "listdir", unreadable)
-        assert pipeline._spare_cpu() is False
 
 
 class TestSacos:

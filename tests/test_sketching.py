@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from sketchout.rng import generator
 from sketchout.sketching import (
     F_QUARTER,
+    SPARSE_NONZEROS,
     SampleBudget,
     make_column_sampler,
     make_gaussian_sketch,
     make_probe_vector,
     make_row_subsampler,
+    make_sparse_sign_sketch,
     max_outliers,
     min_col_budget,
     min_gamma,
@@ -29,7 +31,7 @@ class TestGaussianSketch:
         assert np.array_equal(op.matrix @ np.zeros(4), np.zeros(4))
 
     def test_seeded_determinism(self):
-        # exactly the seeded draw, scaled; (300, 1000) is the acos right sketch
+        # exactly the seeded draw, scaled
         for rows, cols, seed in ((33, 17, 123), (300, 1000, 5)):
             want = generator(seed).standard_normal((rows, cols)) * (1 / math.sqrt(rows))
             assert np.array_equal(make_gaussian_sketch(rows, cols, seed).matrix, want)
@@ -60,6 +62,39 @@ class TestGaussianSketch:
         bound = 2.0 * math.exp(-m * f_jl(eps))
         se = math.sqrt(bound * (1 - bound) / 2000) if bound < 1 else 0.0
         assert freq <= min(1.0, bound + 3 * se)
+
+
+class TestSparseSignSketch:
+    def test_seeded_determinism(self):
+        a, b = (make_sparse_sign_sketch(300, 1000, 5).matrix for _ in range(2))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, make_sparse_sign_sketch(300, 1000, 6).matrix)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 40), (300, 1000)])
+    def test_shape(self, rows, cols):
+        assert make_sparse_sign_sketch(rows, cols, seed=2).matrix.shape == (rows, cols)
+
+    @pytest.mark.parametrize("rows", [1, 3, 300])
+    def test_sparse_columns_of_signed_multiples(self, rows):
+        # at most SPARSE_NONZEROS entries per column, each an integer
+        # multiple of 1/sqrt(SPARSE_NONZEROS), as colliding signs add
+        mat = make_sparse_sign_sketch(rows, 500, seed=rows).matrix
+        assert np.count_nonzero(mat, axis=0).max() <= SPARSE_NONZEROS == 8
+        units = mat * math.sqrt(SPARSE_NONZEROS)
+        assert np.allclose(units, np.round(units), rtol=0, atol=1e-12)
+        assert np.abs(np.round(units)).sum(axis=0).max() <= SPARSE_NONZEROS
+        # one row holds every entry: each column sums its eight signs
+        if rows == 1:
+            assert np.all(np.round(units) % 2 == 0)
+
+    def test_unit_column_norm_in_expectation(self):
+        mat = make_sparse_sign_sketch(300, 2000, seed=3).matrix
+        assert abs(np.sum(mat * mat, axis=0).mean() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("rows,cols", [(0, 5), (5, 0), (-1, 5), (5, -2)])
+    def test_rejects_nonpositive_dimensions(self, rows, cols):
+        with pytest.raises(ValueError, match="sketch dimensions must be positive"):
+            make_sparse_sign_sketch(rows, cols, seed=0)
 
 
 class TestColumnSampler:

@@ -142,8 +142,8 @@ NO_ARRAYS = {
     "io.write_phase_pgm", "imaging.read_pgm", "pipeline.check_mode",
     "pipeline.measurement_count", "rng.derive_seed", "rng.generator",
     "sketching.make_column_sampler", "sketching.make_gaussian_sketch",
-    "sketching.make_probe_vector", "sketching.make_row_subsampler", "sketching.max_outliers",
-    "sketching.min_col_budget", "sketching.min_gamma", "sketching.min_row_budget",
+    "sketching.make_probe_vector", "sketching.make_row_subsampler",
+    "sketching.make_sparse_sign_sketch", "sketching.max_outliers", "sketching.min_col_budget", "sketching.min_gamma", "sketching.min_row_budget",
     "synth.add_noise", "synth.bernoulli_mask", "synth.generate_instance", "synth.phase_grid",
 }
 
