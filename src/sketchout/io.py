@@ -41,9 +41,17 @@ def write_phase_csv(path, result) -> None:
             for k in result.k_values:
                 if (r, k) not in result.grid:
                     continue
-                fh.write("%d,%d,%.6f,%.6f,%d,%.6f\n" % (
-                    r, k, result.cell_lambda_best[(r, k)], result.grid[(r, k)],
-                    result.trials_per_cell, result.cell_rate[(r, k)]))
+                fh.write(
+                    "%d,%d,%.6f,%.6f,%d,%.6f\n"
+                    % (
+                        r,
+                        k,
+                        result.cell_lambda_best[(r, k)],
+                        result.grid[(r, k)],
+                        result.trials_per_cell,
+                        result.cell_rate[(r, k)],
+                    )
+                )
 
 
 def write_phase_pgm(path, result) -> None:

@@ -171,23 +171,35 @@ def phase_grid(
 
     grid, cell_best, cell_rate = {}, {}, {}
     for r, k in cells:
-        freqs, rates = [], []
+        freqs = []
+        rates = []
         for li, lam_cfg in enumerate(configs):
             wins = 0
             for t in range(trials):
                 cell_seed = derive_seed(seed, r, k, li, t)
-                inst = generate_instance(n1, n2, r, k, derive_seed(cell_seed, 0), normalize)
+                inst = generate_instance(
+                    n1, n2, r, k, derive_seed(cell_seed, 0), normalize
+                )
                 inst = add_noise(inst, noise_sigma, derive_seed(cell_seed, 1))
-                mask = (bernoulli_mask(n1, n2, p_omega, derive_seed(cell_seed, 2))
-                        if mode == "sacos_missing" else None)
+                mask = None
+                if mode == "sacos_missing":
+                    mask = bernoulli_mask(n1, n2, p_omega, derive_seed(cell_seed, 2))
                 cfg = replace(lam_cfg, seed=derive_seed(cell_seed, 3))
                 est, rate = detect(mode, inst.M, cfg, mask)
                 rates.append(rate)
-                wins += oracle_success(est.score_path, inst.true_support)
+                if oracle_success(est.score_path, inst.true_support):
+                    wins += 1
             freqs.append(wins / trials)
         best = int(np.argmax(freqs))
         grid[(r, k)] = freqs[best]
         cell_best[(r, k)] = lambda_set[best]
         cell_rate[(r, k)] = float(np.mean(rates))
-    return PhaseGridResult(grid, trials, sum(cell_rate.values(), 0.0) / len(cell_rate),
-                           list(r_values), list(k_values), cell_best, cell_rate)
+    return PhaseGridResult(
+        grid=grid,
+        trials_per_cell=trials,
+        sampling_rate=sum(cell_rate.values(), 0.0) / len(cell_rate),
+        r_values=list(r_values),
+        k_values=list(k_values),
+        cell_lambda_best=cell_best,
+        cell_rate=cell_rate,
+    )

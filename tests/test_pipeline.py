@@ -192,6 +192,14 @@ class TestAcos:
         assert set(gap.declared) > set(inst.true_support)
         assert np.array_equal(gap.score_path, est.score_path)
 
+    def test_refit_passes_over_a_support_with_equal_columns(self):
+        # columns 0 and 1 of the design are equal, so the support {0, 1}
+        # has a singular Gram matrix; the next point, {0}, fits exactly
+        D = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
+        path = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
+        i, declared = pipeline._refit(D, 3.0 * D[:, 0], path)
+        assert i == 1 and declared.tolist() == [0]
+
     def test_score_path_shape_and_mu(self):
         inst = generate_instance(20, 80, 1, 2, seed=4)
         cfg = AcosConfig(gamma=0.5, m=8, p=40, lam=0.43, seed=9)
