@@ -50,9 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="sketchout", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("budget", help="print the paper's sampling budgets (Gaussian sketches)",
-                       description="The paper's sufficient sample sizes m, p and gamma, from its "
-                       "formulas for Gaussian sketches; acos's step-2 compression is sparse instead.")
+    b = sub.add_parser("budget", help="print the paper's sampling budgets (Gaussian sketches)")
     b.add_argument("--n2", type=int, required=True)
     b.add_argument("--r", type=int, required=True)
     b.add_argument("--k", type=int, required=True)
@@ -130,8 +128,12 @@ def _cmd_phase(args) -> int:
     return 0
 
 
-_COMMANDS = {"budget": _cmd_budget, "detect": _cmd_detect, "saliency": _cmd_saliency,
-             "phase": _cmd_phase}
+_COMMANDS = {
+    "budget": _cmd_budget,
+    "detect": _cmd_detect,
+    "saliency": _cmd_saliency,
+    "phase": _cmd_phase,
+}
 
 
 def main(argv=None) -> int:

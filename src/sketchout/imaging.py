@@ -49,10 +49,10 @@ def saliency_map(
     """Per-patch saliency mask from compressive samples of the patch matrix.
 
     Runs the chosen pipeline on ``patch_matrix(image)``; the salient
-    patches are the outlier columns it declares.  Returns the uint8 mask over the covered region
-    (PATCH * (h // PATCH) rows by PATCH * (w // PATCH) columns), 255 on
-    the declared patches and 0 elsewhere, and the sorted indices of the
-    declared patches (row-major over the patch grid).
+    patches are the outlier columns it declares.  Returns the uint8 mask
+    over the covered region (PATCH * (h // PATCH) rows by PATCH * (w //
+    PATCH) columns), 255 on the declared patches and 0 elsewhere, and the
+    sorted indices of the declared patches (row-major over the patch grid).
     """
     est, _ = detect(mode, patch_matrix(image), cfg)
     h, w = np.shape(image)

@@ -281,8 +281,8 @@ def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
 
     The p x n2 compression of step 2 is a sparse sign sketch
     (``sketching.make_sparse_sign_sketch``), not the paper's Gaussian one:
-    it supports the same l1 decoding and costs a small part of a detection
-    to draw.
+    sparse +-1 designs support the same l1 decoding (RIP-1, Berinde et al.
+    2008), and this one costs a small part of a detection to draw.
     """
     check_mode("acos", cfg, False)
     src = MatrixSource(M)

@@ -126,8 +126,7 @@ def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: flo
     ``lasso_path_solve``.  Returns the coefficients, their residual
     D c - y and the iteration count."""
     tau = mu * step
-    r = D @ c
-    r -= y
+    r = D @ c - y
     obj_prev = 0.5 * float(r @ r) + mu * float(np.abs(c).sum())
     z, t, it = c, 1.0, 0
     for it in range(1, max_iters + 1):
@@ -135,8 +134,7 @@ def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: flo
         v -= Dty
         v *= step
         c_new, mag = _shrink(np.subtract(z, v, out=v), tau)
-        r = D @ c_new
-        r -= y
+        r = D @ c_new - y
         obj = 0.5 * float(r @ r) + mu * float(mag.sum())
         if not math.isfinite(obj):
             raise FloatingPointError("non-finite objective in LASSO iteration")

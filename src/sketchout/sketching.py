@@ -5,7 +5,6 @@ Five seeded constructors build the operators the pipelines apply:
 * ``make_gaussian_sketch`` -- an m x n matrix with i.i.d. N(0, 1/m)
   entries, so squared vector lengths are preserved in expectation (a
   distributional Johnson-Lindenstrauss map with f(eps) = eps^2/4 - eps^3/6).
-  Step 1 of acos and sacos sketch their rows with it.
 * ``make_sparse_sign_sketch`` -- an m x n matrix whose every column sums
   ``SPARSE_NONZEROS`` entries +-1/sqrt(s) at independently drawn rows;
   acos compresses across columns with it (``pipeline.acos`` says why).
@@ -16,11 +15,10 @@ Five seeded constructors build the operators the pipelines apply:
 * ``make_probe_vector`` -- a 1 x m probe with i.i.d. standard normal
   entries.
 
-The budget functions evaluate the paper's closed-form sufficient sample
-sizes for the recovery guarantee, stated for Gaussian sketches at JL
-distortion eps = 1/4, using natural logarithms throughout.  They return
-ceilings; infeasibility (a required rate above 1) is signalled, never
-clamped.
+The budget functions evaluate the paper's sufficient sample sizes, stated
+for Gaussian sketches at JL distortion eps = 1/4, in natural logarithms.
+They return ceilings; infeasibility (a required rate above 1) is
+signalled, never clamped.
 """
 
 from __future__ import annotations
