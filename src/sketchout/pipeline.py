@@ -32,6 +32,7 @@ from .rng import derive_seed
 # bench/tracing.py rebinds these layer names in this module to time them;
 # acos's sparse compression is not one, so its draw counts as pipeline time
 from .sketching import (
+    SparseColumns,
     make_column_sampler,
     make_gaussian_sketch,
     make_probe_vector,
@@ -126,11 +127,11 @@ class SupportEstimate:
     column_flags: dict[str, np.ndarray] | None = None
 
 
-def _operand(x, name: str, ndim: int, axis: int, size: int) -> np.ndarray:
-    """``x`` read by ``prox.as_real`` with ``size`` entries along ``axis``;
-    its finiteness is left to ``MatrixSource._collect``, which checks every
+def _operand(x, name: str, axis: int, size: int):
+    """``x``, read by ``prox.as_real`` or ``prox.as_columns`` with
+    finite=False, checked to have ``size`` entries along ``axis``; its
+    finiteness is left to ``MatrixSource._collect``, which checks every
     block formed from it."""
-    x = prox.as_real(x, name, ndim=ndim, finite=False)
     if x.shape[axis] != size:
         raise ValueError("%s must have %d entries along axis %d, got shape %s"
                          % (name, size, axis, x.shape))
@@ -171,14 +172,17 @@ class MatrixSource:
     def sketch(self, op: np.ndarray, idx=slice(None)) -> np.ndarray:
         """Phi M[:, idx], every column by default; counts rows(Phi) * |idx|
         scalars."""
-        op = _operand(op, "op", 2, 1, self._M.shape[0])
+        op = _operand(prox.as_real(op, "op", ndim=2, finite=False), "op", 1, self._M.shape[0])
         return self._collect(lambda: op @ self._M[:, idx])
 
-    def row_sketch(self, w: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """(w M) right^T for a single row vector w; counts rows(right)."""
-        w = _operand(w, "w", 1, 0, self._M.shape[0])
-        right = _operand(right, "right", 2, 1, self._M.shape[1])
-        return self._collect(lambda: (w @ self._M) @ right.T)
+    def row_sketch(self, w: np.ndarray, right: np.ndarray | SparseColumns) -> np.ndarray:
+        """(w M) right^T for a single row vector w and a matrix ``right``
+        given dense or by its nonzeros (``prox.as_columns``), one
+        scatter-add over its slots; counts rows(right)."""
+        n1, n2 = self._M.shape
+        w = _operand(prox.as_real(w, "w", ndim=1, finite=False), "w", 0, n1)
+        right = _operand(prox.as_columns(right, "right", finite=False), "right", 1, n2)
+        return self._collect(lambda: right @ (w @ self._M))
 
     def masked_rows(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """M[rows] where ``mask`` (|rows| x n2, ``solver.as_mask``) is true,
@@ -236,7 +240,7 @@ def extract_support(scores: np.ndarray) -> np.ndarray:
     return np.array([], dtype=int)
 
 
-def _refit(design: np.ndarray, y: np.ndarray, path: np.ndarray):
+def _refit(design: SparseColumns, y: np.ndarray, path: np.ndarray):
     """OLS post-Lasso: from the largest weight down (the last row of
     ``path``), fit y by least squares on the columns of each distinct
     support S with 0 < |S| < rows(design).  The first fit b whose residual
@@ -254,7 +258,7 @@ def _refit(design: np.ndarray, y: np.ndarray, path: np.ndarray):
         if not 0 < S.size < design.shape[0] or S.tobytes() in seen:
             continue
         seen.add(S.tobytes())
-        DS = design[:, S]
+        DS = design.columns(S)
         try:
             b = np.linalg.solve(DS.T @ DS, DS.T @ y)
         except np.linalg.LinAlgError:  # equal columns in S, as at small p
@@ -282,7 +286,11 @@ def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     The p x n2 compression of step 2 is a sparse sign sketch
     (``sketching.make_sparse_sign_sketch``), not the paper's Gaussian one:
     sparse +-1 designs support the same l1 decoding (RIP-1, Berinde et al.
-    2008), and this one costs a small part of a detection to draw.
+    2008), and they make encoding and decoding cheap.  Step 2 never forms
+    the dense p x n2 matrix: the measured row, the null threshold and the
+    decoder's products and column norms each take one pass over its 8
+    slots per column, and FISTA and the refit solve on dense blocks of
+    the few columns in play, built from those slots.
     """
     check_mode("acos", cfg, False)
     src = MatrixSource(M)
@@ -303,16 +311,16 @@ def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     # magnitude above.
     leak = np.median(np.linalg.norm(basis.project_out(Y1), axis=0))
     right = make_sparse_sign_sketch(cfg.p, n2, derive_seed(cfg.seed, 3))
-    y2 = src.row_sketch(w, right.matrix)
+    y2 = src.row_sketch(w, right)
 
-    null_thresh = float(np.max(np.abs(right.matrix.T @ y2)))
+    null_thresh = float(np.max(np.abs(y2 @ right)))
     if null_thresh == 0.0:
         path, mus, iters = np.zeros((PATH_POINTS, n2)), np.zeros(PATH_POINTS), 0
     else:
         mus = np.geomspace(MU_PATH_LO, 1.0, PATH_POINTS) * null_thresh
-        coeffs, iters = lasso_path_solve(right.matrix, y2, mus, max_iters=prox.MAX_ITERS)
+        coeffs, iters = lasso_path_solve(right, y2, mus, max_iters=prox.MAX_ITERS)
         path = np.abs(coeffs.T)
-    refit = _refit(right.matrix, y2, path)
+    refit = _refit(right, y2, path)
     if refit is None:
         quality = [_gap_cut(s) for s in path]
         # favor the cleanest separation; among equals the one declaring more

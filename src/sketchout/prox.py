@@ -15,6 +15,8 @@ set of columns; its docstring gives the algorithm.  ``as_real`` is the
 package's rule for an input array: it refuses complex input instead of
 dropping its imaginary part, a wrong dimension count, and NaN or infinite
 entries where the caller does not check those itself as it reads them.
+``as_columns`` applies that rule to a matrix operand given dense or by its
+nonzeros, and reads it as a ``sketching.SparseColumns``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import numbers
 
 import numpy as np
 
-__all__ = ["MAX_ITERS", "TOL_OBJECTIVE", "as_real", "lasso_path_solve"]
+from .sketching import SparseColumns
+
+__all__ = ["MAX_ITERS", "TOL_OBJECTIVE", "as_columns", "as_real", "lasso_path_solve"]
 
 
 def as_real(x: np.ndarray, name: str, ndim: int | None = None, finite: bool = True) -> np.ndarray:
@@ -40,6 +44,18 @@ def as_real(x: np.ndarray, name: str, ndim: int | None = None, finite: bool = Tr
     if finite and not np.isfinite(x).all():
         raise ValueError("%s must be finite" % name)
     return x
+
+
+def as_columns(x: np.ndarray | SparseColumns, name: str, finite: bool = True) -> SparseColumns:
+    """The matrix ``x`` as a ``SparseColumns``: one is returned as it is, a
+    dense one becomes the case with a slot in every row.  The values are
+    read by ``as_real`` (2-D, and finite when ``finite`` is set), whose
+    ValueError names ``name``."""
+    if isinstance(x, SparseColumns):
+        as_real(x.values, name, ndim=2, finite=finite)
+        return x
+    x = as_real(x, name, ndim=2, finite=finite)
+    return SparseColumns(np.broadcast_to(np.arange(x.shape[0])[:, None], x.shape), x, x.shape)
 
 
 def _shrink(v: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -154,13 +170,14 @@ def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: flo
 
 
 def lasso_path_solve(
-    design: np.ndarray,
+    design: np.ndarray | SparseColumns,
     observation: np.ndarray,
     regs: np.ndarray,
     max_iters: int = MAX_ITERS,
 ) -> tuple[np.ndarray, int]:
     """Solve the LASSO min_c 1/2 ||y - D c||^2 + mu ||c||_1 for every weight
-    mu in ``regs`` over a shared design D (p x n).
+    mu in ``regs`` over a shared design D (p x n), given dense or by its
+    nonzeros (read by ``as_columns``).
 
     Returns the (n x len(regs)) coefficient matrix, column j for regs[j],
     and the largest per-point iteration count.  The points are solved in
@@ -173,7 +190,8 @@ def lasso_path_solve(
     empty): function-value restart, step 1 / sigma_max(D_W)^2 exact and
     computed only when W differs from the last W solved on, stop once the
     relative objective change is below TOL_OBJECTIVE.  It then
-    computes the full gradient g = D^T (y - D_W c_W), one pass over D, and
+    computes the full gradient g = D^T (y - D_W c_W), one pass over the
+    slots of D (``SparseColumns``; a dense D has a slot in every row), and
     rates every column j by the objective decrease of its best
     single-coordinate step from the current coefficients; for j outside W
     that is (|g_j| - mu)_+^2 / (2 ||D_j||^2), and a zero column rates 0.
@@ -198,12 +216,12 @@ def lasso_path_solve(
     regs = as_real(regs, "regularization weights", ndim=1, finite=False)
     if not np.all((regs > 0) & (regs < np.inf)):
         raise ValueError("regularization weights must be positive and finite")
-    D = as_real(design, "design", ndim=2, finite=False)
+    D = as_columns(design, "design", finite=False)
     y = as_real(observation, "observation").ravel()
     if y.size != D.shape[0]:
         raise ValueError("observation must hold one entry per design row")
-    Dty = D.T @ y
-    col_sq = np.einsum("ij,ij->j", D, D)
+    Dty = y @ D
+    col_sq = D.col_sq()
     total = float(np.sum(col_sq))
     if not np.isfinite(total):
         raise ValueError("design must be finite, with a finite sum of squares")
@@ -226,14 +244,14 @@ def lasso_path_solve(
         while True:
             if W.size:
                 if not np.array_equal(W, held):
-                    held, DW = W, D[:, W]
+                    held, DW = W, D.columns(W)
                     step = _step(DW)
                 c[W], r, it = _fista(DW, Dty[W], y, c[W], mu, step, max_iters - used)
                 used += it
                 if used >= max_iters:
                     break
                 # FISTA's residual is D_W c_W - y, so the gradient changes sign
-                g = D.T @ r
+                g = r @ D
                 np.negative(g, out=g)
             else:  # c = 0: the residual -y has y's square, and g = D^T y
                 r, g = y, Dty

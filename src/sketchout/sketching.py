@@ -6,14 +6,21 @@ Five seeded constructors build the operators the pipelines apply:
   entries, so squared vector lengths are preserved in expectation (a
   distributional Johnson-Lindenstrauss map with f(eps) = eps^2/4 - eps^3/6).
 * ``make_sparse_sign_sketch`` -- an m x n matrix whose every column sums
-  ``SPARSE_NONZEROS`` entries +-1/sqrt(s) at independently drawn rows;
-  acos compresses across columns with it (``pipeline.acos`` says why).
+  ``SPARSE_NONZEROS`` entries +-1/sqrt(s) at independently drawn rows,
+  held by those nonzeros as a ``SparseColumns``; acos compresses across
+  columns with it (``pipeline.acos`` says why).
 * ``make_column_sampler`` -- a column selector I[:, S] where each index
   enters S independently with probability gamma.  The membership draw for
   index i depends only on (seed, i), so selections are prefix-stable in n.
 * ``make_row_subsampler`` -- m distinct rows chosen uniformly at random.
 * ``make_probe_vector`` -- a 1 x m probe with i.i.d. standard normal
   entries.
+
+A ``SparseColumns`` holds a matrix by a fixed number of slots per column,
+each a row index and a value, and applies it on those slots alone: its
+products ``S @ x`` and ``y @ S`` (= S^T y), its dense column blocks and
+its squared column norms each cost one pass over the slots, and
+``np.asarray`` gives its dense matrix.
 
 The budget functions evaluate the paper's sufficient sample sizes, stated
 for Gaussian sketches at JL distortion eps = 1/4, in natural logarithms.
@@ -30,7 +37,7 @@ import numpy as np
 
 from .rng import generator
 
-__all__ = ["F_QUARTER", "SPARSE_NONZEROS", "SampleBudget", "SketchOperator",
+__all__ = ["F_QUARTER", "SPARSE_NONZEROS", "SampleBudget", "SketchOperator", "SparseColumns",
            "make_column_sampler", "make_gaussian_sketch", "make_probe_vector",
            "make_row_subsampler", "make_sparse_sign_sketch", "max_outliers", "min_col_budget",
            "min_gamma", "min_row_budget"]
@@ -45,11 +52,68 @@ class SketchOperator:
 
     ``matrix`` is the dense realization (rows x cols).  Selectors also
     carry ``indices``, the selected row/column indices in increasing order.
-    Each constructor reproduces its operator bit-for-bit from its arguments.
+    Each constructor, and ``make_sparse_sign_sketch``, which returns a
+    ``SparseColumns``, reproduces its operator bit-for-bit from its
+    arguments.
     """
 
     matrix: np.ndarray = field(repr=False)
     indices: np.ndarray | None = field(default=None, repr=False)
+
+
+def _scatter(rows: np.ndarray, values: np.ndarray, height: int) -> np.ndarray:
+    """The dense height x k matrix whose column j sums values[:, j] at the
+    rows rows[:, j]; each entry is 0.0 plus its values in slot order."""
+    k = rows.shape[1]
+    flat = (rows * k + np.arange(k)).ravel()
+    return np.bincount(flat, values.ravel(), height * k).reshape(height, k)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseColumns:
+    """A ``shape`` matrix held by s slots per column: column j holds
+    ``values[i, j]`` at row ``rows[i, j]`` for each slot i (both s x cols).
+    A slot may hold 0, and where two slots of a column share a row the
+    entry there is their sum.
+
+    ``S @ x`` for a vector x of length cols is one scatter-add over the
+    slots, ``y @ S`` (= S^T y) for a vector y of length rows one gather,
+    ``columns`` builds a dense block and ``col_sq`` the squared column
+    norms; ``np.asarray(S)`` is the dense matrix.  Neither product checks
+    its operand: ``prox.as_columns`` reads a matrix operand into this form.
+    """
+
+    rows: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    shape: tuple[int, int]
+
+    # y @ S for an ndarray y calls __rmatmul__, not a dense product through
+    # __array__
+    __array_ufunc__ = None
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = _scatter(self.rows, self.values, self.shape[0])
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows.ravel(), (self.values * x).ravel(), self.shape[0])
+
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->j", self.values, y[self.rows])
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The dense block of the columns ``cols``, bit for bit
+        ``np.asarray(self)[:, cols]``; ``cols`` holds integer column
+        indices."""
+        cols = np.asarray(cols)
+        if cols.ndim != 1 or cols.dtype.kind not in "iu" or not np.all(
+                (cols >= 0) & (cols < self.shape[1])):
+            raise ValueError("cols must be 1-D integer column indices below %d" % self.shape[1])
+        return _scatter(self.rows[:, cols], self.values[:, cols], self.shape[0])
+
+    def col_sq(self) -> np.ndarray:
+        """The squared l2 norm of every column."""
+        return np.einsum("ij,ij->j", self.values, self.values)
 
 
 def make_gaussian_sketch(rows: int, cols: int, seed: int) -> SketchOperator:
@@ -61,19 +125,29 @@ def make_gaussian_sketch(rows: int, cols: int, seed: int) -> SketchOperator:
     return SketchOperator(mat)
 
 
-def make_sparse_sign_sketch(rows: int, cols: int, seed: int) -> SketchOperator:
+def make_sparse_sign_sketch(rows: int, cols: int, seed: int) -> SparseColumns:
     """Sparse sketch: each column sums SPARSE_NONZEROS entries +-1/sqrt(s)
     with independently drawn rows and signs, so it has at most s nonzeros
-    and unit squared norm in expectation."""
+    and unit squared norm in expectation.  Held by its s draws per column,
+    sorted by row, with the draws that collide on a row merged into the
+    first of them and the others holding 0."""
     if rows < 1 or cols < 1:
         raise ValueError("sketch dimensions must be positive")
     # one draw in [0, 2 rows) per entry: its row, and its sign from the half
     draw = generator(seed).integers(2 * rows, size=(SPARSE_NONZEROS, cols))
-    row = draw % rows
-    sign = np.where(draw < rows, 1.0, -1.0)
-    mat = np.bincount((row * cols + np.arange(cols)).ravel(), sign.ravel(), rows * cols)
-    mat *= 1.0 / math.sqrt(SPARSE_NONZEROS)
-    return SketchOperator(mat.reshape(rows, cols))
+    # each column's draws sorted by row, the sign in the key's low bit
+    key = np.sort(2 * (draw % rows) + (draw >= rows), axis=0)
+    row = key >> 1
+    sign = 1.0 - 2.0 * (key & 1)
+    # fold each run of equal rows into its first slot, last slot first; the
+    # sums are small integers, so exact in any order
+    dup = row[1:] == row[:-1]
+    for i in range(SPARSE_NONZEROS - 1, 0, -1):
+        moved = sign[i] * dup[i - 1]
+        sign[i - 1] += moved
+        sign[i] -= moved
+    sign *= 1.0 / math.sqrt(SPARSE_NONZEROS)
+    return SparseColumns(row, sign, (rows, cols))
 
 
 def make_column_sampler(n2: int, gamma: float, seed: int) -> SketchOperator:

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from sketchout import prox
 from sketchout.prox import TOL_OBJECTIVE, _group_shrink, _shrink, _svt, lasso_path_solve
+from sketchout.sketching import make_sparse_sign_sketch
 
 from conftest import gaussian_product, with_spectrum
 
@@ -437,6 +438,28 @@ class TestLasso:
         assert np.all(path[123] == 0.0)
         assert np.array_equal(np.delete(path, 123, axis=0), ref)
         assert iters == ref_iters
+
+    @pytest.mark.parametrize("p, n, k", [(60, 300, 6), (300, 1000, 10)])
+    def test_sparse_design_solves_as_its_dense_matrix(self, p, n, k):
+        # the nonzero form and its dense matrix give the same path: the same
+        # support at every point and the same count, coefficients to rounding
+        S = make_sparse_sign_sketch(p, n, seed=p)
+        D = np.asarray(S)
+        rng = np.random.Generator(np.random.Philox(key=p))
+        truth = np.zeros(n)
+        truth[rng.choice(n, k, replace=False)] = rng.choice([-1.0, 1.0], k) * rng.uniform(1, 10, k)
+        y = D @ truth
+        mus = np.geomspace(1e-2, 1.0, 10) * np.max(np.abs(D.T @ y))
+        sparse, sparse_iters = lasso_path_solve(S, y, mus)
+        dense, dense_iters = lasso_path_solve(D, y, mus)
+        assert sparse_iters == dense_iters < 2000
+        assert np.array_equal(sparse != 0, dense != 0)
+        np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=0)
+        # each point's KKT residual against the dense design
+        G = D.T @ (y[:, None] - D @ sparse)
+        viol = np.where(sparse != 0, np.abs(G - mus * np.sign(sparse)),
+                        np.maximum(np.abs(G) - mus, 0.0))
+        assert np.all(viol.max(axis=0) < 1e-2 * mus)
 
     def test_nonfinite_design_rejected(self):
         D, y, mu = _sparse_recovery_problem()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -66,19 +67,30 @@ class TestGaussianSketch:
 
 class TestSparseSignSketch:
     def test_seeded_determinism(self):
-        a, b = (make_sparse_sign_sketch(300, 1000, 5).matrix for _ in range(2))
+        a, b = (np.asarray(make_sparse_sign_sketch(300, 1000, 5)) for _ in range(2))
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, make_sparse_sign_sketch(300, 1000, 6).matrix)
+        assert not np.array_equal(a, np.asarray(make_sparse_sign_sketch(300, 1000, 6)))
+
+    def test_dense_matrix_pinned(self):
+        # the bytes of the dense matrices the sketch was first drawn as, one
+        # bincount of the signs over the rows x cols entries, then scaled
+        dense = b"".join(
+            np.asarray(make_sparse_sign_sketch(r, c, s)).tobytes()
+            for r, c, s in [(300, 1000, 5), (1, 500, 1), (3, 40, 2), (300, 2000, 3)]
+        )
+        assert hashlib.sha1(dense).hexdigest() == "af295cfb6443c254ba0963fb9c5415f195ad9d55"
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 40), (300, 1000)])
     def test_shape(self, rows, cols):
-        assert make_sparse_sign_sketch(rows, cols, seed=2).matrix.shape == (rows, cols)
+        op = make_sparse_sign_sketch(rows, cols, seed=2)
+        assert op.shape == np.asarray(op).shape == (rows, cols)
+        assert op.rows.shape == op.values.shape == (SPARSE_NONZEROS, cols)
 
     @pytest.mark.parametrize("rows", [1, 3, 300])
     def test_sparse_columns_of_signed_multiples(self, rows):
         # at most SPARSE_NONZEROS entries per column, each an integer
         # multiple of 1/sqrt(SPARSE_NONZEROS), as colliding signs add
-        mat = make_sparse_sign_sketch(rows, 500, seed=rows).matrix
+        mat = np.asarray(make_sparse_sign_sketch(rows, 500, seed=rows))
         assert np.count_nonzero(mat, axis=0).max() <= SPARSE_NONZEROS == 8
         units = mat * math.sqrt(SPARSE_NONZEROS)
         assert np.allclose(units, np.round(units), rtol=0, atol=1e-12)
@@ -87,8 +99,34 @@ class TestSparseSignSketch:
         if rows == 1:
             assert np.all(np.round(units) % 2 == 0)
 
+    @pytest.mark.parametrize("rows", [1, 3, 300])
+    def test_colliding_draws_merged(self, rows):
+        # each column's slots are sorted by row; a row's first slot holds
+        # its entry, and any later slot on that row holds 0
+        op = make_sparse_sign_sketch(rows, 500, seed=rows)
+        mat = np.asarray(op)
+        assert np.all(np.diff(op.rows, axis=0) >= 0)
+        first = np.concatenate([np.ones((1, 500), bool), np.diff(op.rows, axis=0) > 0])
+        assert np.all(op.values[~first] == 0.0)
+        assert np.array_equal(op.values[first], mat[op.rows, np.arange(500)][first])
+        assert np.array_equal(np.count_nonzero(op.values, axis=0), np.count_nonzero(mat, axis=0))
+
+    @pytest.mark.parametrize("rows,cols", [(1, 500), (3, 40), (300, 1000)])
+    def test_operations_match_dense_matrix(self, rows, cols):
+        # at 1 and 3 rows draws collide and merge
+        op = make_sparse_sign_sketch(rows, cols, seed=7)
+        mat = np.asarray(op)
+        rng = np.random.Generator(np.random.Philox(key=21))
+        x, y = rng.standard_normal(cols), rng.standard_normal(rows)
+        np.testing.assert_allclose(op @ x, mat @ x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
+        np.testing.assert_allclose(y @ op, mat.T @ y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+        cols_taken = rng.choice(cols, min(cols, 17), replace=False)
+        assert np.array_equal(op.columns(cols_taken), mat[:, cols_taken])
+        assert np.array_equal(op.columns(np.arange(cols)), mat)
+        np.testing.assert_allclose(op.col_sq(), np.sum(mat * mat, axis=0), rtol=1e-14, atol=0)
+
     def test_unit_column_norm_in_expectation(self):
-        mat = make_sparse_sign_sketch(300, 2000, seed=3).matrix
+        mat = np.asarray(make_sparse_sign_sketch(300, 2000, seed=3))
         assert abs(np.sum(mat * mat, axis=0).mean() - 1.0) < 0.02
 
     @pytest.mark.parametrize("rows,cols", [(0, 5), (5, 0), (-1, 5), (5, -2)])

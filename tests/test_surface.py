@@ -7,9 +7,11 @@ input, and of a public method of a class there, is read as a real, finite
 array of the right shape or refused: a complex value, a NaN, an infinity
 or a wrong shape raises ValueError naming the argument.  The exceptions
 are the operands of ``MatrixSource``'s reads, whose NaN or infinity is
-refused as a non-finite measurement of the data.  The other classes are
-results and configs (dataclasses) or errors, and take no input array.  On
-the command line the same inputs exit 2.
+refused as a non-finite measurement of the data.  A matrix operand read
+by ``prox.as_columns`` may also come held by its nonzeros
+(``sketching.SparseColumns``), whose values meet the same refusals.  The
+other classes are results and configs (dataclasses) or errors, and take no
+input array.  On the command line the same inputs exit 2.
 """
 
 import dataclasses
@@ -31,7 +33,8 @@ from sketchout import MODES, AcosConfig, bernoulli_mask, detect, generate_instan
 from sketchout.cli import main
 from sketchout.imaging import patch_matrix, saliency_map, write_pgm
 from sketchout.pipeline import MatrixSource, acos, extract_support, sacos, sacos_missing
-from sketchout.prox import as_real, lasso_path_solve
+from sketchout.prox import as_columns, as_real, lasso_path_solve
+from sketchout.sketching import SparseColumns, make_sparse_sign_sketch
 from sketchout.solver import as_mask, outlier_pursuit, rmc_solve, subspace_basis
 from sketchout.synth import oracle_success
 
@@ -77,6 +80,7 @@ CFG = AcosConfig(gamma=0.5, m=N1, p=10, lam=0.4, seed=1)
 FULL = np.ones((N1, N2), dtype=bool)
 IMAGE = (np.arange(40 * 60).reshape(40, 60) % 7 * 30).astype(np.uint8)
 DESIGN = np.random.Generator(np.random.Philox(key=1)).standard_normal((6, 10))
+RIGHT = make_sparse_sign_sketch(5, N2, seed=4)
 
 #: entry -> (a call that reads every array argument it is given by keyword,
 #: valid values of those arguments)
@@ -108,10 +112,12 @@ CASES = {
         lambda M, mask: detect("sacos_missing", M, CFG, mask), dict(M=INST.M, mask=FULL),
     ),
     "pipeline.extract_support": (extract_support, dict(scores=np.abs(INST.M[0]))),
+    "prox.as_columns": (lambda x: as_columns(x, "x"), dict(x=INST.M)),
     "prox.as_real": (lambda x: as_real(x, "x", ndim=2), dict(x=INST.M)),
     "prox.lasso_path_solve": (
         lasso_path_solve, dict(design=DESIGN, observation=DESIGN[:, 0], regs=[0.1, 1.0]),
     ),
+    "sketching.SparseColumns.columns": (RIGHT.columns, dict(cols=np.arange(3))),
     "solver.as_mask": (lambda mask: as_mask(mask, (N1, N2)), dict(mask=FULL)),
     "solver.outlier_pursuit": (lambda Y: outlier_pursuit(Y, 0.4), dict(Y=INST.M)),
     "solver.rmc_solve": (
@@ -144,6 +150,7 @@ NO_ARRAYS = {
     "sketching.make_column_sampler", "sketching.make_gaussian_sketch",
     "sketching.make_probe_vector", "sketching.make_row_subsampler",
     "sketching.make_sparse_sign_sketch", "sketching.max_outliers", "sketching.min_col_budget", "sketching.min_gamma", "sketching.min_row_budget",
+    "sketching.SparseColumns.col_sq",
     "synth.add_noise", "synth.bernoulli_mask", "synth.generate_instance", "synth.phase_grid",
 }
 
@@ -163,6 +170,8 @@ def test_valid_call_passes(name):
 
 
 def _bad(value, kind):
+    if isinstance(value, SparseColumns):
+        return SparseColumns(value.rows, _bad(value.values, kind), value.shape)
     value = np.asarray(value)
     if kind == "complex":
         return value + 1j
@@ -182,6 +191,33 @@ def test_bad_array_raises_value_error(name, arg, kind):
     label = "finite" if arg in MEASURED and kind in ("nan", "inf") else LABELS.get(arg, arg)
     with pytest.raises(ValueError, match=label):
         call(**dict(good, **{arg: _bad(good[arg], kind)}))
+
+
+#: Matrix arguments read by ``prox.as_columns``, with a value of the case's
+#: shape held by its nonzeros.
+HELD = {
+    ("pipeline.MatrixSource.row_sketch", "right"): RIGHT,
+    ("prox.as_columns", "x"): make_sparse_sign_sketch(N1, N2, seed=5),
+    ("prox.lasso_path_solve", "design"): make_sparse_sign_sketch(*DESIGN.shape, seed=6),
+}
+
+
+@pytest.mark.parametrize("kind", ["complex", "nan", "inf", "shape"])
+@pytest.mark.parametrize("name, arg", sorted(HELD))
+def test_matrix_held_by_its_nonzeros_is_read_alike(name, arg, kind):
+    # held by its nonzeros, a valid operand passes and a complex, NaN,
+    # infinite or wrongly shaped one is refused as its dense form is
+    call, good = CASES[name]
+    held = HELD[name, arg]
+    call(**dict(good, **{arg: held}))
+    label = "finite" if arg in MEASURED and kind in ("nan", "inf") else LABELS.get(arg, arg)
+    with pytest.raises(ValueError, match=label):
+        call(**dict(good, **{arg: _bad(held, kind)}))
+
+
+def test_row_sketch_refuses_held_matrix_of_wrong_width():
+    with pytest.raises(ValueError, match="right"):
+        MatrixSource(INST.M).row_sketch(np.ones(N1), make_sparse_sign_sketch(5, N2 + 1, seed=4))
 
 
 @pytest.mark.parametrize(
