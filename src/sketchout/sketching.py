@@ -16,11 +16,8 @@ Five seeded constructors build the operators the pipelines apply:
 * ``make_probe_vector`` -- a 1 x m probe with i.i.d. standard normal
   entries.
 
-A ``SparseColumns`` holds a matrix by a fixed number of slots per column,
-each a row index and a value, and applies it on those slots alone: its
-products ``S @ x`` and ``y @ S`` (= S^T y), its dense column blocks and
-its squared column norms each cost one pass over the slots, and
-``np.asarray`` gives its dense matrix.
+A ``SparseColumns`` holds a matrix by a fixed number of (row, value) slots
+per column and applies it on those slots alone.
 
 The budget functions evaluate the paper's sufficient sample sizes, stated
 for Gaussian sketches at JL distortion eps = 1/4, in natural logarithms.
