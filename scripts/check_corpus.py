@@ -11,15 +11,18 @@ at rate 0.7 under mask seed 900 + i.  For every entry the script prints the
 mode, the declared count, the true-positive count, ``converged``, the
 sampling rate and (acos only) the winning decoder weight ``mu_used``, then
 the oracle success count of each cell and mode.  ``--json PATH`` writes the
-same data plus each declared set, one entry per line, so the output of two
-commits can be diffed.  ``--expect PATH`` compares every field of every
-entry and cell (except ``mu_used``, which drifts at solver precision) with a
-snapshot written by ``--json``, such as ``scripts/corpus_expected.json``,
+same data plus each declared set and a SHA-256 ``digest`` of the bytes of
+the entry's ``score_path`` and ``scores``, one entry per line, so the output
+of two commits can be diffed, bit for bit where the digests agree.
+``--expect PATH`` compares every field of every entry and cell (except
+``mu_used``, which drifts at solver precision, and ``digest``, which moves
+with it) with a snapshot written by ``--json``, such as ``scripts/corpus_expected.json``,
 names each entry that differs and the fields that do, and exits 1 if any
 does.  The full corpus takes about 10 s with one BLAS thread.
 """
 
 import argparse
+import hashlib
 import json
 import pathlib
 import sys
@@ -53,10 +56,11 @@ def evaluate(mode, inst, mask, cfg):
     """Detect on one input and return what the corpus records of it."""
     est, rate = detect(mode, inst.M, cfg, mask)
     declared = est.declared.tolist()
+    digest = hashlib.sha256(est.score_path.tobytes() + est.scores.tobytes()).hexdigest()
     return dict(declared=declared,
                 true_positives=len(set(declared) & set(inst.true_support.tolist())),
                 converged=est.converged, rate=rate, mu_used=est.mu_used,
-                oracle_success=oracle_success(est.score_path, inst.true_support))
+                oracle_success=oracle_success(est.score_path, inst.true_support), digest=digest)
 
 
 def dump(result):
@@ -67,11 +71,11 @@ def dump(result):
 
 def differences(got, want):
     """One line per entry or cell whose fields differ between two results
-    in the ``--json`` format, ``mu_used`` aside."""
+    in the ``--json`` format, ``mu_used`` and ``digest`` aside."""
 
     def entries(doc):
         return {(part, e["mode"], e["r"], e["k"], e.get("i")):
-                {f: v for f, v in e.items() if f != "mu_used"}
+                {f: v for f, v in e.items() if f not in ("mu_used", "digest")}
                 for part in ("inputs", "cells") for e in doc[part]}
 
     got, want = entries(got), entries(want)

@@ -33,6 +33,7 @@ from .rng import derive_seed
 # acos's sparse compression is not one, so its draw counts as pipeline time
 from .sketching import (
     SparseColumns,
+    _indices,
     make_column_sampler,
     make_gaussian_sketch,
     make_probe_vector,
@@ -128,8 +129,8 @@ class SupportEstimate:
 
 
 def _operand(x, name: str, axis: int, size: int):
-    """``x``, read by ``prox.as_real`` or ``prox.as_columns`` with
-    finite=False, checked to have ``size`` entries along ``axis``; its
+    """``x``, an array read by ``prox.as_real`` with finite=False or a
+    ``SparseColumns``, checked to have ``size`` entries along ``axis``; its
     finiteness is left to ``MatrixSource._collect``, which checks every
     block formed from it."""
     if x.shape[axis] != size:
@@ -175,23 +176,22 @@ class MatrixSource:
         op = _operand(prox.as_real(op, "op", ndim=2, finite=False), "op", 1, self._M.shape[0])
         return self._collect(lambda: op @ self._M[:, idx])
 
-    def row_sketch(self, w: np.ndarray, right: np.ndarray | SparseColumns) -> np.ndarray:
+    def row_sketch(self, w: np.ndarray, right: SparseColumns) -> np.ndarray:
         """(w M) right^T for a single row vector w and a matrix ``right``
-        given dense or by its nonzeros (``prox.as_columns``), one
-        scatter-add over its slots; counts rows(right)."""
+        held by its nonzeros, one scatter-add over its slots; counts
+        rows(right)."""
         n1, n2 = self._M.shape
         w = _operand(prox.as_real(w, "w", ndim=1, finite=False), "w", 0, n1)
-        right = _operand(prox.as_columns(right, "right", finite=False), "right", 1, n2)
+        if not isinstance(right, SparseColumns):
+            raise ValueError("right must be a sketching.SparseColumns, got %s" % type(right).__name__)
+        right = _operand(right, "right", 1, n2)
         return self._collect(lambda: right @ (w @ self._M))
 
     def masked_rows(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """M[rows] where ``mask`` (|rows| x n2, ``solver.as_mask``) is true,
         zero elsewhere; counts the observed entries only.  ``rows`` holds
         integer row indices."""
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or rows.dtype.kind not in "iu" or not np.all(
-                (rows >= 0) & (rows < self._M.shape[0])):
-            raise ValueError("rows must be 1-D integer row indices below %d" % self._M.shape[0])
+        rows = _indices(rows, self._M.shape[0], "rows")
         mask = as_mask(mask, (rows.size, self._M.shape[1]))
         return self._collect(lambda: np.where(mask, self._M[rows], 0.0), int(mask.sum()))
 

@@ -9,14 +9,13 @@ eigendecomposition of the smaller Gram matrix rather than a full SVD, with
 the matrix divided by its largest absolute entry first so that squaring it
 cannot overflow or underflow; its docstring gives the accuracy.
 ``lasso_path_solve`` is the one LASSO entry point, run along a path of
-regularization weights sharing one design matrix (a single weight is a
-path of length 1) by continuation, each point solved by FISTA on a working
-set of columns; its docstring gives the algorithm.  ``as_real`` is the
-package's rule for an input array: it refuses complex input instead of
-dropping its imaginary part, a wrong dimension count, and NaN or infinite
-entries where the caller does not check those itself as it reads them.
-``as_columns`` applies that rule to a matrix operand given dense or by its
-nonzeros, and reads it as a ``sketching.SparseColumns``.
+regularization weights sharing one design, a ``sketching.SparseColumns``
+(a single weight is a path of length 1), by continuation, each point solved
+by FISTA on a working set of columns; its docstring gives the algorithm.
+``as_real`` is the package's rule for an input array: it refuses complex
+input instead of dropping its imaginary part, a wrong dimension count, and
+NaN or infinite entries where the caller does not check those itself as it
+reads them.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .sketching import SparseColumns
 
-__all__ = ["MAX_ITERS", "TOL_OBJECTIVE", "as_columns", "as_real", "lasso_path_solve"]
+__all__ = ["MAX_ITERS", "TOL_OBJECTIVE", "as_real", "lasso_path_solve"]
 
 
 def as_real(x: np.ndarray, name: str, ndim: int | None = None, finite: bool = True) -> np.ndarray:
@@ -44,18 +43,6 @@ def as_real(x: np.ndarray, name: str, ndim: int | None = None, finite: bool = Tr
     if finite and not np.isfinite(x).all():
         raise ValueError("%s must be finite" % name)
     return x
-
-
-def as_columns(x: np.ndarray | SparseColumns, name: str, finite: bool = True) -> SparseColumns:
-    """The matrix ``x`` as a ``SparseColumns``: one is returned as it is, a
-    dense one becomes the case with a slot in every row.  The values are
-    read by ``as_real`` (2-D, and finite when ``finite`` is set), whose
-    ValueError names ``name``."""
-    if isinstance(x, SparseColumns):
-        as_real(x.values, name, ndim=2, finite=finite)
-        return x
-    x = as_real(x, name, ndim=2, finite=finite)
-    return SparseColumns(np.broadcast_to(np.arange(x.shape[0])[:, None], x.shape), x, x.shape)
 
 
 def _shrink(v: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -170,14 +157,13 @@ def _fista(D: np.ndarray, Dty: np.ndarray, y: np.ndarray, c: np.ndarray, mu: flo
 
 
 def lasso_path_solve(
-    design: np.ndarray | SparseColumns,
+    design: SparseColumns,
     observation: np.ndarray,
     regs: np.ndarray,
     max_iters: int = MAX_ITERS,
 ) -> tuple[np.ndarray, int]:
     """Solve the LASSO min_c 1/2 ||y - D c||^2 + mu ||c||_1 for every weight
-    mu in ``regs`` over a shared design D (p x n), given dense or by its
-    nonzeros (read by ``as_columns``).
+    mu in ``regs`` over a shared design D (p x n), held by its nonzeros.
 
     Returns the (n x len(regs)) coefficient matrix, column j for regs[j],
     and the largest per-point iteration count.  The points are solved in
@@ -189,10 +175,9 @@ def lasso_path_solve(
     runs FISTA on D_W from the current coefficients (skipped while W is
     empty): function-value restart, step 1 / sigma_max(D_W)^2 exact and
     computed only when W differs from the last W solved on, stop once the
-    relative objective change is below TOL_OBJECTIVE.  It then
-    computes the full gradient g = D^T (y - D_W c_W), one pass over the
-    slots of D (``SparseColumns``; a dense D has a slot in every row), and
-    rates every column j by the objective decrease of its best
+    relative objective change is below TOL_OBJECTIVE.  It then computes
+    the full gradient g = D^T (y - D_W c_W), one pass over the slots of D,
+    and rates every column j by the objective decrease of its best
     single-coordinate step from the current coefficients; for j outside W
     that is (|g_j| - mu)_+^2 / (2 ||D_j||^2), and a zero column rates 0.
     The point is done once no rating exceeds TOL_OBJECTIVE * max(1, |obj|),
@@ -206,17 +191,19 @@ def lasso_path_solve(
     at ``max_iters``; a returned count equal to ``max_iters`` means some
     point hit that cap, and that point's coefficients are uncertified.
     ``regs`` is 1-D and ``observation`` holds one entry per design row.  A
-    zero design, one whose sum of squares is not finite, a non-finite
-    observation, a weight that is not positive and finite and a
-    ``max_iters`` that is not a positive integer (a bool is not) raise
-    ValueError.
+    design that is not a ``SparseColumns``, a zero design, one whose sum of
+    squares is not finite, a non-finite observation, a weight that is not
+    positive and finite and a ``max_iters`` that is not a positive integer
+    (a bool is not) raise ValueError.
     """
     if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
         raise ValueError("max_iters must be a positive integer, got %r" % (max_iters,))
     regs = as_real(regs, "regularization weights", ndim=1, finite=False)
     if not np.all((regs > 0) & (regs < np.inf)):
         raise ValueError("regularization weights must be positive and finite")
-    D = as_columns(design, "design", finite=False)
+    if not isinstance(design, SparseColumns):
+        raise ValueError("design must be a sketching.SparseColumns, got %s" % type(design).__name__)
+    D = design
     y = as_real(observation, "observation").ravel()
     if y.size != D.shape[0]:
         raise ValueError("observation must hold one entry per design row")

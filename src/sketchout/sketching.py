@@ -17,7 +17,7 @@ Five seeded constructors build the operators the pipelines apply:
   entries.
 
 A ``SparseColumns`` holds a matrix by a fixed number of (row, value) slots
-per column and applies it on those slots alone.
+per column, checked at construction, and applies it on those slots alone.
 
 The budget functions evaluate the paper's sufficient sample sizes, stated
 for Gaussian sketches at JL distortion eps = 1/4, in natural logarithms.
@@ -58,6 +58,14 @@ class SketchOperator:
     indices: np.ndarray | None = field(default=None, repr=False)
 
 
+def _indices(x, n: int, name: str) -> np.ndarray:
+    """``x`` as an array of 1-D integer indices below ``n``, or ValueError naming ``name``."""
+    x = np.asarray(x)
+    if x.ndim != 1 or x.dtype.kind not in "iu" or not np.all((x >= 0) & (x < n)):
+        raise ValueError("%s must be 1-D integer indices below %d" % (name, n))
+    return x
+
+
 def _scatter(rows: np.ndarray, values: np.ndarray, height: int) -> np.ndarray:
     """The dense height x k matrix whose column j sums values[:, j] at the
     rows rows[:, j]; each entry is 0.0 plus its values in slot order."""
@@ -71,13 +79,15 @@ class SparseColumns:
     """A ``shape`` matrix held by s slots per column: column j holds
     ``values[i, j]`` at row ``rows[i, j]`` for each slot i (both s x cols).
     A slot may hold 0, and where two slots of a column share a row the
-    entry there is their sum.
+    entry there is their sum.  Construction raises ValueError unless the
+    rows are integers in [0, rows) and the values real; a NaN or an
+    infinity among them is left to the readers that need them finite.
 
     ``S @ x`` for a vector x of length cols is one scatter-add over the
     slots, ``y @ S`` (= S^T y) for a vector y of length rows one gather,
     ``columns`` builds a dense block and ``col_sq`` the squared column
     norms; ``np.asarray(S)`` is the dense matrix.  Neither product checks
-    its operand: ``prox.as_columns`` reads a matrix operand into this form.
+    its operand.
     """
 
     rows: np.ndarray = field(repr=False)
@@ -87,6 +97,13 @@ class SparseColumns:
     # y @ S for an ndarray y calls __rmatmul__, not a dense product through
     # __array__
     __array_ufunc__ = None
+
+    def __post_init__(self) -> None:
+        if self.values.shape != self.rows.shape or self.rows.shape[1:] != self.shape[1:]:
+            raise ValueError("rows and values must both be s x %d arrays" % self.shape[1])
+        _indices(self.rows.ravel(), self.shape[0], "rows")
+        if self.values.dtype.kind not in "fiu":
+            raise ValueError("values must be real, got dtype %s" % self.values.dtype)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = _scatter(self.rows, self.values, self.shape[0])
@@ -99,13 +116,9 @@ class SparseColumns:
         return np.einsum("ij,ij->j", self.values, y[self.rows])
 
     def columns(self, cols: np.ndarray) -> np.ndarray:
-        """The dense block of the columns ``cols``, bit for bit
-        ``np.asarray(self)[:, cols]``; ``cols`` holds integer column
-        indices."""
-        cols = np.asarray(cols)
-        if cols.ndim != 1 or cols.dtype.kind not in "iu" or not np.all(
-                (cols >= 0) & (cols < self.shape[1])):
-            raise ValueError("cols must be 1-D integer column indices below %d" % self.shape[1])
+        """The dense block of the columns ``cols`` (1-D integer indices),
+        bit for bit ``np.asarray(self)[:, cols]``."""
+        cols = _indices(cols, self.shape[1], "cols")
         return _scatter(self.rows[:, cols], self.values[:, cols], self.shape[0])
 
     def col_sq(self) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 from .pipeline import AcosConfig, _check_kind, check_mode, detect
 from .prox import as_real
 from .rng import derive_seed, generator
+from .sketching import _indices
 
 __all__ = ["PhaseGridResult", "ProblemInstance", "add_noise", "bernoulli_mask",
            "generate_instance", "oracle_success", "phase_grid"]
@@ -85,19 +86,18 @@ def oracle_success(score_path: np.ndarray, true_support: np.ndarray) -> bool:
     """Threshold-separation success test over a path of score vectors.
 
     ``score_path`` is 2-D, one score vector per row, and ``true_support``
-    1-D.  True iff some vector has every true-outlier score strictly above
-    every other score.  With an empty support, success means some vector
-    is identically zero (no spurious response at all).
+    1-D integer column indices.  True iff some vector has every true-outlier
+    score strictly above every other score.  With an empty support (``[]``
+    too), success means some vector is identically zero (no spurious response).
     """
     score_path = as_real(score_path, "score_path", ndim=2)
     if len(score_path) == 0:
         raise ValueError("need a 2-D path of at least one score vector")
-    support = np.sort(as_real(true_support, "true_support", ndim=1)).astype(int)
+    support = np.asarray(true_support)
+    if support.shape == (0,):  # also [], which numpy reads as float
+        return not score_path.any(axis=1).all()
+    support = _indices(support, score_path.shape[1], "true_support")
     for s in score_path:
-        if support.size == 0:
-            if not s.any():
-                return True
-            continue
         lowest = s[support].min()
         inliers = np.delete(s, support)
         # an empty complement still needs a positive threshold to fit under

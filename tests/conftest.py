@@ -8,10 +8,18 @@ import pytest
 
 from sketchout import AcosConfig, bernoulli_mask, detect, generate_instance, pipeline
 from sketchout.rng import derive_seed
+from sketchout.sketching import SparseColumns
 
 # the scripts' fixed inputs are the tests' inputs too
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
 from check_corpus import entry  # noqa: E402
+
+
+def held(D):
+    """The dense matrix D as a ``SparseColumns`` with a slot in every row,
+    the form a step-2 operand takes; ``np.asarray`` of it is D."""
+    D = np.asarray(D)
+    return SparseColumns(np.broadcast_to(np.arange(D.shape[0])[:, None], D.shape), D, D.shape)
 
 
 def orth_basis(A, rtol=None):

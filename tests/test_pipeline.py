@@ -24,6 +24,7 @@ from sketchout.sketching import make_column_sampler, make_gaussian_sketch, make_
 from sketchout.synth import bernoulli_mask, generate_instance, oracle_success
 
 from check_corpus import entry
+from conftest import held
 from declaration_study import planted
 
 
@@ -197,7 +198,7 @@ class TestAcos:
         # has a singular Gram matrix; the next point, {0}, fits exactly
         D = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
         path = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
-        i, declared = pipeline._refit(prox.as_columns(D, "design"), 3.0 * D[:, 0], path)
+        i, declared = pipeline._refit(held(D), 3.0 * D[:, 0], path)
         assert i == 1 and declared.tolist() == [0]
 
     def test_score_path_shape_and_mu(self):

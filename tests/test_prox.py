@@ -8,7 +8,7 @@ from sketchout import prox
 from sketchout.prox import TOL_OBJECTIVE, _group_shrink, _shrink, _svt, lasso_path_solve
 from sketchout.sketching import make_sparse_sign_sketch
 
-from conftest import gaussian_product, with_spectrum
+from conftest import gaussian_product, held, with_spectrum
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -242,7 +242,7 @@ _ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 def _lasso(D, y, mu, max_iters=2000):
     """Single-weight solve: a regularization path of length one."""
-    C, iters = lasso_path_solve(D, y, [mu], max_iters=max_iters)
+    C, iters = lasso_path_solve(held(D), y, [mu], max_iters=max_iters)
     return C[:, 0], iters
 
 
@@ -294,7 +294,7 @@ class TestLasso:
         y = rng.standard_normal(12)
         base = np.max(np.abs(D.T @ y))
         mus = np.geomspace(1e-3, 0.5, 5) * base
-        path, _ = lasso_path_solve(D, y, mus)
+        path, _ = lasso_path_solve(held(D), y, mus)
         for j, mu in enumerate(mus):
             obj_o = _objective(D, y, _coordinate_descent(D, y, mu), mu)
             assert _objective(D, y, path[:, j], mu) <= obj_o + 1e-6 * (1 + abs(obj_o))
@@ -304,9 +304,9 @@ class TestLasso:
         D = rng.standard_normal((15, 40))
         y = rng.standard_normal(15)
         mus = np.geomspace(1e-3, 1.0, 6) * np.max(np.abs(D.T @ y))
-        ref, ref_iters = lasso_path_solve(D, y, mus)
+        ref, ref_iters = lasso_path_solve(held(D), y, mus)
         for order in (np.arange(6)[::-1], np.array([3, 0, 5, 1, 4, 2])):
-            path, iters = lasso_path_solve(D, y, mus[order])
+            path, iters = lasso_path_solve(held(D), y, mus[order])
             assert np.array_equal(path, ref[:, order])
             assert iters == ref_iters
 
@@ -315,26 +315,26 @@ class TestLasso:
         D = rng.standard_normal((20, 50))
         y = rng.standard_normal(20)
         mus = np.geomspace(1e-3, 0.5, 5) * np.max(np.abs(D.T @ y))
-        path, iters = lasso_path_solve(D, y, mus)
+        path, iters = lasso_path_solve(held(D), y, mus)
         assert 1 < iters < 2000
         # no point needs more than the returned count: capping there changes nothing
-        capped, capped_iters = lasso_path_solve(D, y, mus, max_iters=iters)
+        capped, capped_iters = lasso_path_solve(held(D), y, mus, max_iters=iters)
         assert capped_iters == iters and np.array_equal(capped, path)
         # some point needs all of it: one fewer reaches the cap
-        _, short_iters = lasso_path_solve(D, y, mus, max_iters=iters - 1)
+        _, short_iters = lasso_path_solve(held(D), y, mus, max_iters=iters - 1)
         assert short_iters == iters - 1
-        _, one = lasso_path_solve(D, y, mus, max_iters=1)
+        _, one = lasso_path_solve(held(D), y, mus, max_iters=1)
         assert one == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lasso_path_solve(np.eye(2), np.ones(3), [1.0])
+            lasso_path_solve(held(np.eye(2)), np.ones(3), [1.0])
         with pytest.raises(ValueError):
-            lasso_path_solve(np.eye(2), np.ones(2), [0.0])
+            lasso_path_solve(held(np.eye(2)), np.ones(2), [0.0])
         with pytest.raises(ValueError):
-            lasso_path_solve(np.zeros((2, 2)), np.ones(2), [1.0])
+            lasso_path_solve(held(np.zeros((2, 2))), np.ones(2), [1.0])
         with pytest.raises(ValueError):
-            lasso_path_solve(np.eye(2), np.ones(2), [0.5, -1.0])
+            lasso_path_solve(held(np.eye(2)), np.ones(2), [0.5, -1.0])
 
     @pytest.mark.parametrize("bad", [-1, 0, 2.5, True, 2000.0, "10", None],
                              ids=["negative", "zero", "fraction", "bool", "whole_float", "text", "none"])
@@ -342,32 +342,34 @@ class TestLasso:
         # -1 used to return zero coefficients with count 0, which the cap rule
         # (count == max_iters means capped) read as certified
         with pytest.raises(ValueError, match="^max_iters must be a positive integer"):
-            lasso_path_solve(np.eye(2), np.ones(2), [1.0], max_iters=bad)
+            lasso_path_solve(held(np.eye(2)), np.ones(2), [1.0], max_iters=bad)
 
     def test_max_iters_takes_numpy_integers(self):
-        c, iters = lasso_path_solve(np.eye(2), np.array([3.0, 0.0]), [1.0], max_iters=np.int64(50))
+        c, iters = lasso_path_solve(held(np.eye(2)), np.array([3.0, 0.0]), [1.0],
+                                    max_iters=np.int64(50))
         assert np.allclose(c[:, 0], [2.0, 0.0], atol=1e-7) and 1 <= iters < 50
 
     @pytest.mark.parametrize("arg", [0, 1, 2], ids=["design", "observation", "weights"])
     def test_complex_input_rejected(self, arg):
-        # a float cast used to warn and then solve the real part alone
+        # a float cast used to warn and then solve the real part alone; a
+        # complex design cannot even be held
         args = [np.eye(2), np.ones(2), [1.0]]
         args[arg] = np.asarray(args[arg]) * (1 + 1j)
-        name = ["design", "observation", "regularization weights"][arg]
+        name = ["values", "observation", "regularization weights"][arg]
         with pytest.raises(ValueError, match=name + " must be real"):
-            lasso_path_solve(*args)
+            lasso_path_solve(held(args[0]), *args[1:])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_nonfinite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="positive and finite"):
-            lasso_path_solve(np.eye(2), np.ones(2), [0.5, bad])
+            lasso_path_solve(held(np.eye(2)), np.ones(2), [0.5, bad])
 
     def test_step_computed_once_per_working_set(self, monkeypatch):
         # the step is the largest Gram eigenvalue of the working block D[:, W]:
         # one eigvalsh each time W changes between FISTA runs, none for rounds
         # and path points that keep W
         D, y, mus = _wide_sparse_problem()
-        ref, ref_iters = lasso_path_solve(D, y, mus)
+        ref, ref_iters = lasso_path_solve(held(D), y, mus)
         blocks, eig_calls = [], []
         fista, eigvalsh = prox._fista, np.linalg.eigvalsh
 
@@ -381,7 +383,7 @@ class TestLasso:
 
         monkeypatch.setattr(prox, "_fista", recording)
         monkeypatch.setattr(prox.np.linalg, "eigvalsh", counting)
-        path, iters = lasso_path_solve(D, y, mus)
+        path, iters = lasso_path_solve(held(D), y, mus)
         changes = sum(
             i == 0 or not np.array_equal(b, blocks[i - 1]) for i, b in enumerate(blocks)
         )
@@ -391,7 +393,7 @@ class TestLasso:
 
     def test_wide_sparse_path_matches_oracle(self):
         D, y, mus = _wide_sparse_problem()
-        path, _ = lasso_path_solve(D, y, mus)
+        path, _ = lasso_path_solve(held(D), y, mus)
         assert np.count_nonzero(path[:, -1]) >= 8  # the largest weight's support
         for j, mu in enumerate(mus):
             obj_o = _objective(D, y, _coordinate_descent(D, y, mu), mu)
@@ -406,7 +408,7 @@ class TestLasso:
         # is (|g_j| - mu)_+^2 / (2 ||D_j||^2)
         D, y, mus = problem()
         mus = np.atleast_1d(mus)
-        path, _ = lasso_path_solve(D, y, mus)
+        path, _ = lasso_path_solve(held(D), y, mus)
         col_sq = np.sum(D * D, axis=0)
         for j, mu in enumerate(mus):
             c = path[:, j]
@@ -433,8 +435,8 @@ class TestLasso:
         # a zero column rates exactly 0, so it never joins the working set,
         # and every other column goes through the same rounds bit for bit
         D, y, mus = _wide_sparse_problem()
-        ref, ref_iters = lasso_path_solve(D, y, mus)
-        path, iters = lasso_path_solve(np.insert(D, 123, 0.0, axis=1), y, mus)
+        ref, ref_iters = lasso_path_solve(held(D), y, mus)
+        path, iters = lasso_path_solve(held(np.insert(D, 123, 0.0, axis=1)), y, mus)
         assert np.all(path[123] == 0.0)
         assert np.array_equal(np.delete(path, 123, axis=0), ref)
         assert iters == ref_iters
@@ -451,7 +453,7 @@ class TestLasso:
         y = D @ truth
         mus = np.geomspace(1e-2, 1.0, 10) * np.max(np.abs(D.T @ y))
         sparse, sparse_iters = lasso_path_solve(S, y, mus)
-        dense, dense_iters = lasso_path_solve(D, y, mus)
+        dense, dense_iters = lasso_path_solve(held(D), y, mus)
         assert sparse_iters == dense_iters < 2000
         assert np.array_equal(sparse != 0, dense != 0)
         np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=0)

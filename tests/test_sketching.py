@@ -12,6 +12,7 @@ from sketchout.sketching import (
     F_QUARTER,
     SPARSE_NONZEROS,
     SampleBudget,
+    SparseColumns,
     make_column_sampler,
     make_gaussian_sketch,
     make_probe_vector,
@@ -23,7 +24,7 @@ from sketchout.sketching import (
     min_row_budget,
 )
 
-from conftest import f_jl
+from conftest import f_jl, held
 
 
 class TestGaussianSketch:
@@ -133,6 +134,40 @@ class TestSparseSignSketch:
     def test_rejects_nonpositive_dimensions(self, rows, cols):
         with pytest.raises(ValueError, match="sketch dimensions must be positive"):
             make_sparse_sign_sketch(rows, cols, seed=0)
+
+
+#: Valid slots of a 3 x 3 matrix: two per column.
+_ROWS = np.array([[0, 1, 2], [2, 0, 1]])
+_VALUES = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+
+
+class TestSparseColumns:
+    def test_valid_slots_build_their_matrix(self):
+        op = SparseColumns(_ROWS, _VALUES, (3, 3))
+        assert np.array_equal(np.asarray(op), [[1.0, 3.0, 0.0], [0.0, -2.0, -1.0], [0.0, 0.0, 0.5]])
+        # integer values are real, and so is a slot in every row
+        SparseColumns(_ROWS, _ROWS, (3, 3))
+        D = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(np.asarray(held(D)), D)
+
+    @pytest.mark.parametrize(
+        "rows, values, match",
+        [
+            (_ROWS + 1, _VALUES, "rows must be 1-D integer indices below 3"),
+            (_ROWS - 1, _VALUES, "rows must be 1-D integer indices below 3"),
+            (_ROWS + 0.0, _VALUES, "rows must be 1-D integer indices below 3"),
+            (_ROWS, _VALUES[:1], "rows and values must both be s x 3 arrays"),
+            (_ROWS[:, :2], _VALUES[:, :2], "rows and values must both be s x 3 arrays"),
+            (_ROWS[0], _VALUES[0], "rows and values must both be s x 3 arrays"),
+            (_ROWS, _VALUES + 1j, "values must be real"),
+        ],
+        ids=["row_past_the_end", "negative_row", "float_rows", "ragged", "wrong_width",
+             "one_dimensional", "complex_values"],
+    )
+    def test_construction_refuses_bad_slots(self, rows, values, match):
+        # each used to build, then take a wrong block or fail inside numpy
+        with pytest.raises(ValueError, match=match):
+            SparseColumns(rows, values, (3, 3))
 
 
 class TestColumnSampler:

@@ -7,11 +7,13 @@ input, and of a public method of a class there, is read as a real, finite
 array of the right shape or refused: a complex value, a NaN, an infinity
 or a wrong shape raises ValueError naming the argument.  The exceptions
 are the operands of ``MatrixSource``'s reads, whose NaN or infinity is
-refused as a non-finite measurement of the data.  A matrix operand read
-by ``prox.as_columns`` may also come held by its nonzeros
-(``sketching.SparseColumns``), whose values meet the same refusals.  The
-other classes are results and configs (dataclasses) or errors, and take no
-input array.  On the command line the same inputs exit 2.
+refused as a non-finite measurement of the data.  A step-2 operand (the
+design of ``lasso_path_solve``, the ``right`` of ``row_sketch``) is held
+by its nonzeros as a ``sketching.SparseColumns``, which checks its slots
+when it is built: a dense one is refused, and one whose values hold a NaN
+or an infinity meets the refusals above.  The other classes are results
+and configs (dataclasses) or errors, and take no input array.  On the
+command line the same inputs exit 2.
 """
 
 import dataclasses
@@ -33,7 +35,7 @@ from sketchout import MODES, AcosConfig, bernoulli_mask, detect, generate_instan
 from sketchout.cli import main
 from sketchout.imaging import patch_matrix, saliency_map, write_pgm
 from sketchout.pipeline import MatrixSource, acos, extract_support, sacos, sacos_missing
-from sketchout.prox import as_columns, as_real, lasso_path_solve
+from sketchout.prox import as_real, lasso_path_solve
 from sketchout.sketching import SparseColumns, make_sparse_sign_sketch
 from sketchout.solver import as_mask, outlier_pursuit, rmc_solve, subspace_basis
 from sketchout.synth import oracle_success
@@ -69,7 +71,7 @@ def _entries():
 def _array_params(obj):
     return {
         name for name, par in inspect.signature(obj).parameters.items()
-        if "ndarray" in str(par.annotation)
+        if re.search(r"ndarray|SparseColumns", str(par.annotation))
     }
 
 
@@ -79,7 +81,7 @@ INST = generate_instance(N1, N2, 1, 2, seed=3)
 CFG = AcosConfig(gamma=0.5, m=N1, p=10, lam=0.4, seed=1)
 FULL = np.ones((N1, N2), dtype=bool)
 IMAGE = (np.arange(40 * 60).reshape(40, 60) % 7 * 30).astype(np.uint8)
-DESIGN = np.random.Generator(np.random.Philox(key=1)).standard_normal((6, 10))
+DESIGN = make_sparse_sign_sketch(6, 10, seed=6)
 RIGHT = make_sparse_sign_sketch(5, N2, seed=4)
 
 #: entry -> (a call that reads every array argument it is given by keyword,
@@ -97,7 +99,7 @@ CASES = {
     ),
     "pipeline.MatrixSource.row_sketch": (
         lambda w, right: MatrixSource(INST.M).row_sketch(w, right),
-        dict(w=np.ones(N1), right=np.eye(N2)[:5]),
+        dict(w=np.ones(N1), right=RIGHT),
     ),
     "pipeline.MatrixSource.masked_rows": (
         lambda rows, mask: MatrixSource(INST.M).masked_rows(rows, mask),
@@ -112,10 +114,10 @@ CASES = {
         lambda M, mask: detect("sacos_missing", M, CFG, mask), dict(M=INST.M, mask=FULL),
     ),
     "pipeline.extract_support": (extract_support, dict(scores=np.abs(INST.M[0]))),
-    "prox.as_columns": (lambda x: as_columns(x, "x"), dict(x=INST.M)),
     "prox.as_real": (lambda x: as_real(x, "x", ndim=2), dict(x=INST.M)),
     "prox.lasso_path_solve": (
-        lasso_path_solve, dict(design=DESIGN, observation=DESIGN[:, 0], regs=[0.1, 1.0]),
+        lasso_path_solve,
+        dict(design=DESIGN, observation=np.asarray(DESIGN)[:, 0], regs=[0.1, 1.0]),
     ),
     "sketching.SparseColumns.columns": (RIGHT.columns, dict(cols=np.arange(3))),
     "solver.as_mask": (lambda mask: as_mask(mask, (N1, N2)), dict(mask=FULL)),
@@ -171,7 +173,11 @@ def test_valid_call_passes(name):
 
 def _bad(value, kind):
     if isinstance(value, SparseColumns):
-        return SparseColumns(value.rows, _bad(value.values, kind), value.shape)
+        if kind in ("nan", "inf"):
+            return SparseColumns(value.rows, _bad(value.values, kind), value.shape)
+        # no SparseColumns is complex or of another rank: such a matrix
+        # comes dense, and is refused as dense
+        return _bad(np.asarray(value), kind)
     value = np.asarray(value)
     if kind == "complex":
         return value + 1j
@@ -193,31 +199,42 @@ def test_bad_array_raises_value_error(name, arg, kind):
         call(**dict(good, **{arg: _bad(good[arg], kind)}))
 
 
-#: Matrix arguments read by ``prox.as_columns``, with a value of the case's
-#: shape held by its nonzeros.
-HELD = {
-    ("pipeline.MatrixSource.row_sketch", "right"): RIGHT,
-    ("prox.as_columns", "x"): make_sparse_sign_sketch(N1, N2, seed=5),
-    ("prox.lasso_path_solve", "design"): make_sparse_sign_sketch(*DESIGN.shape, seed=6),
-}
-
-
-@pytest.mark.parametrize("kind", ["complex", "nan", "inf", "shape"])
-@pytest.mark.parametrize("name, arg", sorted(HELD))
-def test_matrix_held_by_its_nonzeros_is_read_alike(name, arg, kind):
-    # held by its nonzeros, a valid operand passes and a complex, NaN,
-    # infinite or wrongly shaped one is refused as its dense form is
+@pytest.mark.parametrize(
+    "name, arg", [("pipeline.MatrixSource.row_sketch", "right"), ("prox.lasso_path_solve", "design")]
+)
+def test_dense_step2_operand_refused(name, arg):
+    # the dense form of a valid operand, which both once read
     call, good = CASES[name]
-    held = HELD[name, arg]
-    call(**dict(good, **{arg: held}))
-    label = "finite" if arg in MEASURED and kind in ("nan", "inf") else LABELS.get(arg, arg)
-    with pytest.raises(ValueError, match=label):
-        call(**dict(good, **{arg: _bad(held, kind)}))
+    with pytest.raises(ValueError, match=arg + " must be a sketching.SparseColumns"):
+        call(**dict(good, **{arg: np.asarray(good[arg])}))
 
 
-def test_row_sketch_refuses_held_matrix_of_wrong_width():
-    with pytest.raises(ValueError, match="right"):
-        MatrixSource(INST.M).row_sketch(np.ones(N1), make_sparse_sign_sketch(5, N2 + 1, seed=4))
+@settings(max_examples=60, deadline=None)
+@given(height=st.integers(1, 6), top=st.integers(0, 8), seed=st.integers(0, 2 ** 16))
+def test_row_sketch_block_has_one_entry_per_operand_row(height, top, seed):
+    # slots naming a row at or past the operand's height are refused when
+    # the operand is built; a row sketch takes and counts one entry per row
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = rng.integers(0, top + 1, size=(3, N2))
+    rows[0, 0] = top
+    values = rng.standard_normal((3, N2))
+    if top >= height:
+        with pytest.raises(ValueError, match="rows must be 1-D integer indices below %d" % height):
+            SparseColumns(rows, values, (height, N2))
+        return
+    src = MatrixSource(INST.M)
+    out = src.row_sketch(np.ones(N1), SparseColumns(rows, values, (height, N2)))
+    assert out.shape == (height,) and src.measurements == height
+
+
+def _longer(value, axis):
+    """``value`` with its first entry along ``axis`` repeated at the end; a
+    ``SparseColumns`` gains a column, its first."""
+    if isinstance(value, SparseColumns):
+        rows, values = (np.concatenate([a, a[:, :1]], axis=1) for a in (value.rows, value.values))
+        return SparseColumns(rows, values, (value.shape[0], value.shape[1] + 1))
+    value = np.asarray(value)
+    return np.concatenate([value, value.take([0], axis=axis)], axis=axis)
 
 
 @pytest.mark.parametrize(
@@ -226,10 +243,27 @@ def test_row_sketch_refuses_held_matrix_of_wrong_width():
 )
 def test_method_array_of_wrong_length_raises_value_error(name, arg):
     call, good = CASES[name]
-    value = np.asarray(good[arg])
-    longer = np.concatenate([value, value.take([0], axis=INNER_AXIS[arg])], axis=INNER_AXIS[arg])
     with pytest.raises(ValueError, match=arg):
-        call(**dict(good, **{arg: longer}))
+        call(**dict(good, **{arg: _longer(good[arg], INNER_AXIS[arg])}))
+
+
+#: The index arguments besides ``true_support`` (``tests/test_synth.py``)
+#: and the slot rows (``tests/test_sketching.py``): a call that reads each,
+#: and the bound its indices lie below.
+INDEXED = {
+    "rows": (lambda rows: MatrixSource(INST.M).masked_rows(rows, FULL[:1]), N1),
+    "cols": (RIGHT.columns, N2),
+}
+
+
+@pytest.mark.parametrize("bad", ["negative", "fraction", "past_the_end"])
+@pytest.mark.parametrize("arg", sorted(INDEXED))
+def test_index_outside_the_range_raises_value_error(arg, bad):
+    # one rule reads every index argument, and names it
+    call, n = INDEXED[arg]
+    value = {"negative": [-1], "fraction": [0.5], "past_the_end": [n]}[bad]
+    with pytest.raises(ValueError, match="%s must be 1-D integer indices below %d" % (arg, n)):
+        call(value)
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():

@@ -157,6 +157,14 @@ class TestOracleSuccess:
         assert not oracle_success([np.array([0.5, 0.1])], [])
         assert oracle_success([np.zeros(4)], [])
 
+    @pytest.mark.parametrize("support", [[-2], [2.7], [7]],
+                             ids=["negative", "fraction", "past_the_end"])
+    def test_support_outside_the_columns_rejected(self, support):
+        # -2 used to wrap to column 2 and 2.7 to truncate to it, so both
+        # succeeded on this path; 7 raised IndexError
+        with pytest.raises(ValueError, match="true_support"):
+            oracle_success([[0, 0, 5, 1]], support)
+
     def test_single_vector_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             oracle_success(np.array([3.0, 0.1]), [0])
