@@ -199,14 +199,41 @@ def test_bad_array_raises_value_error(name, arg, kind):
         call(**dict(good, **{arg: _bad(good[arg], kind)}))
 
 
-@pytest.mark.parametrize(
-    "name, arg", [("pipeline.MatrixSource.row_sketch", "right"), ("prox.lasso_path_solve", "design")]
-)
+#: The step-2 operands, each held by its nonzeros in its case.
+STEP2 = [("pipeline.MatrixSource.row_sketch", "right"), ("prox.lasso_path_solve", "design")]
+
+
+@pytest.mark.parametrize("name, arg", STEP2)
 def test_dense_step2_operand_refused(name, arg):
     # the dense form of a valid operand, which both once read
     call, good = CASES[name]
     with pytest.raises(ValueError, match=arg + " must be a sketching.SparseColumns"):
         call(**dict(good, **{arg: np.asarray(good[arg])}))
+
+
+@pytest.mark.parametrize("kind", ["complex", "nan", "inf", "shape"])
+@pytest.mark.parametrize("name, arg", STEP2)
+def test_matrix_held_by_its_nonzeros_is_read_alike(name, arg, kind):
+    # a bad entry in a held operand's slots is refused as in a dense matrix:
+    # a complex value or values of another rank when the operand is built,
+    # a NaN or an infinity by the read
+    call, good = CASES[name]
+    held = good[arg]
+    values = _bad(held.values, kind)
+    if kind in ("complex", "shape"):
+        match = "values must be real" if kind == "complex" else "rows and values must both be"
+        with pytest.raises(ValueError, match=match):
+            SparseColumns(held.rows, values, held.shape)
+        return
+    label = "finite" if arg in MEASURED else LABELS.get(arg, arg)
+    with pytest.raises(ValueError, match=label):
+        call(**dict(good, **{arg: SparseColumns(held.rows, values, held.shape)}))
+
+
+def test_row_sketch_refuses_held_matrix_of_wrong_width():
+    for width in (N2 - 1, N2 + 1):
+        with pytest.raises(ValueError, match="right must have %d entries along axis 1" % N2):
+            MatrixSource(INST.M).row_sketch(np.ones(N1), make_sparse_sign_sketch(5, width, seed=4))
 
 
 @settings(max_examples=60, deadline=None)
