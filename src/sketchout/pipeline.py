@@ -170,11 +170,12 @@ class MatrixSource:
         self.measurements += out.size if count is None else count
         return out
 
-    def sketch(self, op: np.ndarray, idx=slice(None)) -> np.ndarray:
-        """Phi M[:, idx], every column by default; counts rows(Phi) * |idx|
-        scalars."""
+    def sketch(self, op: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+        """Phi M[:, idx] for integer column indices ``idx``, every column
+        when it is None; counts rows(Phi) * |idx| scalars."""
         op = _operand(prox.as_real(op, "op", ndim=2, finite=False), "op", 1, self._M.shape[0])
-        return self._collect(lambda: op @ self._M[:, idx])
+        block = self._M if idx is None else self._M[:, _indices(idx, self._M.shape[1], "idx")]
+        return self._collect(lambda: op @ block)
 
     def row_sketch(self, w: np.ndarray, right: SparseColumns) -> np.ndarray:
         """(w M) right^T for a single row vector w and a matrix ``right``

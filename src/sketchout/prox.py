@@ -5,9 +5,9 @@ the l1 norm; ``_svt``, singular value thresholding for the nuclear norm;
 ``_group_shrink``, columnwise shrinkage for the sum of column l2 norms)
 are the building blocks of the solver loops, which make their thresholds
 nonnegative and so call them unchecked.  ``_svt`` thresholds through the
-eigendecomposition of the smaller Gram matrix rather than a full SVD, with
-the matrix divided by its largest absolute entry first so that squaring it
-cannot overflow or underflow; its docstring gives the accuracy.
+eigendecomposition of the smaller Gram matrix rather than a full SVD, and
+leaves the scale of its matrix to its one caller, ``solver.rmc_solve``,
+which solves at unit scale; its docstring gives the accuracy.
 ``lasso_path_solve`` is the one LASSO entry point, run along a path of
 regularization weights sharing one design, a ``sketching.SparseColumns``
 (a single weight is a path of length 1), by continuation, each point solved
@@ -61,38 +61,32 @@ def _shrink(v: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
 
 def _svt(X: np.ndarray, tau: float) -> np.ndarray:
     """Shrink the singular values of the float array X by a nonnegative tau
-    (prox of tau * nuclear norm), unchecked but for the finiteness of X,
-    which raises ValueError.
+    (prox of tau * nuclear norm), unchecked.  X must be finite and of order
+    one, as ``solver.rmc_solve``, the one caller, guarantees: it solves its
+    data divided by the power of two above its largest absolute entry, with
+    observed entries checked finite and unobserved ones zeroed, so forming
+    G neither overflows nor underflows at the scale of the singular values.
 
     Computed from the smaller Gram matrix G (X X^T when X has no more rows
     than columns, else X^T X): with G = U diag(w) U^T and s = sqrt(max(w, 0)),
     the result is U_k diag(1 - tau / s_k) U_k^T X over the s_k > tau (mirrored
-    for tall X).  This is a spectral function of G, so repeated singular
-    values need no right singular vectors.  X is divided by its largest
-    absolute entry c before G is formed and s is multiplied back by c, so the
-    result is equally accurate at every finite scale of X and tau.  The
-    eigenvalues of G carry an absolute error of order eps * sigma_1^2, so a
-    singular value s is resolved to about eps * sigma_1^2 / s: the result
-    agrees with an SVD-based threshold to rounding when the singular values
-    near tau lie well above sqrt(eps) * sigma_1, and is exactly zero when tau
-    is at least the largest computed singular value.
+    for tall X), the zero matrix when no s_k exceeds tau.  This is a spectral
+    function of G, so repeated singular values need no right singular
+    vectors.  The eigenvalues of G carry an absolute error of order eps *
+    sigma_1^2, so a singular value s is resolved to about eps * sigma_1^2 /
+    s: the result agrees with an SVD-based threshold to rounding when the
+    singular values near tau lie well above sqrt(eps) * sigma_1, and is
+    exactly zero when tau is at least the largest computed singular value.
     """
-    c = float(np.abs(X).max(initial=0.0))
-    if not math.isfinite(c):
-        raise ValueError("matrix entries must be finite")
-    if c == 0.0:
-        return np.zeros_like(X)
-    Xs = X / c
     wide = X.shape[0] <= X.shape[1]
-    w, U = np.linalg.eigh(Xs @ Xs.T if wide else Xs.T @ Xs)
+    w, U = np.linalg.eigh(X @ X.T if wide else X.T @ X)
     s = np.sqrt(np.maximum(w, 0.0))
-    t = float(tau) / c
-    keep = s > t
+    keep = s > tau
     U = U[:, keep]
-    factor = c * (1.0 - t / s[keep])
+    factor = 1.0 - tau / s[keep]
     if wide:
-        return (U * factor) @ (U.T @ Xs)
-    return ((Xs @ U) * factor) @ U.T
+        return (U * factor) @ (U.T @ X)
+    return ((X @ U) * factor) @ U.T
 
 
 def _group_shrink(X: np.ndarray, tau: float) -> np.ndarray:

@@ -28,6 +28,7 @@ signalled, never clamped.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +80,10 @@ class SparseColumns:
     """A ``shape`` matrix held by s slots per column: column j holds
     ``values[i, j]`` at row ``rows[i, j]`` for each slot i (both s x cols).
     A slot may hold 0, and where two slots of a column share a row the
-    entry there is their sum.  Construction raises ValueError unless the
-    rows are integers in [0, rows) and the values real; a NaN or an
-    infinity among them is left to the readers that need them finite.
+    entry there is their sum.  Construction raises ValueError unless
+    ``shape`` is a pair of positive integers, the rows are integers in
+    [0, rows) and the values real; a NaN or an infinity among them is
+    left to the readers that need them finite.
 
     ``S @ x`` for a vector x of length cols is one scatter-add over the
     slots, ``y @ S`` (= S^T y) for a vector y of length rows one gather,
@@ -99,6 +101,10 @@ class SparseColumns:
     __array_ufunc__ = None
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.shape, tuple) and len(self.shape) == 2 and all(
+                isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
+                for d in self.shape)):
+            raise ValueError("shape must be a pair of positive integers, got %r" % (self.shape,))
         if self.values.shape != self.rows.shape or self.rows.shape[1:] != self.shape[1:]:
             raise ValueError("rows and values must both be s x %d arrays" % self.shape[1])
         _indices(self.rows.ravel(), self.shape[0], "rows")
@@ -188,11 +194,8 @@ def make_row_subsampler(n1: int, m: int, seed: int) -> SketchOperator:
 
 
 def make_probe_vector(m: int, seed: int) -> SketchOperator:
-    """1 x m probe with i.i.d. standard normal entries."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    mat = generator(seed).standard_normal((1, m))
-    return SketchOperator(mat)
+    """1 x m probe with i.i.d. standard normal entries: the one-row Gaussian sketch."""
+    return make_gaussian_sketch(1, m, seed)
 
 
 #: f(1/4) for the JL tail exponent f(eps) = eps^2/4 - eps^3/6 of Gaussian

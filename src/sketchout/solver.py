@@ -24,12 +24,13 @@ residual stays the stop because a duality-gap stop loose enough to save
 iterations ends before the inlier columns are annihilated to the precision
 the pipelines read.  The loop runs on Y divided by the smallest power of
 two above its largest absolute entry, so the iterates and the stop do not
-depend on the input's scale.  ``outlier_pursuit`` is the same solve with
-every entry observed.  The solve holds the unobserved entries as flat
-indices, taken once from the mask: the passes that zero the residual or
-fill in the estimate there write those entries only and never read the
-data at them, so a full mask costs no pass at all.  The loop calls
-``prox._svt`` and ``prox._group_shrink``, whose thresholds are positive by
+depend on the input's scale; that division is the solve's one scale rule.
+``outlier_pursuit`` is the same solve with every entry observed.  The
+solve holds the unobserved entries as flat indices, taken once from the
+mask: the passes that zero the residual or fill in the estimate there
+write those entries only and never read the data at them, so a full mask
+costs no pass at all.  The loop calls ``prox._svt`` and
+``prox._group_shrink``, which scale nothing, with thresholds positive by
 construction.  ``as_mask`` is the package's rule for an observation mask.
 
 Once the rank and the support settle, the map is locally linear (Poon &

@@ -169,6 +169,18 @@ class TestSparseColumns:
         with pytest.raises(ValueError, match=match):
             SparseColumns(rows, values, (3, 3))
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(1.5, 3), (3, 3.0), (-1, 3), (0, 3), (3,), (3, 3, 1), (True, 3), [3, 3]],
+        ids=["fractional", "float", "negative", "zero", "one_entry", "three_entries", "bool",
+             "list"],
+    )
+    def test_construction_refuses_bad_shape(self, shape):
+        # checked before the slots: each used to build, fail inside numpy,
+        # or be refused as bad slot rows
+        with pytest.raises(ValueError, match=r"shape must be a pair of positive integers"):
+            SparseColumns(_ROWS, _VALUES, shape)
+
 
 class TestColumnSampler:
     def test_gamma_one_selects_all(self):
@@ -235,6 +247,13 @@ class TestProbeVector:
         a = make_probe_vector(8, seed=1)
         b = make_probe_vector(8, seed=2)
         assert not np.array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("m, seed", [(1, 0), (6, 2), (30, 7), (300, 123456789)])
+    def test_is_the_one_row_gaussian_sketch(self, m, seed):
+        # bit for bit, and the same draw as the generator's own
+        probe = make_probe_vector(m, seed).matrix
+        assert np.array_equal(probe, make_gaussian_sketch(1, m, seed).matrix)
+        assert np.array_equal(probe, generator(seed).standard_normal((1, m)))
 
 
 def _mp_budget_row(r, k, delta):

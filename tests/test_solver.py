@@ -88,6 +88,25 @@ class TestOutlierPursuit:
         for got, want in ((sol.low_rank, ref.low_rank), (sol.column_sparse, ref.column_sparse)):
             assert np.max(np.abs(got - scale * want)) <= 1e-9 * scale * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("case", ["masked", "tall"])
+    def test_masked_and_tall_results_follow_input_scale(self, case, scale):
+        # the solve's one scale rule covers the masked path and the tall
+        # branch of its singular value thresholding (more rows than columns)
+        if case == "masked":
+            inst = generate_instance(30, 200, 2, 5, seed=11)
+            mask = bernoulli_mask(30, 200, 0.7, seed=12)
+            lam = 0.3
+        else:
+            inst = generate_instance(80, 30, 2, 3, seed=11)
+            mask = np.ones(inst.M.shape, dtype=bool)
+            lam = 0.5
+        ref = rmc_solve(inst.M, mask, lam)
+        sol = rmc_solve(scale * inst.M, mask, lam)
+        assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+        for got, want in ((sol.low_rank, ref.low_rank), (sol.column_sparse, ref.column_sparse)):
+            assert np.max(np.abs(got - scale * want)) <= 1e-9 * scale * np.max(np.abs(want))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             outlier_pursuit(np.full((2, 2), np.nan), 0.3)

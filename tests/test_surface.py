@@ -95,7 +95,7 @@ CASES = {
     "imaging.write_pgm": (lambda image: write_pgm(os.devnull, image), dict(image=IMAGE)),
     "pipeline.MatrixSource": (lambda M: MatrixSource(M).sketch(np.eye(N1)), dict(M=INST.M)),
     "pipeline.MatrixSource.sketch": (
-        lambda op: MatrixSource(INST.M).sketch(op), dict(op=np.eye(N1)),
+        lambda op, idx: MatrixSource(INST.M).sketch(op, idx), dict(op=np.eye(N1), idx=np.arange(3)),
     ),
     "pipeline.MatrixSource.row_sketch": (
         lambda w, right: MatrixSource(INST.M).row_sketch(w, right),
@@ -279,6 +279,7 @@ def test_method_array_of_wrong_length_raises_value_error(name, arg):
 #: and the bound its indices lie below.
 INDEXED = {
     "rows": (lambda rows: MatrixSource(INST.M).masked_rows(rows, FULL[:1]), N1),
+    "idx": (lambda idx: MatrixSource(INST.M).sketch(np.eye(N1), idx), N2),
     "cols": (RIGHT.columns, N2),
 }
 
