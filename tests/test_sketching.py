@@ -177,7 +177,7 @@ class TestSparseColumns:
     )
     def test_construction_refuses_bad_shape(self, shape):
         # checked before the slots: each used to build, fail inside numpy,
-        # or be refused as bad slot rows
+        # or be refused as bad slots
         with pytest.raises(ValueError, match=r"shape must be a pair of positive integers"):
             SparseColumns(_ROWS, _VALUES, shape)
 
