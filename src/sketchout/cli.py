@@ -11,9 +11,9 @@ Subcommands:
   CSV + PGM outputs.
 
 Exit codes: 0 success, 2 invalid input (non-finite data included), 3
-solver failure.  A warning the package raises during a command goes to
-stderr once per distinct message, as ``warning: <message>``, before any
-error line; it does not change the exit code.
+solver or sampling failure.  A warning the package raises during a
+command goes to stderr once per distinct message, as ``warning:
+<message>``, before any error line; it does not change the exit code.
 """
 
 from __future__ import annotations
@@ -57,23 +57,27 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--delta", type=float, default=0.1)
     b.add_argument("--mu-l", type=float, default=1.0)
     b.add_argument("--n-low", type=int, default=None, help="nonzero low-rank columns (default n2 - k)")
+    b.set_defaults(run=_cmd_budget)
 
     d = sub.add_parser("detect", help="identify outlier columns of a matrix file")
     d.add_argument("matrix", help="CSV matrix with rows,cols header")
     d.add_argument("--mode", choices=MODES, default="acos")
     d.add_argument("--mask", default=None, help="CSV 0/1 mask (sacos_missing only)")
     _add_config_flags(d)
+    d.set_defaults(run=_cmd_detect)
 
     s = sub.add_parser("saliency", help="saliency mask for a PGM image")
     s.add_argument("image", help="input PGM (P5) image")
     s.add_argument("output", help="output PGM mask")
     s.add_argument("--mode", choices=["acos", "sacos"], default="sacos")
     _add_config_flags(s)
+    s.set_defaults(run=_cmd_saliency)
 
     p = sub.add_parser("phase", help="phase-transition grid from a JSON config")
     p.add_argument("config", help="flat JSON config")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-pgm", required=True)
+    p.set_defaults(run=_cmd_phase)
     return top
 
 
@@ -128,21 +132,13 @@ def _cmd_phase(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "budget": _cmd_budget,
-    "detect": _cmd_detect,
-    "saliency": _cmd_saliency,
-    "phase": _cmd_phase,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         # the package's own warnings are reported whatever filters the caller set
         warnings.filterwarnings("always", module=r"sketchout\.")
         try:
-            code, failure = _COMMANDS[args.command](args), None
+            code, failure = args.run(args), None
         except (ValueError, OSError) as exc:
             code, failure = 2, "error: %s" % exc
         except (SolverDivergenceError, PipelineError, FloatingPointError) as exc:

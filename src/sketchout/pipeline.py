@@ -370,8 +370,8 @@ def sacos_missing(
     batched solve).  Columns with no observations, or with no more
     observations than the basis dimension, score zero, are flagged, and
     take no part in the declaration.  The mask is boolean or holds exactly
-    0 and 1 (``solver.as_mask``).  Returns the fraction of matrix entries
-    read.
+    0 and 1 (``solver.as_mask``); a sample it does not observe at all raises
+    PipelineError.  Returns the fraction of matrix entries read.
     """
     src = MatrixSource(M_obs)
     mask = as_mask(mask, src.shape)
@@ -380,6 +380,8 @@ def sacos_missing(
     cols = _sample_columns(n2, cfg)
     mask_r = mask[rows]
     data_r = src.masked_rows(rows, mask_r)
+    if not mask_r[:, cols].any():
+        raise PipelineError("the mask observes no entry of the sampled rows and columns")
 
     lam = _resolve_lambda(cfg, n2)
     sol = rmc_solve(data_r[:, cols], mask_r[:, cols], lam)
@@ -428,18 +430,14 @@ def detect(
 def measurement_count(
     cfg: AcosConfig, realized_s: int, mode: str, n1: int, n2: int
 ) -> tuple[int, float]:
-    """Closed-form measurement total and sampling rate for a pipeline run.
-
-    acos collects realized_s * m + p scalars; sacos collects m * n2.  The
-    count of sacos_missing depends on the mask and has no closed form here.
+    """Closed-form measurement total and sampling rate for a pipeline run
+    that passes ``check_mode``: acos collects realized_s * m + p scalars and
+    sacos m * n2.  The count of sacos_missing depends on the mask and has no
+    closed form here; it and a broken mode rule raise ValueError.
     """
-    if mode == "acos":
-        count = realized_s * cfg.m + cfg.p
-    elif mode == "sacos":
-        count = cfg.m * n2
-    elif mode == "sacos_missing":
+    check_mode(mode, cfg, mode == "sacos_missing")
+    if mode == "sacos_missing":
         raise ValueError("the measurement count of mode sacos_missing depends on the mask "
                          "and has no closed form here")
-    else:
-        raise ValueError("unknown mode %r" % mode)
+    count = realized_s * cfg.m + cfg.p if mode == "acos" else cfg.m * n2
     return count, count / float(n1 * n2)

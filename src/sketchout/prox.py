@@ -4,9 +4,9 @@ The three proximal maps (``_shrink``, the elementwise soft threshold for
 the l1 norm; ``_svt``, singular value thresholding for the nuclear norm;
 ``_group_shrink``, columnwise shrinkage for the sum of column l2 norms)
 are the building blocks of the solver loops, which make their thresholds
-nonnegative and so call them unchecked.  ``_svt`` thresholds through the
-eigendecomposition of the smaller Gram matrix rather than a full SVD, and
-leaves the scale of its matrix to its one caller, ``solver.rmc_solve``,
+nonnegative and so call them unchecked.  ``_svt`` thresholds a wide X (a
+tall one through its transpose) by the eigendecomposition of X X^T, not a
+full SVD, and leaves X's scale to its one caller, ``solver.rmc_solve``,
 which solves at unit scale; its docstring gives the accuracy.
 ``lasso_path_solve`` is the one LASSO entry point, run along a path of
 regularization weights sharing one design, a ``sketching.SparseColumns``
@@ -67,26 +67,24 @@ def _svt(X: np.ndarray, tau: float) -> np.ndarray:
     observed entries checked finite and unobserved ones zeroed, so forming
     G neither overflows nor underflows at the scale of the singular values.
 
-    Computed from the smaller Gram matrix G (X X^T when X has no more rows
-    than columns, else X^T X): with G = U diag(w) U^T and s = sqrt(max(w, 0)),
-    the result is U_k diag(1 - tau / s_k) U_k^T X over the s_k > tau (mirrored
-    for tall X), the zero matrix when no s_k exceeds tau.  This is a spectral
-    function of G, so repeated singular values need no right singular
-    vectors.  The eigenvalues of G carry an absolute error of order eps *
-    sigma_1^2, so a singular value s is resolved to about eps * sigma_1^2 /
-    s: the result agrees with an SVD-based threshold to rounding when the
-    singular values near tau lie well above sqrt(eps) * sigma_1, and is
-    exactly zero when tau is at least the largest computed singular value.
+    A tall X returns ``_svt(X.T, tau).T``.  A wide X has G = X X^T = U
+    diag(w) U^T; with s = sqrt(max(w, 0)) the result is U_k diag(1 - tau /
+    s_k) U_k^T X over the s_k > tau, zero when no s_k exceeds tau.  This is
+    a spectral function of G, so repeated singular values need no right
+    singular vectors.  The eigenvalues of G carry an absolute error of order
+    eps * sigma_1^2, so a singular value s is resolved to about eps *
+    sigma_1^2 / s: the result agrees with an SVD-based threshold to rounding
+    when the singular values near tau lie well above sqrt(eps) * sigma_1,
+    and is exactly zero when tau is at least the largest computed one.
     """
-    wide = X.shape[0] <= X.shape[1]
-    w, U = np.linalg.eigh(X @ X.T if wide else X.T @ X)
+    if X.shape[0] > X.shape[1]:
+        return _svt(X.T, tau).T
+    w, U = np.linalg.eigh(X @ X.T)
     s = np.sqrt(np.maximum(w, 0.0))
     keep = s > tau
     U = U[:, keep]
     factor = 1.0 - tau / s[keep]
-    if wide:
-        return (U * factor) @ (U.T @ X)
-    return ((X @ U) * factor) @ U.T
+    return (U * factor) @ (U.T @ X)
 
 
 def _group_shrink(X: np.ndarray, tau: float) -> np.ndarray:

@@ -60,8 +60,9 @@ class SketchOperator:
 
 
 def _indices(x, n: int, name: str) -> np.ndarray:
-    """``x`` as an array of 1-D integer indices below ``n``, or ValueError naming ``name``."""
-    x = np.asarray(x)
+    """``x`` as an array of 1-D integer indices below ``n``, or ValueError
+    naming ``name``; any 1-D empty input (``[]`` too) is the empty index."""
+    x = np.asarray(x, dtype=np.intp if np.size(x) == 0 else None)
     if x.ndim != 1 or x.dtype.kind not in "iu" or not np.all((x >= 0) & (x < n)):
         raise ValueError("%s must be 1-D integer indices below %d" % (name, n))
     return x
@@ -79,11 +80,11 @@ def _scatter(rows: np.ndarray, values: np.ndarray, height: int) -> np.ndarray:
 class SparseColumns:
     """A ``shape`` matrix held by s slots per column: column j holds
     ``values[i, j]`` at row ``rows[i, j]`` for each slot i (both s x cols).
-    A slot may hold 0, and where two slots of a column share a row the
-    entry there is their sum.  Construction raises ValueError unless
-    ``shape`` is a pair of positive integers, the rows are integers in
-    [0, rows) and the values real; a NaN or an infinity among them is
-    left to the readers that need them finite.
+    Construction raises ValueError unless ``shape`` is a pair of positive
+    integers, the rows are integers in [0, rows), the values are real, and
+    no two nonzero slots of a column share a row (``col_sq`` sums squared
+    slots; zero slots may repeat rows); a NaN or an infinity among the
+    values is left to the readers that need them finite.
 
     ``S @ x`` for a vector x of length cols is one scatter-add over the
     slots, ``y @ S`` (= S^T y) for a vector y of length rows one gather,
@@ -107,9 +108,15 @@ class SparseColumns:
             raise ValueError("shape must be a pair of positive integers, got %r" % (self.shape,))
         if self.values.shape != self.rows.shape or self.rows.shape[1:] != self.shape[1:]:
             raise ValueError("rows and values must both be s x %d arrays" % self.shape[1])
-        _indices(self.rows.ravel(), self.shape[0], "rows")
+        rows = _indices(self.rows.ravel(), self.shape[0], "rows")
+        object.__setattr__(self, "rows", rows.reshape(self.rows.shape))  # empty: integer
         if self.values.dtype.kind not in "fiu":
             raise ValueError("values must be real, got dtype %s" % self.values.dtype)
+        # zero slots take distinct negative keys, so only nonzero ones can meet
+        key = np.where(self.values != 0, self.rows, -1 - np.arange(len(self.rows))[:, None])
+        key.sort(axis=0)
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("the nonzero slots of a column must lie in distinct rows")
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = _scatter(self.rows, self.values, self.shape[0])

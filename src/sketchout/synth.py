@@ -93,10 +93,9 @@ def oracle_success(score_path: np.ndarray, true_support: np.ndarray) -> bool:
     score_path = as_real(score_path, "score_path", ndim=2)
     if len(score_path) == 0:
         raise ValueError("need a 2-D path of at least one score vector")
-    support = np.asarray(true_support)
-    if support.shape == (0,):  # also [], which numpy reads as float
+    support = _indices(true_support, score_path.shape[1], "true_support")
+    if support.size == 0:
         return not score_path.any(axis=1).all()
-    support = _indices(support, score_path.shape[1], "true_support")
     for s in score_path:
         lowest = s[support].min()
         inliers = np.delete(s, support)
@@ -182,7 +181,7 @@ def phase_grid(
                 )
                 inst = add_noise(inst, noise_sigma, derive_seed(cell_seed, 1))
                 mask = None
-                if mode == "sacos_missing":
+                if p_omega is not None:
                     mask = bernoulli_mask(n1, n2, p_omega, derive_seed(cell_seed, 2))
                 cfg = replace(lam_cfg, seed=derive_seed(cell_seed, 3))
                 est, rate = detect(mode, inst.M, cfg, mask)

@@ -197,6 +197,21 @@ class TestDetectCommand:
         assert code == 3 and out == ""
         assert "solver failure: residual increased for 10 consecutive iterations" in err
 
+    def test_unobserved_sample_is_solver_failure(self, tmp_path, capsys):
+        # the mask observes row 0 alone, which seed 1's row sample leaves out
+        inst = generate_instance(40, 200, 2, 5, seed=1)
+        mask = np.zeros((40, 200))
+        mask[0] = 1.0
+        mpath, kpath = tmp_path / "m.csv", tmp_path / "mask.csv"
+        write_csv(mpath, inst.M)
+        write_csv(kpath, mask)
+        code, out, err = run(
+            capsys, "detect", str(mpath), "--mode", "sacos_missing", "--mask", str(kpath),
+            "--gamma", "0.4", "--m", "10", "--lam", "0.4", "--seed", "1",
+        )
+        assert code == 3 and out == ""
+        assert "solver failure: the mask observes no entry of the sampled rows" in err
+
     def test_empty_column_sample_is_redrawn_once(self, tmp_path, capsys):
         # seed 1: only the first draw is empty, and the retry samples one
         # column, so the declared set is not checked

@@ -115,6 +115,11 @@ class TestMeasurementCount:
         with pytest.raises(ValueError, match="depends on the mask"):
             measurement_count(AcosConfig(gamma=0.2, m=10, p=1), 5, "sacos_missing", 10, 10)
 
+    def test_acos_without_a_decoding_step_refused(self):
+        # check_mode's rule, which acos() itself applies
+        with pytest.raises(ValueError, match="needs p >= 1"):
+            measurement_count(AcosConfig(gamma=0.2, m=10), 100, "acos", 50, 500)
+
 
 class TestAcos:
     def test_no_outliers_declares_nothing(self):
@@ -344,6 +349,16 @@ class TestSacosMissing:
         mask[mask == 0] = bad
         with pytest.raises(ValueError, match="mask entries must be exactly 0 or 1"):
             detect("sacos_missing", inst.M, AcosConfig(gamma=0.4, m=30, lam=0.4, seed=1), mask)
+
+    def test_unobserved_sample_is_a_sampling_failure(self):
+        # the mask observes a whole row, but none of the sampled ones: the
+        # separation used to refuse this as bad input
+        inst = generate_instance(40, 200, 2, 5, seed=1)
+        picked = make_row_subsampler(40, 10, derive_seed(1, 2)).indices
+        mask = np.zeros((40, 200), bool)
+        mask[np.setdiff1d(np.arange(40), picked)[0]] = True
+        with pytest.raises(pipeline.PipelineError, match="observes no entry of the sampled rows"):
+            detect("sacos_missing", inst.M, AcosConfig(gamma=0.4, m=10, lam=0.4, seed=1), mask)
 
     def test_zero_one_mask_matches_boolean_mask(self):
         inst = generate_instance(40, 200, 2, 5, seed=1)

@@ -125,6 +125,14 @@ class TestSvt:
         for tau in (top * (1 + 1e-12), 2.0 * top, 1e6 * top):
             assert np.array_equal(_svt(X, tau), np.zeros(shape))
 
+    def test_tall_is_the_transpose_of_its_wide_transpose(self):
+        # one path: a tall block is thresholded through its transpose
+        rng = np.random.Generator(np.random.Philox(key=5))
+        for _ in range(20):
+            X = rng.standard_normal((40, 12))
+            tau = rng.uniform(0.0, np.linalg.norm(X, 2))
+            assert np.array_equal(_svt(X, tau), _svt(X.T, tau).T)
+
     @pytest.mark.parametrize("shape", [(4, 6), (6, 4)], ids=["wide", "tall"])
     def test_zero_matrix_maps_to_zero(self, shape):
         # no singular value exceeds a positive threshold

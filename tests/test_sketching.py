@@ -160,12 +160,18 @@ class TestSparseColumns:
             (_ROWS[:, :2], _VALUES[:, :2], "rows and values must both be s x 3 arrays"),
             (_ROWS[0], _VALUES[0], "rows and values must both be s x 3 arrays"),
             (_ROWS, _VALUES + 1j, "values must be real"),
+            # column 1's slots -2 and 3 share row 1; column 0's second
+            # slot shares row 0 too, but holds 0, which is allowed
+            (np.array([[0, 1, 2], [0, 1, 1]]), _VALUES,
+             "nonzero slots of a column must lie in distinct rows"),
         ],
         ids=["row_past_the_end", "negative_row", "float_rows", "ragged", "wrong_width",
-             "one_dimensional", "complex_values"],
+             "one_dimensional", "complex_values", "nonzero_slots_sharing_a_row"],
     )
     def test_construction_refuses_bad_slots(self, rows, values, match):
-        # each used to build, then take a wrong block or fail inside numpy
+        # each used to build, then take a wrong block, fail inside numpy or
+        # (nonzero slots sharing a row) give col_sq, which the LASSO rates
+        # coordinates with, a wrong column norm
         with pytest.raises(ValueError, match=match):
             SparseColumns(rows, values, (3, 3))
 

@@ -245,6 +245,9 @@ def test_row_sketch_block_has_one_entry_per_operand_row(height, top, seed):
     rows = rng.integers(0, top + 1, size=(3, N2))
     rows[0, 0] = top
     values = rng.standard_normal((3, N2))
+    # nonzero slots of a column may not share a row: a repeat holds 0
+    values[1][rows[1] == rows[0]] = 0.0
+    values[2][(rows[2] == rows[0]) | (rows[2] == rows[1])] = 0.0
     if top >= height:
         with pytest.raises(ValueError, match="rows must be 1-D integer indices below %d" % height):
             SparseColumns(rows, values, (height, N2))
@@ -292,6 +295,20 @@ def test_index_outside_the_range_raises_value_error(arg, bad):
     value = {"negative": [-1], "fraction": [0.5], "past_the_end": [n]}[bad]
     with pytest.raises(ValueError, match="%s must be 1-D integer indices below %d" % (arg, n)):
         call(value)
+
+
+@pytest.mark.parametrize("empty", [[], (), np.array([])], ids=["list", "tuple", "float_array"])
+def test_empty_index_reads_nothing(empty):
+    # numpy reads each spelling as float: the index rule reads it as the
+    # empty integer index, and still refuses a 2-D empty input
+    src = MatrixSource(INST.M)
+    assert src.sketch(np.eye(N1), empty).shape == (N1, 0)
+    assert src.masked_rows(empty, np.zeros((0, N2), bool)).shape == (0, N2)
+    assert src.measurements == 0
+    assert RIGHT.columns(empty).shape == (RIGHT.shape[0], 0)
+    for arg, (call, n) in INDEXED.items():
+        with pytest.raises(ValueError, match="%s must be 1-D integer indices below %d" % (arg, n)):
+            call(np.zeros((0, 1)))
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
