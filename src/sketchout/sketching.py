@@ -109,7 +109,7 @@ class SparseColumns:
         if self.values.shape != self.rows.shape or self.rows.shape[1:] != self.shape[1:]:
             raise ValueError("rows and values must both be s x %d arrays" % self.shape[1])
         rows = _indices(self.rows.ravel(), self.shape[0], "rows")
-        object.__setattr__(self, "rows", rows.reshape(self.rows.shape))  # empty: integer
+        object.__setattr__(self, "rows", rows.reshape(self.rows.shape))  # empty rows as integers
         if self.values.dtype.kind not in "fiu":
             raise ValueError("values must be real, got dtype %s" % self.values.dtype)
         # zero slots take distinct negative keys, so only nonzero ones can meet

@@ -149,6 +149,9 @@ class TestSparseColumns:
         SparseColumns(_ROWS, _ROWS, (3, 3))
         D = np.arange(12.0).reshape(3, 4)
         assert np.array_equal(np.asarray(held(D)), D)
+        # no slots: empty float rows are the empty index, held as integers
+        empty = SparseColumns(np.zeros((0, 3)), np.zeros((0, 3)), (3, 3))
+        assert empty.rows.dtype.kind == "i" and np.array_equal(np.asarray(empty), np.zeros((3, 3)))
 
     @pytest.mark.parametrize(
         "rows, values, match",
