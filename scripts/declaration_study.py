@@ -11,7 +11,7 @@ noisy input is normalised and then gets ``add_noise(inst, sigma, 99 + i)``.
   seed=9000 + i, normalize=True)`` with outlier column j scaled by
   10^(D u_j), the ten u_j drawn uniform on [0, 1) by ``generator(9500 +
   i)``, so the outlier norms spread over up to D decades.
-- zero column: the one input of the strict xfail
+- zero column: the one input of the test
   ``test_zero_column_declares_nothing_without_outliers``, ``generate_instance(
   40, 200, 2, 0, seed=3)`` with column 17 set to zero, run with
   ``AcosConfig(gamma=0.4, m=30, p=60, lam=0.4, seed=1)``; acos decodes with

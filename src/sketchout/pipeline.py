@@ -227,18 +227,26 @@ def _sample_columns(n2: int, cfg: AcosConfig) -> np.ndarray:
     return idx
 
 
+def _declare(scores: np.ndarray, ratio: float, count: int) -> np.ndarray:
+    """Sorted indices of the ``count`` largest scores if ratio > GAP_RATIO, else none."""
+    return np.sort(np.argsort(scores)[::-1][:count if ratio > GAP_RATIO else 0])
+
+
 def extract_support(scores: np.ndarray) -> np.ndarray:
     """The declared outlier set of a score vector, as sorted indices.
 
-    Declares the scores above the largest multiplicative gap in the sorted
-    sequence, provided that gap exceeds GAP_RATIO (exactly zero scores
-    below any positive ones always qualify); otherwise declares nothing.
+    Declares the scores above the largest multiplicative gap between
+    consecutive positive scores, provided it exceeds GAP_RATIO; otherwise
+    nothing.  Scores at or below zero take no part (``solver._gap_cut``).
     """
     scores = prox.as_real(scores, "scores", ndim=1)
-    ratio, count = _gap_cut(scores)
-    if ratio > GAP_RATIO and count < scores.size:
-        return np.sort(np.argsort(scores)[::-1][:count])
-    return np.array([], dtype=int)
+    return _declare(scores, *_gap_cut(scores))
+
+
+def _path_cut(point: np.ndarray) -> tuple[float, int]:
+    """acos's path-point rating: ``_gap_cut``'s, or a clean cut at zero where no gap clears."""
+    cut, nonzeros = _gap_cut(point), np.count_nonzero(point)
+    return (np.inf, nonzeros) if 0 < nonzeros < point.size and cut[0] <= GAP_RATIO else cut
 
 
 def _refit(design: SparseColumns, y: np.ndarray, path: np.ndarray):
@@ -280,9 +288,9 @@ def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
     LASSO weights.  The declaration and the returned scores come from the
     sparsest point whose support refits the compressed row exactly
     (``_refit``), or, where none does, from the point with the best
-    multiplicative separation; either way the leakage guard may override
-    the declaration.  Also returns the exact number of scalar measurements
-    collected (|S| m + p).
+    multiplicative separation (``_path_cut``); either way the leakage
+    guard may override the declaration.  Also returns the exact number of
+    scalar measurements collected (|S| m + p).
 
     The p x n2 compression of step 2 is a sparse sign sketch
     (``sketching.make_sparse_sign_sketch``), not the paper's Gaussian one:
@@ -323,17 +331,16 @@ def acos(M: np.ndarray, cfg: AcosConfig) -> tuple[SupportEstimate, int]:
         path = np.abs(coeffs.T)
     refit = _refit(right, y2, path)
     if refit is None:
-        quality = [_gap_cut(s) for s in path]
+        quality = [_path_cut(s) for s in path]
         # favor the cleanest separation; among equals the one declaring more
         best = max(range(len(path)), key=lambda i: (quality[i][0], quality[i][1], -i))
+        declared = _declare(path[best], *quality[best])
     else:
         best, declared = refit
     scores = path[best]
     if np.max(scores) <= 10.0 * np.linalg.norm(phi) * leak:
         # bench/tracing.py counts an all-zero extract_support call as a guard firing
         declared = extract_support(np.zeros(n2))
-    elif refit is None:
-        declared = extract_support(scores)
     converged = sol.converged and iters < prox.MAX_ITERS
     est = SupportEstimate(scores, declared, path, converged, float(mus[best]))
     return est, src.measurements
@@ -368,10 +375,10 @@ def sacos_missing(
     is the residual of its observed subvector against the basis restricted
     to its observed rows (fit by its normal equations, all columns in one
     batched solve).  Columns with no observations, or with no more
-    observations than the basis dimension, score zero, are flagged, and
-    take no part in the declaration.  The mask is boolean or holds exactly
-    0 and 1 (``solver.as_mask``); a sample it does not observe at all raises
-    PipelineError.  Returns the fraction of matrix entries read.
+    observations than the basis dimension, score zero and are flagged; no
+    zero score takes part in the declaration.  The mask is boolean or holds
+    exactly 0 and 1 (``solver.as_mask``); a sample it does not observe at
+    all raises PipelineError.  Returns the fraction of matrix entries read.
     """
     src = MatrixSource(M_obs)
     mask = as_mask(mask, src.shape)
@@ -402,10 +409,8 @@ def sacos_missing(
         coef = (np.linalg.pinv(gram, hermitian=True) @ rhs)[:, :, 0]
     scores = np.zeros(n2)
     scores[scored] = np.linalg.norm(data_s - W * (coef @ B.T), axis=1)
-    # a placeholder zero is no score: below positive ones it would count as
-    # a clean gap (extract_support) and declare every scored column
-    declared = np.flatnonzero(scored)[extract_support(scores[scored])]
-    est = SupportEstimate(scores, declared, scores[None], sol.converged, column_flags=flags)
+    est = SupportEstimate(scores, extract_support(scores), scores[None], sol.converged,
+                          column_flags=flags)
     return est, src.measurements / (n1 * n2)
 
 

@@ -69,11 +69,12 @@ def _indices(x, n: int, name: str) -> np.ndarray:
 
 
 def _scatter(rows: np.ndarray, values: np.ndarray, height: int) -> np.ndarray:
-    """The dense height x k matrix whose column j sums values[:, j] at the
-    rows rows[:, j]; each entry is 0.0 plus its values in slot order."""
+    """The dense height x k float matrix whose column j sums values[:, j] at
+    rows rows[:, j], 0.0 plus its values in slot order, even with no slots."""
     k = rows.shape[1]
     flat = (rows * k + np.arange(k)).ravel()
-    return np.bincount(flat, values.ravel(), height * k).reshape(height, k)
+    dense = np.bincount(flat, values.ravel(), height * k).astype(float, copy=False)
+    return dense.reshape(height, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +124,8 @@ class SparseColumns:
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows.ravel(), (self.values * x).ravel(), self.shape[0])
+        out = np.bincount(self.rows.ravel(), (self.values * x).ravel(), self.shape[0])
+        return out.astype(float, copy=False)
 
     def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->j", self.values, y[self.rows])

@@ -104,25 +104,19 @@ def _gap_cut(values: np.ndarray) -> tuple[float, int]:
     """Largest-gap rule: (gap ratio, count of values above the gap).
 
     The cut is placed at the largest multiplicative gap between consecutive
-    positive values in sorted order.  When exact zeros are present and no
-    positive-internal gap exceeds GAP_RATIO, the positive/zero boundary is
-    the cut and the ratio is infinite (a cleanly thresholded solution).
-    Score vectors and full-rank spectra (``subspace_basis``) share it.
+    positive values in sorted order; values at or below zero take no part,
+    and fewer than two positive values leave no gap (ratio 0).  Score
+    vectors and full-rank spectra (``subspace_basis``) share it.
     """
     pos = np.sort(values[values > 0])[::-1]
-    if pos.size == 0:
-        return 0.0, 0
-    best, count = 0.0, 1
-    if pos.size >= 2:
-        # a quotient beyond the float range is a gap of infinite ratio, the
-        # correct limit here; log-space gaps could flip near-GAP_RATIO ties
-        with np.errstate(over="ignore"):
-            ratios = pos[:-1] / pos[1:]
-        cut = int(np.argmax(ratios))
-        best, count = float(ratios[cut]), cut + 1
-    if pos.size < values.size and best <= GAP_RATIO:
-        return np.inf, int(pos.size)
-    return best, count
+    if pos.size < 2:
+        return 0.0, pos.size
+    # a quotient beyond the float range is a gap of infinite ratio, the
+    # correct limit here; log-space gaps could flip near-GAP_RATIO ties
+    with np.errstate(over="ignore"):
+        ratios = pos[:-1] / pos[1:]
+    cut = int(np.argmax(ratios))
+    return float(ratios[cut]), cut + 1
 
 
 @dataclass(frozen=True)
@@ -314,7 +308,6 @@ def subspace_basis(X: np.ndarray) -> SubspaceBasis:
         return SubspaceBasis(U[:, :0], 0, 1.0)
     d = int(np.sum(s > max(X.shape) * np.finfo(float).eps * s[0]))
     if d == s.size > 1:
-        # every value is positive here, so the rule cuts between two of them
         ratio, count = _gap_cut(s)
         if ratio > GAP_RATIO:
             d = count

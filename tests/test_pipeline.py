@@ -73,8 +73,9 @@ class TestExtractSupport:
     def test_weak_gap_declares_nothing(self):
         assert extract_support(np.array([5.0, 4.0, 1.0, 0.9])).size == 0
 
-    def test_positive_above_exact_zero_declares(self):
-        assert list(extract_support(np.array([0.0, 3.0, 0.0, 2.8]))) == [1, 3]
+    def test_exact_zeros_make_no_gap(self):
+        # two equal-sized scores above exact zeros are no clean separation
+        assert extract_support(np.array([0.0, 3.0, 0.0, 2.8])).size == 0
 
     def test_gap_beyond_float_range(self):
         # the top ratio overflows to inf, which is a clean separation
@@ -95,6 +96,17 @@ class TestExtractSupport:
         if declared.size:
             rest = np.delete(scores, declared)
             assert rest.size == 0 or scores[declared].min() > rest.max()
+
+    @settings(max_examples=150)
+    @given(
+        scores=arrays(np.float64, st.integers(0, 8), elements=st.floats(-100, 100)),
+        tail=arrays(np.float64, st.integers(1, 8), elements=st.floats(-100, 0)),
+    )
+    def test_scores_at_or_below_zero_take_no_part(self, scores, tail):
+        # appending them leaves the declaration as it was, and none is declared
+        declared = extract_support(scores)
+        assert np.all(scores[declared] > 0)
+        assert np.array_equal(extract_support(np.concatenate([scores, tail])), declared)
 
 
 class TestMeasurementCount:
@@ -178,13 +190,13 @@ class TestAcos:
         assert count == sampled.size * cfg.m + cfg.p == 160
 
     def test_leakage_guard_overrides_a_declaration(self):
-        # on this corpus input the best path point has a gap that declares
+        # on this corpus input acos's rating of its best path point declares
         # over 300 columns, but its largest score is within the leak the
         # learned subspace lets through, so acos declares nothing
         inst, _, cfg = entry("acos", 40, 100, 6)
         est, _ = acos(inst.M, cfg)
         assert est.declared.size == 0
-        assert extract_support(est.scores).size >= 300
+        assert pipeline._declare(est.scores, *pipeline._path_cut(est.scores)).size >= 300
 
     def test_refit_declares_where_the_gap_rule_does_not(self, monkeypatch):
         # on this study input the support of a large path weight refits the
@@ -267,13 +279,6 @@ class TestSacos:
         inliers = np.delete(est.scores, inst.true_support)
         assert inliers.max() <= 1e-6 * outliers.max()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="extract_support rates the boundary between positive scores and exact "
-        "zeros as an infinite gap, so one all-zero column declares every other column; "
-        "acos declarations depend on that rule, so its repair belongs with the "
-        "declaration rule's",
-    )
     def test_zero_column_declares_nothing_without_outliers(self):
         M = generate_instance(40, 200, 2, 0, seed=3).M.copy()
         M[:, 17] = 0.0

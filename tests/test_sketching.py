@@ -153,6 +153,15 @@ class TestSparseColumns:
         empty = SparseColumns(np.zeros((0, 3)), np.zeros((0, 3)), (3, 3))
         assert empty.rows.dtype.kind == "i" and np.array_equal(np.asarray(empty), np.zeros((3, 3)))
 
+    def test_no_slots_give_floats(self):
+        # np.bincount gives integers for empty weights, so the dense matrix,
+        # the product and the block used to be int64 here
+        empty = SparseColumns(np.zeros((0, 3), int), np.zeros((0, 3)), (2, 3))
+        for out in (np.asarray(empty), empty @ np.ones(3), empty.columns([0, 1]),
+                    np.ones(2) @ empty, empty.col_sq()):
+            assert out.dtype == np.float64 and not out.any()
+        assert (empty @ np.ones(3)).shape == (2,) and empty.columns([0, 1]).shape == (2, 2)
+
     @pytest.mark.parametrize(
         "rows, values, match",
         [
