@@ -35,11 +35,18 @@ __all__ = ["main"]
 
 def _add_config_flags(parser) -> None:
     """The AcosConfig flags shared by ``detect`` and ``saliency``."""
-    parser.add_argument("--gamma", type=float, default=0.2)
-    parser.add_argument("--m", type=int, required=True)
-    parser.add_argument("--p", type=int, default=0)
-    parser.add_argument("--lam", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--gamma", type=float, default=0.2,
+                        help="column-sampling rate in (0, 1] (default 0.2)")
+    parser.add_argument("--m", type=int, required=True,
+                        help="sketch rows; the rows sampled, for sacos_missing")
+    parser.add_argument("--p", type=int, default=0,
+                        help="compression size of the acos decoding step: acos needs "
+                             "--p >= 1, and the sacos modes ignore it (default 0)")
+    parser.add_argument("--lam", type=float, default=None,
+                        help="separation weight (default 3 / (7 sqrt(ceil(n2 / 10))); see "
+                             "\"Notes on defaults\" in README.md)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of every operator the run draws (default 0)")
 
 
 def _config(args) -> AcosConfig:

@@ -14,9 +14,10 @@ accepts an observation mask for sacos_missing only, and reports the
 sampling rate as a fraction of the matrix entries.
 
 Each pipeline takes the data matrix as an array and wraps it in its own
-:class:`MatrixSource`, which exposes only operator applications and
-masked row reads, counts every scalar measurement taken, and rejects
-non-finite measurements, so the adaptivity boundary is auditable.
+``MatrixSource``, a measurement counter outside the module's surface: it
+exposes only operator applications and masked row reads, counts every
+scalar measurement taken, and rejects non-finite measurements, so the
+adaptivity boundary is auditable.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .rng import derive_seed
 # acos's sparse compression is not one, so its draw counts as pipeline time
 from .sketching import (
     SparseColumns,
-    _indices,
     make_column_sampler,
     make_gaussian_sketch,
     make_probe_vector,
@@ -43,9 +43,9 @@ from .sketching import (
 from .prox import lasso_path_solve
 from .solver import GAP_RATIO, _gap_cut, as_mask, outlier_pursuit, rmc_solve, subspace_basis
 
-__all__ = ["MODES", "MU_PATH_LO", "PATH_POINTS", "AcosConfig", "MatrixSource", "PipelineError",
-           "SupportEstimate", "acos", "check_mode", "detect", "extract_support",
-           "measurement_count", "sacos", "sacos_missing"]
+__all__ = ["MODES", "MU_PATH_LO", "PATH_POINTS", "AcosConfig", "PipelineError", "SupportEstimate",
+           "acos", "check_mode", "detect", "extract_support", "measurement_count", "sacos",
+           "sacos_missing"]
 
 MODES = ("acos", "sacos", "sacos_missing")
 
@@ -128,26 +128,16 @@ class SupportEstimate:
     column_flags: dict[str, np.ndarray] | None = None
 
 
-def _operand(x, name: str, axis: int, size: int):
-    """``x``, an array read by ``prox.as_real`` with finite=False or a
-    ``SparseColumns``, checked to have ``size`` entries along ``axis``; its
-    finiteness is left to ``MatrixSource._collect``, which checks every
-    block formed from it."""
-    if x.shape[axis] != size:
-        raise ValueError("%s must have %d entries along axis %d, got shape %s"
-                         % (name, size, axis, x.shape))
-    return x
-
-
 class MatrixSource:
-    """Column-access provider around the data matrix.
+    """The pipelines' column-access provider around the data matrix.
 
-    The pipelines read the data only through these methods; ``measurements``
-    counts every scalar collected.  The data, and every array a method is
-    given, must be real (``prox.as_real``) and match the data's shape, or
-    ValueError names the array.  Each returned block must be finite, with a
-    finite sum of squares, or the read raises ValueError: downstream
-    least-squares steps cannot use it.
+    Each pipeline wraps its data in one and reads it only through these
+    methods; ``measurements`` counts every scalar collected.  The data must
+    be a real matrix (``prox.as_real``), or ValueError names it, and each
+    returned block must be finite, with a finite sum of squares, or the read
+    raises ValueError: downstream least-squares steps cannot use it.  The
+    operands the reads apply are the ones the pipelines draw, and are not
+    checked again.
     """
 
     def __init__(self, M: np.ndarray):
@@ -171,29 +161,19 @@ class MatrixSource:
         return out
 
     def sketch(self, op: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        """Phi M[:, idx] for integer column indices ``idx``, every column
-        when it is None; counts rows(Phi) * |idx| scalars."""
-        op = _operand(prox.as_real(op, "op", ndim=2, finite=False), "op", 1, self._M.shape[0])
-        block = self._M if idx is None else self._M[:, _indices(idx, self._M.shape[1], "idx")]
+        """op M[:, idx] for column indices ``idx``, every column when it is
+        None; counts rows(op) * |idx| scalars."""
+        block = self._M if idx is None else self._M[:, idx]
         return self._collect(lambda: op @ block)
 
     def row_sketch(self, w: np.ndarray, right: SparseColumns) -> np.ndarray:
-        """(w M) right^T for a single row vector w and a matrix ``right``
-        held by its nonzeros, one scatter-add over its slots; counts
-        rows(right)."""
-        n1, n2 = self._M.shape
-        w = _operand(prox.as_real(w, "w", ndim=1, finite=False), "w", 0, n1)
-        if not isinstance(right, SparseColumns):
-            raise ValueError("right must be a sketching.SparseColumns, got %s" % type(right).__name__)
-        right = _operand(right, "right", 1, n2)
+        """(w M) right^T for a row vector w and a matrix ``right`` held by
+        its nonzeros, one scatter-add over its slots; counts rows(right)."""
         return self._collect(lambda: right @ (w @ self._M))
 
     def masked_rows(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """M[rows] where ``mask`` (|rows| x n2, ``solver.as_mask``) is true,
-        zero elsewhere; counts the observed entries only.  ``rows`` holds
-        integer row indices."""
-        rows = _indices(rows, self._M.shape[0], "rows")
-        mask = as_mask(mask, (rows.size, self._M.shape[1]))
+        """M[rows] where the boolean ``mask`` (|rows| x n2) is true, zero
+        elsewhere; counts the observed entries only."""
         return self._collect(lambda: np.where(mask, self._M[rows], 0.0), int(mask.sum()))
 
 

@@ -85,7 +85,8 @@ class SparseColumns:
     integers, the rows are integers in [0, rows), the values are real, and
     no two nonzero slots of a column share a row (``col_sq`` sums squared
     slots; zero slots may repeat rows); a NaN or an infinity among the
-    values is left to the readers that need them finite.
+    values is left to the readers that need them finite.  Both are read as
+    arrays, and the values are held as float64.
 
     ``S @ x`` for a vector x of length cols is one scatter-add over the
     slots, ``y @ S`` (= S^T y) for a vector y of length rows one gather,
@@ -107,12 +108,15 @@ class SparseColumns:
                 isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
                 for d in self.shape)):
             raise ValueError("shape must be a pair of positive integers, got %r" % (self.shape,))
-        if self.values.shape != self.rows.shape or self.rows.shape[1:] != self.shape[1:]:
+        rows, values = np.asarray(self.rows), np.asarray(self.values)
+        if values.shape != rows.shape or rows.shape[1:] != self.shape[1:]:
             raise ValueError("rows and values must both be s x %d arrays" % self.shape[1])
-        rows = _indices(self.rows.ravel(), self.shape[0], "rows")
-        object.__setattr__(self, "rows", rows.reshape(self.rows.shape))  # empty rows as integers
-        if self.values.dtype.kind not in "fiu":
-            raise ValueError("values must be real, got dtype %s" % self.values.dtype)
+        rows = _indices(rows.ravel(), self.shape[0], "rows").reshape(rows.shape)
+        object.__setattr__(self, "rows", rows)  # empty rows as integers
+        if values.dtype.kind not in "fiu":
+            raise ValueError("values must be real, got dtype %s" % values.dtype)
+        # held as float64, so no product or norm takes the slots' dtype
+        object.__setattr__(self, "values", values.astype(float, copy=False))
         # zero slots take distinct negative keys, so only nonzero ones can meet
         key = np.where(self.values != 0, self.rows, -1 - np.arange(len(self.rows))[:, None])
         key.sort(axis=0)

@@ -167,6 +167,19 @@ class TestDetectCommand:
         assert exc.value.code == 2
         assert "--k-ub" in capsys.readouterr().err
 
+    def test_default_p_is_refused_by_acos_as_its_help_says(self, tmp_path, capsys):
+        # the default mode is acos and the default --p 0 is one acos refuses
+        path = tmp_path / "m.csv"
+        write_csv(path, generate_instance(20, 40, 1, 2, seed=0).M)
+        code, out, err = run(capsys, "detect", str(path), "--m", "10")
+        assert code == 2 and out == ""
+        assert err == "error: mode acos needs p >= 1 for its decoding step, got p=0\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "acos needs --p >= 1" in help_text and '"Notes on defaults"' in help_text
+
     def test_nonexistent_file(self, capsys):
         code, _, err = run(capsys, "detect", "/no/such/file.csv", "--m", "5")
         assert code == 2

@@ -163,6 +163,29 @@ class TestSparseColumns:
         assert (empty @ np.ones(3)).shape == (2,) and empty.columns([0, 1]).shape == (2, 2)
 
     @pytest.mark.parametrize(
+        "rows, values",
+        [(_ROWS, _ROWS), (_ROWS, _VALUES.astype(np.float32)), (_ROWS.tolist(), _VALUES.tolist())],
+        ids=["int_values", "float32_values", "lists"],
+    )
+    def test_slots_of_any_real_dtype_give_floats(self, rows, values):
+        # the slots are read as arrays and the values held as float64, so no
+        # product or norm takes their dtype, even with an integer operand
+        op = SparseColumns(rows, values, (3, 3))
+        dense = np.asarray(op)
+        for out in (dense, op @ np.ones(3, int), np.ones(3, int) @ op, op.columns([0, 2]),
+                    op.col_sq()):
+            assert out.dtype == np.float64
+        assert np.array_equal(op.col_sq(), (dense ** 2).sum(axis=0))
+        assert np.array_equal(np.ones(3, int) @ op, dense.sum(axis=0))
+
+    def test_list_slots_are_read_as_arrays(self):
+        assert np.asarray(SparseColumns([[0]], [[1.0]], (1, 1))).tolist() == [[1.0]]
+        with pytest.raises(ValueError, match="values must be real"):
+            SparseColumns([[0]], [[1j]], (1, 1))
+        with pytest.raises(ValueError, match="rows must be 1-D integer indices below 1"):
+            SparseColumns([[1]], [[1.0]], (1, 1))
+
+    @pytest.mark.parametrize(
         "rows, values, match",
         [
             (_ROWS + 1, _VALUES, "rows must be 1-D integer indices below 3"),

@@ -2,18 +2,16 @@
 
 Each module's ``__all__`` is its surface, and every function in it has a
 caller outside the tests.  Every array argument of a function in a surface,
-of the constructor of ``MatrixSource``, the one class there that takes
-input, and of a public method of a class there, is read as a real, finite
-array of the right shape or refused: a complex value, a NaN, an infinity
-or a wrong shape raises ValueError naming the argument.  The exceptions
-are the operands of ``MatrixSource``'s reads, whose NaN or infinity is
-refused as a non-finite measurement of the data.  A step-2 operand (the
-design of ``lasso_path_solve``, the ``right`` of ``row_sketch``) is held
-by its nonzeros as a ``sketching.SparseColumns``, which checks its slots
-when it is built: a dense one is refused, and one whose values hold a NaN
-or an infinity meets the refusals above.  The other classes are results
-and configs (dataclasses) or errors, and take no input array.  On the
-command line the same inputs exit 2.
+and of a public method of a class there, is read as a real, finite array of
+the right shape or refused: a complex value, a NaN, an infinity or a wrong
+shape raises ValueError naming the argument.  The step-2 operand (the
+design of ``lasso_path_solve``) is held by its nonzeros as a
+``sketching.SparseColumns``, which checks its slots when it is built: a
+dense one is refused, and one whose values hold a NaN or an infinity meets
+the refusals above.  Every class there is a dataclass (a result, a config
+or an operator; ``SparseColumns`` checks the slots it is built from, in
+``tests/test_sketching.py``) or an error.  On the command line the same
+inputs exit 2.
 """
 
 import dataclasses
@@ -34,7 +32,7 @@ import sketchout
 from sketchout import MODES, AcosConfig, bernoulli_mask, detect, generate_instance
 from sketchout.cli import main
 from sketchout.imaging import patch_matrix, saliency_map, write_pgm
-from sketchout.pipeline import MatrixSource, acos, extract_support, sacos, sacos_missing
+from sketchout.pipeline import acos, extract_support, sacos, sacos_missing
 from sketchout.prox import as_real, lasso_path_solve
 from sketchout.sketching import SparseColumns, make_sparse_sign_sketch
 from sketchout.solver import as_mask, outlier_pursuit, rmc_solve, subspace_basis
@@ -93,18 +91,6 @@ CASES = {
         dict(image=IMAGE),
     ),
     "imaging.write_pgm": (lambda image: write_pgm(os.devnull, image), dict(image=IMAGE)),
-    "pipeline.MatrixSource": (lambda M: MatrixSource(M).sketch(np.eye(N1)), dict(M=INST.M)),
-    "pipeline.MatrixSource.sketch": (
-        lambda op, idx: MatrixSource(INST.M).sketch(op, idx), dict(op=np.eye(N1), idx=np.arange(3)),
-    ),
-    "pipeline.MatrixSource.row_sketch": (
-        lambda w, right: MatrixSource(INST.M).row_sketch(w, right),
-        dict(w=np.ones(N1), right=RIGHT),
-    ),
-    "pipeline.MatrixSource.masked_rows": (
-        lambda rows, mask: MatrixSource(INST.M).masked_rows(rows, mask),
-        dict(rows=np.arange(3), mask=FULL[:3]),
-    ),
     "pipeline.acos": (lambda M: acos(M, CFG), dict(M=INST.M)),
     "pipeline.sacos": (lambda M: sacos(M, CFG), dict(M=INST.M)),
     "pipeline.sacos_missing": (
@@ -136,14 +122,9 @@ CASES = {
 LABELS = {"M": "data", "M_obs": "data", "Y": "data", "Y_obs": "data",
           "regs": "regularization weights"}
 
-#: Operands of MatrixSource's reads, which skip a pass of their own for
-#: finiteness: a NaN or an infinity in them reaches the measured block,
-#: which is refused as non-finite.
-MEASURED = {"op", "w", "right"}
-
-#: Where each method argument meets the data (or the basis): the axis whose
-#: length must match it.  ``rows`` has none; its length sets the mask's.
-INNER_AXIS = {"op": 1, "w": 0, "right": 1, "mask": 1, "X": 0}
+#: Where each method argument meets the basis: the axis whose length must
+#: match it.
+INNER_AXIS = {"X": 0}
 
 NO_ARRAYS = {
     "cli.main", "io.load_config", "io.read_matrix_csv", "io.write_phase_csv",
@@ -194,13 +175,12 @@ def _bad(value, kind):
 )
 def test_bad_array_raises_value_error(name, arg, kind):
     call, good = CASES[name]
-    label = "finite" if arg in MEASURED and kind in ("nan", "inf") else LABELS.get(arg, arg)
-    with pytest.raises(ValueError, match=label):
+    with pytest.raises(ValueError, match=LABELS.get(arg, arg)):
         call(**dict(good, **{arg: _bad(good[arg], kind)}))
 
 
-#: The step-2 operands, each held by its nonzeros in its case.
-STEP2 = [("pipeline.MatrixSource.row_sketch", "right"), ("prox.lasso_path_solve", "design")]
+#: The step-2 operand, held by its nonzeros in its case.
+STEP2 = [("prox.lasso_path_solve", "design")]
 
 
 @pytest.mark.parametrize("name, arg", STEP2)
@@ -225,36 +205,8 @@ def test_matrix_held_by_its_nonzeros_is_read_alike(name, arg, kind):
         with pytest.raises(ValueError, match=match):
             SparseColumns(held.rows, values, held.shape)
         return
-    label = "finite" if arg in MEASURED else LABELS.get(arg, arg)
-    with pytest.raises(ValueError, match=label):
+    with pytest.raises(ValueError, match=LABELS.get(arg, arg)):
         call(**dict(good, **{arg: SparseColumns(held.rows, values, held.shape)}))
-
-
-def test_row_sketch_refuses_held_matrix_of_wrong_width():
-    for width in (N2 - 1, N2 + 1):
-        with pytest.raises(ValueError, match="right must have %d entries along axis 1" % N2):
-            MatrixSource(INST.M).row_sketch(np.ones(N1), make_sparse_sign_sketch(5, width, seed=4))
-
-
-@settings(max_examples=60, deadline=None)
-@given(height=st.integers(1, 6), top=st.integers(0, 8), seed=st.integers(0, 2 ** 16))
-def test_row_sketch_block_has_one_entry_per_operand_row(height, top, seed):
-    # slots naming a row at or past the operand's height are refused when
-    # the operand is built; a row sketch takes and counts one entry per row
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    rows = rng.integers(0, top + 1, size=(3, N2))
-    rows[0, 0] = top
-    values = rng.standard_normal((3, N2))
-    # nonzero slots of a column may not share a row: a repeat holds 0
-    values[1][rows[1] == rows[0]] = 0.0
-    values[2][(rows[2] == rows[0]) | (rows[2] == rows[1])] = 0.0
-    if top >= height:
-        with pytest.raises(ValueError, match="rows must be 1-D integer indices below %d" % height):
-            SparseColumns(rows, values, (height, N2))
-        return
-    src = MatrixSource(INST.M)
-    out = src.row_sketch(np.ones(N1), SparseColumns(rows, values, (height, N2)))
-    assert out.shape == (height,) and src.measurements == height
 
 
 def _longer(value, axis):
@@ -281,8 +233,6 @@ def test_method_array_of_wrong_length_raises_value_error(name, arg):
 #: and the slot rows (``tests/test_sketching.py``): a call that reads each,
 #: and the bound its indices lie below.
 INDEXED = {
-    "rows": (lambda rows: MatrixSource(INST.M).masked_rows(rows, FULL[:1]), N1),
-    "idx": (lambda idx: MatrixSource(INST.M).sketch(np.eye(N1), idx), N2),
     "cols": (RIGHT.columns, N2),
 }
 
@@ -301,10 +251,6 @@ def test_index_outside_the_range_raises_value_error(arg, bad):
 def test_empty_index_reads_nothing(empty):
     # numpy reads each spelling as float: the index rule reads it as the
     # empty integer index, and still refuses a 2-D empty input
-    src = MatrixSource(INST.M)
-    assert src.sketch(np.eye(N1), empty).shape == (N1, 0)
-    assert src.masked_rows(empty, np.zeros((0, N2), bool)).shape == (0, N2)
-    assert src.measurements == 0
     assert RIGHT.columns(empty).shape == (RIGHT.shape[0], 0)
     for arg, (call, n) in INDEXED.items():
         with pytest.raises(ValueError, match="%s must be 1-D integer indices below %d" % (arg, n)):
